@@ -26,6 +26,23 @@ toString(StrategyKind kind)
     return "?";
 }
 
+StrategyKind
+strategyKindByName(const std::string &name)
+{
+    if (name == "e" || name == "emulation")
+        return StrategyKind::Emulation;
+    if (name == "f" || name == "frequency")
+        return StrategyKind::Frequency;
+    if (name == "V" || name == "voltage")
+        return StrategyKind::Voltage;
+    if (name == "fV" || name == "combined")
+        return StrategyKind::CombinedFv;
+    if (name == "hybrid" || name == "e+fV")
+        return StrategyKind::Hybrid;
+    suit::util::fatal("unknown strategy '%s' (e, f, V, fV, hybrid)",
+                      name.c_str());
+}
+
 SwitchingStrategy::SwitchingStrategy(const StrategyParams &params)
     : params_(params), thrash_(params)
 {

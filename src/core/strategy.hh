@@ -55,6 +55,13 @@ enum class StrategyKind
 /** Printable strategy name ("e", "f", "V", "fV"). */
 const char *toString(StrategyKind kind);
 
+/**
+ * The strategy named @p name on the command line: e, f, V, fV or
+ * hybrid, or spelled out (emulation, frequency, voltage, combined,
+ * e+fV).  fatal()s on any other name.
+ */
+StrategyKind strategyKindByName(const std::string &name);
+
 /** What the simulator should do with the trapped instruction. */
 struct TrapAction
 {

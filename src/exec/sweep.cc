@@ -1,14 +1,13 @@
 #include "exec/sweep.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <exception>
 #include <mutex>
 
-#include "obs/flight.hh"
 #include "obs/registry.hh"
-#include "obs/trace.hh"
-#include "util/format.hh"
+#include "runtime/journaled.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -91,77 +90,27 @@ SweepEngine::runCells(
 {
     SUIT_ASSERT(policy.retries >= 0, "negative retry count %d",
                 policy.retries);
-    const suit::runtime::CheckpointPolicy &ckpt = ctx.checkpoint;
-    if (ckpt.resume && ckpt.path.empty())
-        throw JournalError("resume requires a checkpoint path");
+    static constexpr suit::runtime::JournaledNames kNames{
+        "sweep.cell", "exec", "main", "cell", "sweep",
+        "cell",       "grid", "sweep.cells"};
 
     SweepOutcome out;
     out.results.resize(n);
     out.done.assign(n, 0);
-
-    CheckpointJournal journal;
-    if (!ckpt.path.empty()) {
-        std::vector<CellRecord> seed;
-        if (ckpt.resume) {
-            JournalContents loaded =
-                CheckpointJournal::load(ckpt.path);
-            if (!(loaded.fingerprint == fingerprint))
-                throw JournalError(suit::util::sformat(
-                    "checkpoint '%s' belongs to a different grid "
-                    "(journal: %llu cells, fingerprint %016llx; this "
-                    "run: %llu cells, fingerprint %016llx) — "
-                    "refusing to mix results",
-                    ckpt.path.c_str(),
-                    static_cast<unsigned long long>(
-                        loaded.fingerprint.cells),
-                    static_cast<unsigned long long>(
-                        loaded.fingerprint.hash),
-                    static_cast<unsigned long long>(fingerprint.cells),
-                    static_cast<unsigned long long>(fingerprint.hash)));
-            if (loaded.droppedBytes != 0)
-                suit::util::warn(
-                    "checkpoint '%s': dropped %zu trailing bytes of "
-                    "a torn record; the affected cell will re-run",
-                    ckpt.path.c_str(), loaded.droppedBytes);
-            // Completed cells seed the results; failed records are
-            // dropped so the resume re-attempts those cells.
-            for (CellRecord &record : loaded.records) {
-                if (record.failed || record.index >= n ||
-                    out.done[record.index])
-                    continue;
-                out.results[record.index] = std::move(record.result);
-                out.done[record.index] = 1;
-                ++out.restored;
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                if (out.done[i])
-                    seed.push_back({i, false, "", out.results[i], false, ""});
-            }
-        }
-        journal.start(ckpt.path, fingerprint, std::move(seed));
-        journal.setFlushInterval(ckpt.flushInterval);
-    }
-
-    std::atomic<std::size_t> executed{0};
-    std::atomic<std::size_t> skipped{0};
     std::atomic<std::uint64_t> retried{0};
     std::mutex failures_mu;
-    std::vector<CellFailure> failures;
 
-    // Latched by the RunContext at its construction: workers observe
-    // the same session, so pool and serial mode trace identically.
-    obs::TraceSession *const trace = ctx.trace();
-    const suit::runtime::CancelToken &token = ctx.token();
-
-    const auto runOne = [&](std::size_t i) {
-        if (out.done[i])
-            return; // restored from the journal
-        if (token.cancelled()) {
-            skipped.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        obs::FlightSpan span("sweep.cell", "exec");
-        const double cell_start = trace ? trace->hostNowUs() : 0.0;
+    suit::runtime::JournaledUnits units;
+    // Completed cells seed the results; failed records are dropped
+    // so the resume re-attempts those cells.
+    units.restore = [&](const CellRecord &record) {
+        if (record.failed)
+            return false;
+        out.results[record.index] = record.result;
+        out.done[record.index] = 1;
+        return true;
+    };
+    units.run = [&](std::size_t i, suit::runtime::JournaledUnit &unit) {
         const int attempts = policy.retries + 1;
         int attempts_made = 0;
         std::exception_ptr error;
@@ -172,68 +121,50 @@ SweepEngine::runCells(
             try {
                 out.results[i] = cell(i);
                 out.done[i] = 1;
-                executed.fetch_add(1, std::memory_order_relaxed);
-                journal.append({i, false, "", out.results[i], false, ""});
                 error = nullptr;
                 break;
             } catch (const suit::runtime::Cancelled &) {
-                // The token tripped mid-cell: the cell never ran as
-                // far as the journal and the outcome are concerned —
-                // a resume recomputes it from scratch, bit-identical.
-                skipped.fetch_add(1, std::memory_order_relaxed);
-                return;
+                throw; // skipped, never retried or journaled
             } catch (...) {
                 error = std::current_exception();
             }
         }
-        if (trace) {
-            const int track = trace->threadTrack("main");
-            const double now_us = trace->hostNowUs();
-            trace->complete(
-                obs::TraceSession::kHostPid, track, cell_start,
-                now_us - cell_start, "cell", "sweep",
-                {{"index", static_cast<std::uint64_t>(i)},
-                 {"attempts", attempts_made},
-                 {"ok", error ? 0 : 1}});
+        if (unit.traceArgs) {
+            unit.traceArgs->emplace_back("attempts", attempts_made);
+            unit.traceArgs->emplace_back("ok", error ? 0 : 1);
         }
-        if (error) {
-            if (policy.strict)
-                std::rethrow_exception(error);
-            const std::string what = describeException(error);
-            {
-                std::lock_guard lock(failures_mu);
-                failures.push_back({i, "", what, attempts});
-            }
-            journal.append({i, true, what, {}, false, ""});
+        if (!error) {
+            if (unit.record)
+                *unit.record = {i, false, "", out.results[i], false, ""};
+            return true;
         }
-        if (policy.onCellDone)
-            policy.onCellDone(i);
+        if (policy.strict)
+            std::rethrow_exception(error);
+        const std::string what = describeException(error);
+        {
+            std::lock_guard lock(failures_mu);
+            out.failures.push_back({i, "", what, attempts});
+        }
+        if (unit.record)
+            *unit.record = {i, true, what, {}, false, ""};
+        return false;
     };
+    units.done = policy.onCellDone;
 
-    if (ThreadPool *pool = session_.pool()) {
-        pool->parallelFor(n, runOne);
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            runOne(i);
-    }
-    // Land any batch tail now (including after a cancellation), so
-    // every completed cell is on disk for a resume.
-    journal.flush();
-
-    out.executed = executed.load();
-    out.skipped = skipped.load();
-    out.interrupted = token.cancelled();
-    std::sort(failures.begin(), failures.end(),
+    const suit::runtime::JournaledCounts counts =
+        suit::runtime::runJournaled(session_, ctx, n, fingerprint,
+                                    kNames, units);
+    out.executed = counts.executed;
+    out.restored = counts.restored;
+    out.skipped = counts.skipped;
+    out.interrupted = counts.interrupted;
+    std::sort(out.failures.begin(), out.failures.end(),
               [](const CellFailure &a, const CellFailure &b) {
                   return a.index < b.index;
               });
-    out.failures = std::move(failures);
 
     obs::Registry &reg = obs::metrics();
     if (reg.enabled()) {
-        reg.add(reg.counter("sweep.cells.executed"), out.executed);
-        reg.add(reg.counter("sweep.cells.restored"), out.restored);
-        reg.add(reg.counter("sweep.cells.skipped"), out.skipped);
         reg.add(reg.counter("sweep.cells.failed"),
                 out.failures.size());
         reg.add(reg.counter("sweep.cells.retries"), retried.load());
@@ -290,38 +221,3 @@ deriveSeed(std::uint64_t root, std::uint64_t index)
 }
 
 } // namespace suit::exec
-
-namespace suit::sim {
-
-std::vector<WorkloadRow>
-runSuiteParallel(const EvalConfig &config,
-                 const std::vector<trace::WorkloadProfile> &profiles,
-                 suit::exec::SweepEngine &engine)
-{
-    std::vector<suit::exec::SweepJob> jobs;
-    jobs.reserve(profiles.size());
-    for (const trace::WorkloadProfile &p : profiles)
-        jobs.push_back({p.name, config, &p});
-
-    const std::vector<DomainResult> results = engine.run(jobs);
-
-    std::vector<WorkloadRow> rows;
-    rows.reserve(profiles.size());
-    for (std::size_t i = 0; i < profiles.size(); ++i)
-        rows.push_back({profiles[i].name, results[i]});
-    return rows;
-}
-
-std::vector<WorkloadRow>
-runSuiteParallel(const EvalConfig &config,
-                 const std::vector<trace::WorkloadProfile> &profiles,
-                 int jobs)
-{
-    suit::runtime::SessionConfig scfg;
-    scfg.jobs = jobs;
-    suit::runtime::Session session(scfg);
-    suit::exec::SweepEngine engine(session);
-    return runSuiteParallel(config, profiles, engine);
-}
-
-} // namespace suit::sim

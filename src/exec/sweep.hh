@@ -24,9 +24,10 @@
  * A serial Session (jobs == 1, no pool) runs the jobs inline: the
  * serial reference path used by the determinism tests.  Per-run
  * state — cancellation, deadline, journal policy — arrives through a
- * runtime::RunContext; a tripped token skips unstarted cells and
- * aborts in-flight cells mid-simulation (runtime::Cancelled), which
- * the engine accounts as skipped, never as failed or journaled.
+ * runtime::RunContext, and the cells run through runtime::runJournaled
+ * (the loop the fleet engine shares): a tripped token skips unstarted
+ * cells and aborts in-flight cells mid-simulation (runtime::Cancelled),
+ * which count as skipped, never as failed or journaled.
  */
 
 #ifndef SUIT_EXEC_SWEEP_HH
@@ -218,29 +219,5 @@ GridFingerprint fingerprintJobs(const std::vector<SweepJob> &jobs);
 std::uint64_t deriveSeed(std::uint64_t root, std::uint64_t index);
 
 } // namespace suit::exec
-
-namespace suit::sim {
-
-/**
- * Parallel counterpart of runSuite(): one job per profile, executed
- * on @p engine, rows returned in profile order.  Bit-identical to
- * runSuite() for any worker count (verified by tests/exec).
- *
- * Declared in the sim namespace next to runSuite but defined in the
- * suit_runtime library, which layers above suit_sim — callers link
- * suit_runtime.
- */
-std::vector<WorkloadRow>
-runSuiteParallel(const EvalConfig &config,
-                 const std::vector<suit::trace::WorkloadProfile> &profiles,
-                 suit::exec::SweepEngine &engine);
-
-/** Convenience overload running on a throwaway session. */
-std::vector<WorkloadRow>
-runSuiteParallel(const EvalConfig &config,
-                 const std::vector<suit::trace::WorkloadProfile> &profiles,
-                 int jobs = 0);
-
-} // namespace suit::sim
 
 #endif // SUIT_EXEC_SWEEP_HH

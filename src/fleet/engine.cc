@@ -9,33 +9,14 @@
 
 #include "core/params.hh"
 #include "exec/checkpoint.hh"
-#include "exec/thread_pool.hh"
-#include "obs/flight.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
+#include "power/cpu_model.hh"
+#include "runtime/journaled.hh"
 #include "sim/domain_sim.hh"
-#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace suit::fleet {
-
-namespace {
-
-suit::power::CpuModel
-cpuModelByName(const std::string &name)
-{
-    if (name == "A")
-        return suit::power::cpuA_i9_9900k();
-    if (name == "B")
-        return suit::power::cpuB_ryzen7700x();
-    if (name == "C")
-        return suit::power::cpuC_xeon4208();
-    if (name == "i5")
-        return suit::power::cpu_i5_1035g1();
-    suit::util::fatal("unknown CPU model '%s'", name.c_str());
-}
-
-} // namespace
 
 FleetEngine::FleetEngine(suit::runtime::Session &session,
                          FleetSpec spec)
@@ -47,7 +28,7 @@ FleetEngine::FleetEngine(suit::runtime::Session &session,
     racks_.reserve(spec_.racks.size());
     for (const RackSpec &rack : spec_.racks) {
         cpus_.push_back(std::make_unique<suit::power::CpuModel>(
-            cpuModelByName(rack.cpu)));
+            suit::power::cpuModelByName(rack.cpu)));
         const suit::power::CpuModel &cpu = *cpus_.back();
 
         ResolvedRack resolved;
@@ -162,70 +143,10 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
     // Index-addressed shard slots; merged in shard order at the end.
     std::vector<std::optional<FleetAccumulator>> slots(shards);
 
-    const suit::exec::GridFingerprint fingerprint{
-        shards, journalFingerprint(shard_size)};
-
-    const suit::runtime::CheckpointPolicy &ckpt = ctx.checkpoint;
-    suit::exec::CheckpointJournal journal;
-    if (!ckpt.path.empty()) {
-        std::vector<suit::exec::CellRecord> seed;
-        if (ckpt.resume) {
-            const suit::exec::JournalContents loaded =
-                suit::exec::CheckpointJournal::load(ckpt.path);
-            if (loaded.fingerprint != fingerprint) {
-                throw suit::exec::JournalError(suit::util::sformat(
-                    "checkpoint '%s' belongs to a different fleet "
-                    "(fingerprint %016llx/%llu cells, expected "
-                    "%016llx/%llu)",
-                    ckpt.path.c_str(),
-                    static_cast<unsigned long long>(
-                        loaded.fingerprint.hash),
-                    static_cast<unsigned long long>(
-                        loaded.fingerprint.cells),
-                    static_cast<unsigned long long>(fingerprint.hash),
-                    static_cast<unsigned long long>(
-                        fingerprint.cells)));
-            }
-            if (loaded.droppedBytes != 0)
-                suit::util::warn(
-                    "checkpoint '%s': dropped %zu trailing bytes of "
-                    "a torn record; the affected shard will re-run",
-                    ckpt.path.c_str(), loaded.droppedBytes);
-            for (const suit::exec::CellRecord &record :
-                 loaded.records) {
-                if (!record.isBlob || record.index >= shards ||
-                    slots[record.index].has_value())
-                    continue;
-                FleetAccumulator acc;
-                std::size_t offset = 0;
-                if (!acc.deserialize(record.blob.data(),
-                                     record.blob.size(), offset) ||
-                    offset != record.blob.size() ||
-                    acc.rackCount() != spec_.racks.size()) {
-                    suit::util::warn(
-                        "checkpoint '%s': shard %llu record is "
-                        "malformed; the shard will re-run",
-                        ckpt.path.c_str(),
-                        static_cast<unsigned long long>(
-                            record.index));
-                    continue;
-                }
-                slots[record.index] = std::move(acc);
-                ++out.shardsRestored;
-                seed.push_back(record);
-            }
-        }
-        journal.start(ckpt.path, fingerprint, std::move(seed));
-        journal.setFlushInterval(ckpt.flushInterval);
-    }
-
-    std::atomic<std::uint64_t> executed{0};
-    std::atomic<std::uint64_t> skipped{0};
     std::atomic<std::uint64_t> domains_simulated{0};
 
     // Latched by the RunContext: workers trace into the same session.
     suit::obs::TraceSession *const trace = ctx.trace();
-    const suit::runtime::CancelToken &token = ctx.token();
     suit::obs::Registry &reg = suit::obs::metrics();
     static const std::vector<double> kShardMsBounds{
         1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0};
@@ -276,18 +197,29 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
         }
     };
 
-    const auto runOne = [&](std::size_t shard) {
-        if (slots[shard].has_value())
-            return; // restored from the journal
-        if (token.cancelled()) {
-            skipped.fetch_add(1, std::memory_order_relaxed);
-            return;
+    suit::runtime::JournaledUnits units;
+    units.restore = [&](const suit::exec::CellRecord &record) {
+        if (!record.isBlob)
+            return false;
+        FleetAccumulator acc;
+        std::size_t offset = 0;
+        if (!acc.deserialize(record.blob.data(), record.blob.size(),
+                             offset) ||
+            offset != record.blob.size() ||
+            acc.rackCount() != spec_.racks.size()) {
+            suit::util::warn("checkpoint '%s': shard %llu record is "
+                             "malformed; the shard will re-run",
+                             ctx.checkpoint.path.c_str(),
+                             static_cast<unsigned long long>(
+                                 record.index));
+            return false;
         }
-        suit::obs::FlightSpan span("fleet.shard", "fleet");
-        const double trace_start =
-            trace ? trace->hostNowUs() : 0.0;
+        slots[record.index] = std::move(acc);
+        return true;
+    };
+    units.run = [&](std::size_t shard,
+                    suit::runtime::JournaledUnit &unit) {
         const auto wall_start = std::chrono::steady_clock::now();
-
         const std::uint64_t first =
             static_cast<std::uint64_t>(shard) * shard_size;
         const std::uint64_t count =
@@ -301,29 +233,19 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
         for (std::uint64_t i = 0; i < count; ++i)
             block.push_back(spec_.domainAt(first + i));
 
+        // A cancellation mid-shard discards the partial accumulator.
         FleetAccumulator acc(spec_.racks.size());
-        try {
-            for (const DomainConfig &config : block)
-                simulateDomain(config, acc, &token);
-        } catch (const suit::runtime::Cancelled &) {
-            // The token tripped mid-shard: the partial accumulator
-            // is discarded and the shard accounted as skipped, so a
-            // resume recomputes it whole, bit-identical.
-            skipped.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
+        for (const DomainConfig &config : block)
+            simulateDomain(config, acc, &ctx.token());
 
-        if (journal.active()) {
+        if (unit.record) {
             std::string bytes;
             acc.serialize(bytes);
-            journal.append(suit::exec::CellRecord::blobRecord(
-                shard, std::move(bytes)));
+            *unit.record = suit::exec::CellRecord::blobRecord(
+                shard, std::move(bytes));
         }
-        slots[shard] = std::move(acc);
-        executed.fetch_add(1, std::memory_order_relaxed);
         domains_simulated.fetch_add(count,
                                     std::memory_order_relaxed);
-
         if (reg.enabled()) {
             reg.observe(
                 reg.histogram("fleet.shard_ms", kShardMsBounds),
@@ -331,33 +253,26 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
                     std::chrono::steady_clock::now() - wall_start)
                     .count());
         }
-        if (trace) {
-            const int track = trace->threadTrack("fleet");
-            const double now_us = trace->hostNowUs();
-            trace->complete(
-                suit::obs::TraceSession::kHostPid, track,
-                trace_start, now_us - trace_start, "shard", "fleet",
-                {{"index", static_cast<std::uint64_t>(shard)},
-                 {"domains", count}});
-            emitRackCounters(*slots[shard], now_us);
+        if (unit.traceArgs) {
+            unit.traceArgs->emplace_back("domains", count);
+            emitRackCounters(acc, trace->hostNowUs());
         }
-        if (options.onShardDone)
-            options.onShardDone(shard);
+        slots[shard] = std::move(acc);
+        return true;
     };
+    units.done = options.onShardDone;
 
-    if (suit::exec::ThreadPool *pool = session_.pool()) {
-        pool->parallelFor(static_cast<std::size_t>(shards), runOne);
-    } else {
-        for (std::size_t shard = 0; shard < shards; ++shard)
-            runOne(shard);
-    }
-    // Land any batch tail now (including after a cancellation), so
-    // every completed shard is on disk for a resume.
-    journal.flush();
-
-    out.shardsRun = executed.load();
-    out.shardsSkipped = skipped.load();
-    out.interrupted = token.cancelled();
+    static constexpr suit::runtime::JournaledNames kNames{
+        "fleet.shard", "fleet", "fleet", "shard", "fleet",
+        "shard",       "fleet", "fleet.shards"};
+    const suit::runtime::JournaledCounts counts =
+        suit::runtime::runJournaled(
+            session_, ctx, static_cast<std::size_t>(shards),
+            {shards, journalFingerprint(shard_size)}, kNames, units);
+    out.shardsRun = counts.executed;
+    out.shardsRestored = counts.restored;
+    out.shardsSkipped = counts.skipped;
+    out.interrupted = counts.interrupted;
 
     // Merge in shard order.  ExactSum makes the value() bits
     // independent of the grouping anyway; the fixed order makes even
@@ -368,15 +283,9 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
             out.totals.merge(*slot);
     }
 
-    if (reg.enabled()) {
+    if (reg.enabled())
         reg.add(reg.counter("fleet.domains.simulated"),
                 domains_simulated.load());
-        reg.add(reg.counter("fleet.shards.executed"), out.shardsRun);
-        reg.add(reg.counter("fleet.shards.restored"),
-                out.shardsRestored);
-        reg.add(reg.counter("fleet.shards.skipped"),
-                out.shardsSkipped);
-    }
     return out;
 }
 

@@ -28,7 +28,8 @@
  * running only the rest — the final aggregate is identical to an
  * uninterrupted run.  The journal path/resume flag and cancellation
  * (SIGINT link, wall-clock deadline) arrive through the same
- * runtime::RunContext the sweep engine uses; a shard aborted
+ * runtime::RunContext the sweep engine uses, and the shards run
+ * through the same loop, runtime::runJournaled: a shard aborted
  * mid-flight by the token is accounted as skipped, never journaled.
  */
 

@@ -313,6 +313,14 @@ FleetSpec::scaleDomains(std::uint64_t domains)
     SUIT_ASSERT(domains >= 1, "cannot scale a fleet to 0 domains");
     const std::uint64_t current = totalDomains();
     SUIT_ASSERT(current >= 1, "cannot scale an empty fleet");
+    // Every rack keeps at least one domain, so fewer domains than
+    // racks has no valid distribution.
+    if (domains < racks.size())
+        throw SpecError(suit::util::sformat(
+            "cannot scale fleet '%s' to %llu domains: it has %zu "
+            "racks and every rack keeps at least one domain",
+            name.c_str(), static_cast<unsigned long long>(domains),
+            racks.size()));
     std::uint64_t assigned = 0;
     for (RackSpec &rack : racks) {
         rack.domains = std::max<std::uint64_t>(

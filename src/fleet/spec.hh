@@ -146,6 +146,8 @@ struct FleetSpec
      * Rescale every rack's domain count so the fleet totals
      * @p domains (proportionally, remainder to the first racks;
      * every non-empty rack keeps at least one domain).
+     *
+     * @throws SpecError if @p domains is below the rack count.
      */
     void scaleDomains(std::uint64_t domains);
 
@@ -171,6 +173,8 @@ struct FleetSpec
      * scenario of examples/datacenter_fleet scaled to @p domains
      * domains, with heterogeneous per-tenant strategies/offsets and
      * trace_scale 0.002 so 10^5-10^6 domains run in one process.
+     *
+     * @throws SpecError if @p domains is below the rack count (5).
      */
     static FleetSpec demo(std::uint64_t domains);
 };

@@ -199,4 +199,19 @@ cpu_i5_1035g1()
     return CpuModel(std::move(c));
 }
 
+CpuModel
+cpuModelByName(const std::string &name)
+{
+    if (name == "A" || name == "i9-9900K")
+        return cpuA_i9_9900k();
+    if (name == "B" || name == "7700X")
+        return cpuB_ryzen7700x();
+    if (name == "C" || name == "4208")
+        return cpuC_xeon4208();
+    if (name == "i5" || name == "i5-1035G1")
+        return cpu_i5_1035g1();
+    suit::util::fatal("unknown CPU '%s' (use A, B, C or i5)",
+                      name.c_str());
+}
+
 } // namespace suit::power

@@ -189,6 +189,13 @@ CpuModel cpuC_xeon4208();
 CpuModel cpu_i5_1035g1();
 /** @} */
 
+/**
+ * The paper's machine named @p name: its label (A, B, C, i5) or its
+ * part-number alias (i9-9900K, 7700X, 4208, i5-1035G1).  fatal()s on
+ * any other name.
+ */
+CpuModel cpuModelByName(const std::string &name);
+
 } // namespace suit::power
 
 #endif // SUIT_POWER_CPU_MODEL_HH

@@ -1,0 +1,140 @@
+#include "runtime/journaled.hh"
+
+#include <atomic>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "exec/thread_pool.hh"
+#include "obs/flight.hh"
+#include "obs/registry.hh"
+#include "util/format.hh"
+#include "util/logging.hh"
+
+namespace suit::runtime {
+
+using suit::exec::CellRecord;
+using suit::exec::CheckpointJournal;
+using suit::exec::JournalError;
+
+JournaledCounts
+runJournaled(Session &session, RunContext &ctx, std::size_t n,
+             const suit::exec::GridFingerprint &fingerprint,
+             const JournaledNames &names, const JournaledUnits &units)
+{
+    const CheckpointPolicy &ckpt = ctx.checkpoint;
+    if (ckpt.resume && ckpt.path.empty())
+        throw JournalError("resume requires a checkpoint path");
+
+    JournaledCounts counts;
+    std::vector<std::uint8_t> restored(n, 0);
+    CheckpointJournal journal;
+    if (!ckpt.path.empty()) {
+        std::vector<CellRecord> seed;
+        if (ckpt.resume) {
+            suit::exec::JournalContents loaded =
+                CheckpointJournal::load(ckpt.path);
+            if (!(loaded.fingerprint == fingerprint))
+                throw JournalError(suit::util::sformat(
+                    "checkpoint '%s' belongs to a different %s "
+                    "(journal: %llu %ss, fingerprint %016llx; this "
+                    "run: %llu %ss, fingerprint %016llx) — refusing "
+                    "to mix results",
+                    ckpt.path.c_str(), names.campaign,
+                    static_cast<unsigned long long>(
+                        loaded.fingerprint.cells),
+                    names.unit,
+                    static_cast<unsigned long long>(
+                        loaded.fingerprint.hash),
+                    static_cast<unsigned long long>(fingerprint.cells),
+                    names.unit,
+                    static_cast<unsigned long long>(fingerprint.hash)));
+            if (loaded.droppedBytes != 0)
+                suit::util::warn(
+                    "checkpoint '%s': dropped %zu trailing bytes of "
+                    "a torn record; the affected %s will re-run",
+                    ckpt.path.c_str(), loaded.droppedBytes,
+                    names.unit);
+            for (CellRecord &record : loaded.records) {
+                if (record.index >= n || restored[record.index] ||
+                    !units.restore(record))
+                    continue;
+                restored[record.index] = 1;
+                ++counts.restored;
+                seed.push_back(std::move(record));
+            }
+        }
+        journal.start(ckpt.path, fingerprint, std::move(seed));
+        journal.setFlushInterval(ckpt.flushInterval);
+    }
+
+    std::atomic<std::size_t> executed{0};
+    std::atomic<std::size_t> skipped{0};
+    // Latched by the RunContext at its construction: workers observe
+    // the same session, so pool and serial mode trace identically.
+    suit::obs::TraceSession *const trace = ctx.trace();
+    const CancelToken &token = ctx.token();
+
+    const auto runOne = [&](std::size_t i) {
+        if (restored[i])
+            return;
+        if (token.cancelled()) {
+            skipped.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
+        suit::obs::FlightSpan span(names.flightSpan,
+                                   names.flightCategory);
+        const double start_us = trace ? trace->hostNowUs() : 0.0;
+        CellRecord record;
+        suit::obs::TraceArgs args;
+        if (trace)
+            args.emplace_back("index", static_cast<std::uint64_t>(i));
+        JournaledUnit unit{journal.active() ? &record : nullptr,
+                           trace ? &args : nullptr};
+        bool completed = false;
+        try {
+            completed = units.run(i, unit);
+        } catch (const Cancelled &) {
+            skipped.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
+        if (unit.record)
+            journal.append(record);
+        if (completed)
+            executed.fetch_add(1, std::memory_order_relaxed);
+        if (trace) {
+            const double now_us = trace->hostNowUs();
+            trace->complete(suit::obs::TraceSession::kHostPid,
+                            trace->threadTrack(names.traceTrack),
+                            start_us, now_us - start_us,
+                            names.traceSpan, names.traceCategory, args);
+        }
+        if (units.done)
+            units.done(i);
+    };
+
+    if (suit::exec::ThreadPool *pool = session.pool()) {
+        pool->parallelFor(n, runOne);
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            runOne(i);
+    }
+    // Land any batch tail now (including after a cancellation), so
+    // every settled unit is on disk for a resume.
+    journal.flush();
+
+    counts.executed = executed.load();
+    counts.skipped = skipped.load();
+    counts.interrupted = token.cancelled();
+
+    suit::obs::Registry &reg = suit::obs::metrics();
+    if (reg.enabled()) {
+        const std::string prefix = names.counters;
+        reg.add(reg.counter(prefix + ".executed"), counts.executed);
+        reg.add(reg.counter(prefix + ".restored"), counts.restored);
+        reg.add(reg.counter(prefix + ".skipped"), counts.skipped);
+    }
+    return counts;
+}
+
+} // namespace suit::runtime

@@ -1,0 +1,101 @@
+/**
+ * @file
+ * runJournaled: the one resume/cancel/journal loop behind every
+ * journaled campaign — exec::SweepEngine's grid cells and
+ * fleet::FleetEngine's domain shards.
+ *
+ * For n index-addressed units under a RunContext the loop
+ *  1. on resume, loads the journal, refuses a fingerprint mismatch,
+ *     warns about a dropped torn tail and re-seeds a fresh journal
+ *     with the records the engine's restore callback accepted;
+ *  2. runs the units on the Session's pool (inline when serial),
+ *     skipping restored units and, once the token tripped, counting
+ *     the rest skipped; each started unit runs inside a flight span
+ *     and a host trace span;
+ *  3. counts a unit aborted mid-flight (runtime::Cancelled) skipped
+ *     and never journals it, so a resume recomputes it whole; a
+ *     settled unit is journaled, *then* the done callback runs on
+ *     the same worker;
+ *  4. flushes the journal's batch tail (after a cancellation too) and
+ *     publishes the executed/restored/skipped counters.
+ *
+ * What differs between the engines comes in as data (JournaledNames)
+ * or callbacks (JournaledUnits); the loop has no engine branch.
+ */
+#pragma once
+
+#include <cstddef>
+#include <functional>
+
+#include "exec/checkpoint.hh"
+#include "obs/trace.hh"
+#include "runtime/run_context.hh"
+#include "runtime/session.hh"
+
+namespace suit::runtime {
+
+/** How one engine names its units; every field a string literal. */
+struct JournaledNames
+{
+    const char *flightSpan;     //!< flight-recorder span name
+    const char *flightCategory; //!< ... and category
+    const char *traceTrack;     //!< host trace per-thread track
+    const char *traceSpan;      //!< host trace span name
+    const char *traceCategory;  //!< ... and category
+    const char *unit;           //!< noun in messages ("cell")
+    const char *campaign;       //!< a foreign journal's ("grid")
+    const char *counters;       //!< `<counters>.executed` etc.
+};
+
+/** Outputs of one unit, filled by the engine's run callback. */
+struct JournaledUnit
+{
+    /** The unit's journal record; null when no journal is bound. */
+    suit::exec::CellRecord *record = nullptr;
+    /** Extra host-trace span args; null when untraced. */
+    suit::obs::TraceArgs *traceArgs = nullptr;
+};
+
+/** The engine side of the loop. */
+struct JournaledUnits
+{
+    /**
+     * Adopt a journal record (index < n, first record per index);
+     * false drops it and the unit re-runs.
+     */
+    std::function<bool(const suit::exec::CellRecord &)> restore;
+    /**
+     * Run unit i and fill @p unit.  Returns true when the unit
+     * completed, false when it settled as failed (journaled, not
+     * counted executed).  Throwing runtime::Cancelled marks it
+     * skipped; any other exception propagates out of runJournaled
+     * (lowest index first).
+     */
+    std::function<bool(std::size_t, JournaledUnit &)> run;
+    /** Optional: after a settled unit's journal append. */
+    std::function<void(std::size_t)> done;
+};
+
+/** Accounting of one runJournaled() call. */
+struct JournaledCounts
+{
+    std::size_t executed = 0; //!< units completed by this call
+    std::size_t restored = 0; //!< units restored from the journal
+    std::size_t skipped = 0;  //!< units the tripped token skipped
+    bool interrupted = false; //!< the token ended the run early
+};
+
+/**
+ * Run @p n units of one campaign identified by @p fingerprint under
+ * @p ctx on @p session; see the file comment.
+ *
+ * @throws exec::JournalError on resume without a path, an unusable
+ *         journal, or a fingerprint mismatch.
+ */
+JournaledCounts runJournaled(Session &session, RunContext &ctx,
+                             std::size_t n,
+                             const suit::exec::GridFingerprint &fingerprint,
+                             const JournaledNames &names,
+                             const JournaledUnits &units);
+
+} // namespace suit::runtime

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/args.hh"
 #include "util/logging.hh"
 
 namespace suit::trace {
@@ -358,6 +359,19 @@ profileByName(const std::string &name)
             return p;
     }
     suit::util::fatal("unknown workload profile '%s'", name.c_str());
+}
+
+std::vector<WorkloadProfile>
+profilesByList(const std::string &value)
+{
+    if (value == "spec")
+        return specProfiles();
+    if (value == "all")
+        return allProfiles();
+    std::vector<WorkloadProfile> out;
+    for (const std::string &name : suit::util::splitList(value))
+        out.push_back(profileByName(name));
+    return out;
 }
 
 bool

@@ -155,6 +155,12 @@ std::vector<WorkloadProfile> specProfiles();
 /** Look up a profile by name; fatal() if absent. */
 const WorkloadProfile &profileByName(const std::string &name);
 
+/**
+ * Expand a --workload value: "spec" and "all" name the built-in
+ * suites, anything else is a comma list of profile names.
+ */
+std::vector<WorkloadProfile> profilesByList(const std::string &value);
+
 /** Whether a profile with the given name exists. */
 bool hasProfile(const std::string &name);
 

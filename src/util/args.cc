@@ -40,6 +40,26 @@ tryParseDouble(const std::string &text, double &out)
     return ParseStatus::Ok;
 }
 
+std::vector<std::string>
+splitList(const std::string &value)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= value.size()) {
+        const std::size_t comma = value.find(',', start);
+        const std::string item =
+            value.substr(start, comma == std::string::npos
+                                    ? std::string::npos
+                                    : comma - start);
+        if (!item.empty())
+            out.push_back(item);
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
+    }
+    return out;
+}
+
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description))
 {

@@ -41,6 +41,9 @@ ParseStatus tryParseLong(const std::string &text, long &out);
  */
 ParseStatus tryParseDouble(const std::string &text, double &out);
 
+/** The non-empty items of a comma-separated option value. */
+std::vector<std::string> splitList(const std::string &value);
+
 /** Declarative option parser. */
 class ArgParser
 {

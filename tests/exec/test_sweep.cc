@@ -35,6 +35,17 @@ subset()
     return out;
 }
 
+/** One job per profile, labelled and ordered like runSuite(). */
+std::vector<SweepJob>
+suiteJobs(const EvalConfig &cfg,
+          const std::vector<trace::WorkloadProfile> &profiles)
+{
+    std::vector<SweepJob> jobs;
+    for (const trace::WorkloadProfile &p : profiles)
+        jobs.push_back({p.name, cfg, &p});
+    return jobs;
+}
+
 /** Bitwise equality of every field of two domain results. */
 void
 expectIdentical(const DomainResult &a, const DomainResult &b)
@@ -59,8 +70,8 @@ expectIdentical(const DomainResult &a, const DomainResult &b)
 TEST(SweepEngine, ParallelSuiteBitIdenticalToSerialRunSuite)
 {
     // The acceptance-criterion test: a reduced Table-6 grid (two CPU
-    // configurations, 5 workloads) run through runSuiteParallel with
-    // 4 workers must reproduce serial runSuite() bit for bit.
+    // configurations, 5 workloads) run through SweepEngine with 4
+    // workers must reproduce serial runSuite() bit for bit.
     const power::CpuModel cpu_a = power::cpuA_i9_9900k();
     const power::CpuModel cpu_c = power::cpuC_xeon4208();
     const auto profiles = subset();
@@ -74,13 +85,15 @@ TEST(SweepEngine, ParallelSuiteBitIdenticalToSerialRunSuite)
 
         const std::vector<WorkloadRow> serial =
             sim::runSuite(cfg, profiles);
-        const std::vector<WorkloadRow> parallel =
-            sim::runSuiteParallel(cfg, profiles, 4);
+        const std::vector<SweepJob> jobs = suiteJobs(cfg, profiles);
+        runtime::Session session({4, 0});
+        SweepEngine engine(session);
+        const std::vector<DomainResult> parallel = engine.run(jobs);
 
         ASSERT_EQ(serial.size(), parallel.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i].workload, parallel[i].workload);
-            expectIdentical(serial[i].result, parallel[i].result);
+            EXPECT_EQ(serial[i].workload, jobs[i].label);
+            expectIdentical(serial[i].result, parallel[i]);
         }
     }
 }
@@ -98,11 +111,11 @@ TEST(SweepEngine, SerialModeMatchesRunSuiteToo)
     exec::SweepEngine engine(session);
     EXPECT_EQ(engine.jobs(), 1);
     const auto serial = sim::runSuite(cfg, profiles);
-    const auto inline_rows =
-        sim::runSuiteParallel(cfg, profiles, engine);
-    ASSERT_EQ(serial.size(), inline_rows.size());
+    const auto inline_results =
+        engine.run(suiteJobs(cfg, profiles));
+    ASSERT_EQ(serial.size(), inline_results.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdentical(serial[i].result, inline_rows[i].result);
+        expectIdentical(serial[i].result, inline_results[i]);
 }
 
 TEST(SweepEngine, ResultsArriveInJobOrder)

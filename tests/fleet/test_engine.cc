@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -297,6 +298,60 @@ TEST(FleetEngine, ChecksumFlippedBlobResumesFromValidPrefix)
     const FleetOutcome resumed = engine_b.run(ctx_b, checkpointed);
     EXPECT_TRUE(resumed.complete());
     EXPECT_EQ(resumed.shardsRestored, full.shardsRun - 1);
+    EXPECT_EQ(fleet::renderReportJson(engine_b.spec(),
+                                      resumed.totals),
+              reference);
+}
+
+/**
+ * A blob record that passes the journal's framing checks but does
+ * not decode as a shard accumulator must not poison the resume: the
+ * engine warns, re-runs that shard and restores only the valid one.
+ */
+TEST(FleetEngine, MalformedShardBlobIsReRun)
+{
+    const std::string reference = reportOf(testSpec(), 1, 32);
+
+    ScratchFile journal("malformed_blob.ckpt");
+    FleetOptions checkpointed;
+    checkpointed.shardSize = 32;
+    runtime::Session session_a({1, 0});
+    FleetEngine engine_a(session_a, testSpec());
+    {
+        runtime::RunContext ctx_a;
+        ctx_a.checkpoint.path = journal.path();
+        ASSERT_TRUE(engine_a.run(ctx_a, checkpointed).complete());
+    }
+    const exec::JournalContents full =
+        exec::CheckpointJournal::load(journal.path());
+    ASSERT_GT(full.records.size(), 2u);
+    EXPECT_EQ(full.fingerprint.hash,
+              engine_a.journalFingerprint(checkpointed.shardSize));
+
+    // Rewrite the journal under the same fingerprint with shard 0's
+    // genuine blob and a well-framed garbage blob for shard 1.
+    std::vector<exec::CellRecord> records;
+    for (const exec::CellRecord &record : full.records)
+        if (record.index == 0)
+            records.push_back(record);
+    ASSERT_EQ(records.size(), 1u);
+    records.push_back(
+        exec::CellRecord::blobRecord(1, "not an accumulator"));
+    {
+        exec::CheckpointJournal rewritten;
+        rewritten.start(journal.path(), full.fingerprint,
+                        std::move(records));
+    }
+
+    runtime::Session session_b({1, 0});
+    runtime::RunContext ctx_b;
+    ctx_b.checkpoint.path = journal.path();
+    ctx_b.checkpoint.resume = true;
+    FleetEngine engine_b(session_b, testSpec());
+    const FleetOutcome resumed = engine_b.run(ctx_b, checkpointed);
+    EXPECT_TRUE(resumed.complete());
+    EXPECT_EQ(resumed.shardsRestored, 1u);
+    EXPECT_EQ(resumed.shardsRun, resumed.shards - 1);
     EXPECT_EQ(fleet::renderReportJson(engine_b.spec(),
                                       resumed.totals),
               reference);

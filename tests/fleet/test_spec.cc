@@ -186,6 +186,36 @@ TEST(FleetSpecScale, HitsTheTargetExactly)
     }
 }
 
+TEST(FleetSpecScale, RefusesFewerDomainsThanRacks)
+{
+    // Every rack keeps at least one domain, so a target below the
+    // rack count has no distribution; it must throw, not spin.
+    FleetSpec spec = FleetSpec::parse(kGoodSpec);
+    ASSERT_EQ(spec.racks.size(), 2u);
+    try {
+        spec.scaleDomains(1);
+        FAIL() << "scaleDomains(1) on a two-rack fleet did not throw";
+    } catch (const SpecError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("1 domains"), std::string::npos) << what;
+        EXPECT_NE(what.find("2 racks"), std::string::npos) << what;
+    }
+    EXPECT_THROW(FleetSpec::demo(3), SpecError);
+}
+
+TEST(FleetSpecScale, RackCountGivesOneDomainPerRack)
+{
+    FleetSpec spec = FleetSpec::parse(kGoodSpec);
+    spec.scaleDomains(spec.racks.size());
+    for (const fleet::RackSpec &rack : spec.racks)
+        EXPECT_EQ(rack.domains, 1u);
+
+    const FleetSpec demo = FleetSpec::demo(5);
+    ASSERT_EQ(demo.racks.size(), 5u);
+    for (const fleet::RackSpec &rack : demo.racks)
+        EXPECT_EQ(rack.domains, 1u);
+}
+
 TEST(FleetSpecFingerprint, TracksSimulationInputsOnly)
 {
     const FleetSpec base = FleetSpec::parse(kGoodSpec);

@@ -3,6 +3,8 @@
  * Tests of the evaluated CPU models (paper Sec. 6.2).
  */
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "power/cpu_model.hh"
@@ -122,6 +124,21 @@ TEST(CpuModels, ZeroOffsetIsNeutral)
     EXPECT_NEAR(cpu.powerFactor(SuitPState::Efficient, 0.0), 1.0, 1e-9);
     EXPECT_NEAR(cpu.cfFreqHz(0.0), cpu.baseFreqHz(),
                 0.01 * cpu.baseFreqHz());
+}
+
+TEST(CpuModels, ByNameAcceptsLabelsAndPartNumbers)
+{
+    const std::pair<const char *, const char *> aliases[] = {
+        {"A", "i9-9900K"}, {"B", "7700X"}, {"C", "4208"},
+        {"i5", "i5-1035G1"}};
+    for (const auto &[label, part] : aliases) {
+        EXPECT_EQ(cpuModelByName(label).label(), label);
+        EXPECT_EQ(cpuModelByName(part).label(), label);
+    }
+    EXPECT_EQ(cpuModelByName("A").name(),
+              cpuA_i9_9900k().name());
+    EXPECT_EXIT(cpuModelByName("Z"),
+                ::testing::ExitedWithCode(1), "unknown CPU 'Z'");
 }
 
 } // namespace

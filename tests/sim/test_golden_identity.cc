@@ -26,6 +26,7 @@
 #include "emu/simd_ops.hh"
 #include "exec/sweep.hh"
 #include "obs/registry.hh"
+#include "runtime/session.hh"
 #include "sim/domain_sim.hh"
 #include "sim/evaluation.hh"
 #include "sim/result_io.hh"
@@ -350,15 +351,19 @@ TEST(GoldenIdentity, ParallelFastMatchesSerialReference)
     const std::vector<sim::WorkloadRow> serial =
         sim::runSuite(cfg, profiles);
     cfg.referencePath = false;
-    const std::vector<sim::WorkloadRow> parallel =
-        sim::runSuiteParallel(cfg, profiles, 4);
+    std::vector<exec::SweepJob> jobs;
+    for (const trace::WorkloadProfile &p : profiles)
+        jobs.push_back({p.name, cfg, &p});
+    runtime::Session session({4, 0});
+    exec::SweepEngine engine(session);
+    const std::vector<sim::DomainResult> parallel = engine.run(jobs);
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         std::string serial_bytes;
         std::string parallel_bytes;
         sim::serializeResult(serial[i].result, serial_bytes);
-        sim::serializeResult(parallel[i].result, parallel_bytes);
+        sim::serializeResult(parallel[i], parallel_bytes);
         EXPECT_EQ(serial_bytes, parallel_bytes)
             << profiles[i].name;
     }

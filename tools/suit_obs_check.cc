@@ -61,26 +61,6 @@ readDocument(const std::string &path)
     return buf.str();
 }
 
-std::vector<std::string>
-splitList(const std::string &value)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= value.size()) {
-        const std::size_t comma = value.find(',', start);
-        const std::string item =
-            value.substr(start, comma == std::string::npos
-                                    ? std::string::npos
-                                    : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
 /** Validate one document; returns the number of problems found. */
 int
 checkOne(const char *what, const std::string &path,
@@ -162,7 +142,7 @@ main(int argc, char **argv)
         problems += checkOne("flight", flight_path, results.back());
     }
 
-    for (const std::string &name : splitList(args.get("require"))) {
+    for (const std::string &name : util::splitList(args.get("require"))) {
         bool found = false;
         for (const obs::CheckResult &r : results)
             found = found || r.hasName(name);

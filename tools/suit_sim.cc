@@ -21,8 +21,7 @@
 #include "core/params.hh"
 #include "exec/sweep.hh"
 #include "obs/setup.hh"
-#include "runtime/run_context.hh"
-#include "runtime/session.hh"
+#include "runtime/cli_run.hh"
 #include "sim/evaluation.hh"
 #include "trace/generator.hh"
 #include "trace/io.hh"
@@ -30,95 +29,27 @@
 #include "util/args.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
-#include "util/sigint.hh"
 #include "util/table.hh"
 
 namespace {
 
 using namespace suit;
 
-power::CpuModel
-cpuByName(const std::string &name)
-{
-    if (name == "A" || name == "i9-9900K")
-        return power::cpuA_i9_9900k();
-    if (name == "B" || name == "7700X")
-        return power::cpuB_ryzen7700x();
-    if (name == "C" || name == "4208")
-        return power::cpuC_xeon4208();
-    if (name == "i5" || name == "i5-1035G1")
-        return power::cpu_i5_1035g1();
-    util::fatal("unknown CPU '%s' (use A, B, C or i5)", name.c_str());
-}
-
-core::StrategyKind
-strategyByName(const std::string &name)
-{
-    if (name == "e" || name == "emulation")
-        return core::StrategyKind::Emulation;
-    if (name == "f" || name == "frequency")
-        return core::StrategyKind::Frequency;
-    if (name == "V" || name == "voltage")
-        return core::StrategyKind::Voltage;
-    if (name == "fV" || name == "combined")
-        return core::StrategyKind::CombinedFv;
-    if (name == "hybrid" || name == "e+fV")
-        return core::StrategyKind::Hybrid;
-    if (name == "auto")
-        return core::StrategyKind::CombinedFv; // replaced below
-    util::fatal("unknown strategy '%s' (e, f, V, fV, hybrid, auto)",
-                name.c_str());
-}
-
-/**
- * Expand a --workload value into a profile list: "spec" / "all" name
- * the built-in suites, a comma-separated list selects individual
- * profiles, anything else is a single workload.
- */
-std::vector<trace::WorkloadProfile>
-workloadsByName(const std::string &value)
-{
-    if (value == "spec")
-        return trace::specProfiles();
-    if (value == "all")
-        return trace::allProfiles();
-    std::vector<trace::WorkloadProfile> out;
-    std::size_t start = 0;
-    while (start <= value.size()) {
-        const std::size_t comma = value.find(',', start);
-        const std::string name =
-            value.substr(start, comma == std::string::npos
-                                    ? std::string::npos
-                                    : comma - start);
-        if (!name.empty())
-            out.push_back(trace::profileByName(name));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
 /** Run a multi-workload suite in parallel and print per-row results. */
 int
 runSuiteMode(const sim::EvalConfig &cfg,
              const std::vector<trace::WorkloadProfile> &profiles,
-             runtime::Session &session, runtime::RunContext &ctx,
-             const exec::RunPolicy &policy, bool verbose,
-             obs::CliScope &obs_scope, const util::SigintGuard &sigint)
+             runtime::CliRun &run, const exec::RunPolicy &policy,
+             bool verbose)
 {
     std::vector<exec::SweepJob> sweep_jobs;
     sweep_jobs.reserve(profiles.size());
     for (const trace::WorkloadProfile &p : profiles)
         sweep_jobs.push_back({p.name, cfg, &p});
 
-    exec::SweepEngine engine(session);
-    exec::SweepOutcome outcome;
-    try {
-        outcome = engine.run(sweep_jobs, ctx, policy);
-    } catch (const exec::JournalError &e) {
-        util::fatal("%s", e.what());
-    }
+    exec::SweepEngine engine(run.session());
+    const exec::SweepOutcome outcome = run.execute(
+        [&] { return engine.run(sweep_jobs, run.ctx(), policy); });
 
     std::vector<sim::WorkloadRow> rows;
     for (std::size_t i = 0; i < profiles.size(); ++i) {
@@ -161,7 +92,7 @@ runSuiteMode(const sim::EvalConfig &cfg,
                     engine.jobs(), engine.jobs() == 1 ? "" : "s",
                     profiles.size(), outcome.executed,
                     outcome.restored, engine.workerFooter().c_str());
-        const sim::TraceCache &traces = session.traceCache();
+        const sim::TraceCache &traces = engine.traceCache();
         const std::uint64_t hits = traces.hits();
         const std::uint64_t misses = traces.misses();
         const std::uint64_t lookups = hits + misses;
@@ -179,21 +110,8 @@ runSuiteMode(const sim::EvalConfig &cfg,
                     static_cast<unsigned long long>(
                         traces.evictions()));
     }
-    if (outcome.interrupted) {
-        obs_scope.noteInterruption(
-            sigint.requested() ? "sigint" : "deadline");
-        std::fprintf(stderr,
-                     "suite interrupted: %zu workload%s not run; "
-                     "re-run with --checkpoint %s --resume to "
-                     "finish\n",
-                     outcome.skipped,
-                     outcome.skipped == 1 ? "" : "s",
-                     ctx.checkpoint.path.empty()
-                         ? "<path>"
-                         : ctx.checkpoint.path.c_str());
-        return 130;
-    }
-    return outcome.failures.empty() ? 0 : 2;
+    return run.finish(outcome.interrupted, outcome.skipped,
+                      outcome.failures.empty() ? 0 : 2);
 }
 
 } // namespace
@@ -215,37 +133,16 @@ main(int argc, char **argv)
     args.addOption("cores", "1",
                    "utilised cores (shared-domain CPUs only)");
     args.addOption("seed", "1", "trace / jitter seed");
-    args.addOption("jobs", "0",
-                   "parallel workers for multi-workload runs (0 = "
-                   "hardware threads, 1 = serial reference)");
-    args.addFlag("pin",
-                 "pin each worker thread to a CPU (cache locality "
-                 "on dedicated machines; unsupported platforms warn "
-                 "and continue unpinned)");
-    args.addOption("checkpoint", "",
-                   "journal completed suite workloads to this file "
-                   "(multi-workload runs only)");
-    args.addOption("checkpoint-flush", "1",
-                   "flush the checkpoint journal every N workloads "
-                   "(1 = after every workload)");
-    args.addFlag("resume",
-                 "load the --checkpoint journal and run only the "
-                 "missing workloads");
     args.addOption("retries", "0",
                    "re-attempts for a failing workload before "
                    "recording it as failed");
     args.addFlag("strict",
                  "fail fast: abort the suite on the first workload "
                  "failure");
-    args.addOption("deadline-s", "0",
-                   "wall-clock budget in seconds for suite runs; on "
-                   "expiry the run stops gracefully like Ctrl-C "
-                   "(0 = none)");
-    args.addOption("trace-cache-mb", "256",
-                   "trace cache capacity in MiB (LRU eviction above "
-                   "it)");
     args.addFlag("nosimd", "model a binary compiled without SIMD");
     args.addFlag("verbose", "also print switch/trap counters");
+    // Suite (multi-workload) runs only.
+    runtime::CliRun::addOptions(args, "workload", false);
     obs::addCliOptions(args);
     if (!args.parse(argc, argv))
         return 0;
@@ -260,7 +157,7 @@ main(int argc, char **argv)
     // outlive the session; flushes --metrics/--trace-out at exit.
     obs::CliScope obs_scope(args);
 
-    const power::CpuModel cpu = cpuByName(args.get("cpu"));
+    const power::CpuModel cpu = power::cpuModelByName(args.get("cpu"));
 
     sim::EvalConfig cfg;
     cfg.cpu = &cpu;
@@ -278,52 +175,21 @@ main(int argc, char **argv)
         if (wl == "spec" || wl == "all" ||
             wl.find(',') != std::string::npos) {
             if (args.get("strategy") != "auto")
-                cfg.strategy = strategyByName(args.get("strategy"));
+                cfg.strategy = core::strategyKindByName(args.get("strategy"));
             else
                 util::fatal("--strategy auto needs a single "
                             "workload");
             exec::RunPolicy policy;
-            const long retries =
-                args.getIntInRange("retries", 0, INT_MAX);
-            policy.retries = static_cast<int>(retries);
+            policy.retries = static_cast<int>(
+                args.getIntInRange("retries", 0, INT_MAX));
             policy.strict = args.getFlag("strict");
-            const double deadline_s = args.getDouble("deadline-s");
-            if (deadline_s < 0.0)
-                util::fatal("--deadline-s must be >= 0, got %g",
-                            deadline_s);
-            const long cache_mb =
-                args.getIntInRange("trace-cache-mb", 1, 1 << 20);
-            if (args.getFlag("resume") &&
-                args.get("checkpoint").empty())
-                util::fatal("--resume needs --checkpoint <path>");
-
-            // First Ctrl-C: graceful stop; second: immediate kill.
-            util::SigintGuard sigint;
-            runtime::SessionConfig session_cfg;
-            session_cfg.jobs = static_cast<int>(
-                args.getIntInRange("jobs", 0, INT_MAX));
-            session_cfg.traceCacheBytes =
-                static_cast<std::size_t>(cache_mb) << 20;
-            session_cfg.pinWorkers = args.getFlag("pin");
-            session_cfg.telemetry = obs_scope.telemetryConfig();
-            runtime::Session session(session_cfg);
-            obs_scope.attachTelemetry(session.telemetry());
-            runtime::RunContext ctx;
-            ctx.checkpoint.path = args.get("checkpoint");
-            ctx.checkpoint.resume = args.getFlag("resume");
-            ctx.checkpoint.flushInterval = static_cast<int>(
-                args.getIntInRange("checkpoint-flush", 1, INT_MAX));
-            ctx.token().linkExternal(sigint.flag());
-            if (deadline_s > 0.0)
-                ctx.setDeadlineAfter(deadline_s);
+            runtime::CliRun run(args, obs_scope, "workload");
 
             std::printf("suite '%s' on %s, strategy %s, %.0f mV:\n",
                         wl.c_str(), cpu.name().c_str(),
                         core::toString(cfg.strategy), cfg.offsetMv);
-            return runSuiteMode(cfg, workloadsByName(wl), session,
-                                ctx, policy,
-                                args.getFlag("verbose"), obs_scope,
-                                sigint);
+            return runSuiteMode(cfg, trace::profilesByList(wl), run, policy,
+                                args.getFlag("verbose"));
         }
     }
     if (!args.get("checkpoint").empty() || args.getFlag("resume"))
@@ -347,7 +213,7 @@ main(int argc, char **argv)
 
         cfg.strategy = args.get("strategy") == "auto"
                            ? core::selectStrategy(cpu, t, cfg.params)
-                           : strategyByName(args.get("strategy"));
+                           : core::strategyKindByName(args.get("strategy"));
         sim::SimConfig sim_cfg;
         sim_cfg.cpu = cfg.cpu;
         sim_cfg.offsetMv = cfg.offsetMv;
@@ -367,7 +233,7 @@ main(int argc, char **argv)
             cfg.strategy =
                 core::selectStrategy(cpu, probe, cfg.params);
         } else {
-            cfg.strategy = strategyByName(args.get("strategy"));
+            cfg.strategy = core::strategyKindByName(args.get("strategy"));
         }
         result = sim::runWorkload(cfg, profile);
     }

@@ -34,7 +34,6 @@
  *              --out s.csv                   # after an interruption
  */
 
-#include <atomic>
 #include <climits>
 #include <cstdio>
 #include <string>
@@ -42,46 +41,22 @@
 
 #include "core/params.hh"
 #include "core/strategy.hh"
-#include "exec/checkpoint.hh"
 #include "exec/sweep.hh"
 #include "obs/registry.hh"
 #include "obs/setup.hh"
 #include "power/cpu_model.hh"
-#include "runtime/run_context.hh"
-#include "runtime/session.hh"
+#include "runtime/cli_run.hh"
 #include "sim/evaluation.hh"
 #include "trace/profile.hh"
 #include "util/args.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
-#include "util/sigint.hh"
 
 namespace {
 
 using namespace suit;
 using exec::SweepEngine;
 using exec::SweepJob;
-
-/** Split a comma-separated option value into its items. */
-std::vector<std::string>
-splitList(const std::string &value)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= value.size()) {
-        const std::size_t comma = value.find(',', start);
-        const std::string item =
-            value.substr(start, comma == std::string::npos
-                                    ? std::string::npos
-                                    : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
 
 /** Checked parse of one --cores list item (must be >= 1). */
 int
@@ -109,50 +84,6 @@ offsetByName(const std::string &value)
         util::fatal("--offset expects numbers in mV, got '%s'",
                     value.c_str());
     return offset;
-}
-
-power::CpuModel
-cpuByName(const std::string &name)
-{
-    if (name == "A" || name == "i9-9900K")
-        return power::cpuA_i9_9900k();
-    if (name == "B" || name == "7700X")
-        return power::cpuB_ryzen7700x();
-    if (name == "C" || name == "4208")
-        return power::cpuC_xeon4208();
-    if (name == "i5" || name == "i5-1035G1")
-        return power::cpu_i5_1035g1();
-    util::fatal("unknown CPU '%s' (use A, B, C or i5)", name.c_str());
-}
-
-core::StrategyKind
-strategyByName(const std::string &name)
-{
-    if (name == "e" || name == "emulation")
-        return core::StrategyKind::Emulation;
-    if (name == "f" || name == "frequency")
-        return core::StrategyKind::Frequency;
-    if (name == "V" || name == "voltage")
-        return core::StrategyKind::Voltage;
-    if (name == "fV" || name == "combined")
-        return core::StrategyKind::CombinedFv;
-    if (name == "hybrid" || name == "e+fV")
-        return core::StrategyKind::Hybrid;
-    util::fatal("unknown strategy '%s' (e, f, V, fV, hybrid)",
-                name.c_str());
-}
-
-std::vector<trace::WorkloadProfile>
-workloadsByName(const std::string &value)
-{
-    if (value == "spec")
-        return trace::specProfiles();
-    if (value == "all")
-        return trace::allProfiles();
-    std::vector<trace::WorkloadProfile> out;
-    for (const std::string &name : splitList(value))
-        out.push_back(trace::profileByName(name));
-    return out;
 }
 
 /** CSV metadata of one cell, parallel to the job list. */
@@ -190,40 +121,14 @@ main(int argc, char **argv)
                    "repetitions per cell with derived seeds");
     args.addOption("seed", "1", "root seed of the grid");
     args.addOption("out", "-", "output CSV file ('-' = stdout)");
-    args.addOption("jobs", "0",
-                   "parallel sweep workers (0 = hardware threads, "
-                   "1 = serial reference)");
-    args.addFlag("pin",
-                 "pin each worker thread to a CPU (cache locality "
-                 "on dedicated machines; unsupported platforms warn "
-                 "and continue unpinned)");
-    args.addOption("checkpoint", "",
-                   "journal completed cells to this file "
-                   "(crash-safe)");
-    args.addOption("checkpoint-flush", "1",
-                   "flush the checkpoint journal every N cells "
-                   "(1 = after every cell; larger batches trade "
-                   "re-running at most N-1 cells after a crash for "
-                   "fewer fsyncs)");
-    args.addFlag("resume",
-                 "load the --checkpoint journal and run only the "
-                 "missing cells");
     args.addOption("retries", "0",
                    "re-attempts for a failing cell before recording "
                    "it as failed");
     args.addFlag("strict",
                  "fail fast: abort the sweep on the first cell "
                  "failure");
-    args.addOption("stop-after", "0",
-                   "stop gracefully after N completed cells (testing "
-                   "aid; 0 = run to completion)");
-    args.addOption("deadline-s", "0",
-                   "wall-clock budget in seconds; on expiry the "
-                   "sweep stops gracefully like Ctrl-C (0 = none)");
-    args.addOption("trace-cache-mb", "256",
-                   "trace cache capacity in MiB (LRU eviction above "
-                   "it)");
     args.addFlag("nosimd", "model binaries compiled without SIMD");
+    runtime::CliRun::addOptions(args, "cell", true);
     obs::addCliOptions(args);
     if (!args.parse(argc, argv))
         return 0;
@@ -235,17 +140,17 @@ main(int argc, char **argv)
     // Own every axis value for the duration of the sweep (jobs hold
     // pointers into these).
     std::vector<power::CpuModel> cpus;
-    for (const std::string &name : splitList(args.get("cpu")))
-        cpus.push_back(cpuByName(name));
+    for (const std::string &name : util::splitList(args.get("cpu")))
+        cpus.push_back(power::cpuModelByName(name));
     const std::vector<trace::WorkloadProfile> profiles =
-        workloadsByName(args.get("workload"));
+        trace::profilesByList(args.get("workload"));
     std::vector<int> core_list;
-    for (const std::string &value : splitList(args.get("cores")))
+    for (const std::string &value : util::splitList(args.get("cores")))
         core_list.push_back(coreCountByName(value));
     const std::vector<std::string> strategy_list =
-        splitList(args.get("strategy"));
+        util::splitList(args.get("strategy"));
     std::vector<double> offset_list;
-    for (const std::string &value : splitList(args.get("offset")))
+    for (const std::string &value : util::splitList(args.get("offset")))
         offset_list.push_back(offsetByName(value));
     const long reps = args.getIntInRange("reps", 1, INT_MAX);
     const std::uint64_t root = static_cast<std::uint64_t>(
@@ -255,15 +160,6 @@ main(int argc, char **argv)
         util::fatal("every grid axis needs at least one value");
 
     const long retries = args.getIntInRange("retries", 0, INT_MAX);
-    const long stop_after =
-        args.getIntInRange("stop-after", 0, LONG_MAX);
-    const double deadline_s = args.getDouble("deadline-s");
-    if (deadline_s < 0.0)
-        util::fatal("--deadline-s must be >= 0, got %g", deadline_s);
-    const long cache_mb =
-        args.getIntInRange("trace-cache-mb", 1, 1 << 20);
-    if (args.getFlag("resume") && args.get("checkpoint").empty())
-        util::fatal("--resume needs --checkpoint <path>");
 
     // Enumerate the grid in deterministic nested order.
     std::vector<SweepJob> jobs;
@@ -273,7 +169,7 @@ main(int argc, char **argv)
         for (const int cores : core_list) {
             for (const std::string &strat_s : strategy_list) {
                 const core::StrategyKind strategy =
-                    strategyByName(strat_s);
+                    core::strategyKindByName(strat_s);
                 for (const double offset : offset_list) {
                     for (const auto &p : profiles) {
                         for (long r = 0; r < reps; ++r, ++cell) {
@@ -305,46 +201,15 @@ main(int argc, char **argv)
                  args.get("jobs") == "1" ? "1 worker (serial)"
                                          : "parallel workers");
 
-    // First Ctrl-C: graceful stop; second: immediate kill.
-    util::SigintGuard sigint;
-    std::atomic<std::size_t> completed{0};
-
+    runtime::CliRun run(args, obs_scope, "cell");
     exec::RunPolicy policy;
     policy.retries = static_cast<int>(retries);
     policy.strict = args.getFlag("strict");
-    if (stop_after > 0) {
-        policy.onCellDone = [&, stop_after](std::size_t) {
-            if (completed.fetch_add(1) + 1 >=
-                static_cast<std::size_t>(stop_after))
-                sigint.request();
-        };
-    }
+    policy.onCellDone = run.stopAfterHook();
 
-    runtime::SessionConfig session_cfg;
-    session_cfg.jobs =
-        static_cast<int>(args.getIntInRange("jobs", 0, INT_MAX));
-    session_cfg.traceCacheBytes =
-        static_cast<std::size_t>(cache_mb) << 20;
-    session_cfg.pinWorkers = args.getFlag("pin");
-    session_cfg.telemetry = obs_scope.telemetryConfig();
-    runtime::Session session(session_cfg);
-    obs_scope.attachTelemetry(session.telemetry());
-    runtime::RunContext ctx;
-    ctx.checkpoint.path = args.get("checkpoint");
-    ctx.checkpoint.resume = args.getFlag("resume");
-    ctx.checkpoint.flushInterval = static_cast<int>(
-        args.getIntInRange("checkpoint-flush", 1, INT_MAX));
-    ctx.token().linkExternal(sigint.flag());
-    if (deadline_s > 0.0)
-        ctx.setDeadlineAfter(deadline_s);
-
-    SweepEngine engine(session);
-    exec::SweepOutcome outcome;
-    try {
-        outcome = engine.run(jobs, ctx, policy);
-    } catch (const exec::JournalError &e) {
-        util::fatal("%s", e.what());
-    }
+    SweepEngine engine(run.session());
+    const exec::SweepOutcome outcome =
+        run.execute([&] { return engine.run(jobs, run.ctx(), policy); });
 
     std::FILE *out = stdout;
     if (args.get("out") != "-") {
@@ -419,18 +284,6 @@ main(int argc, char **argv)
                          meta[f.index].seed),
                      f.error.c_str(), f.attempts,
                      f.attempts == 1 ? "" : "s");
-    if (outcome.interrupted) {
-        obs_scope.noteInterruption(
-            sigint.requested() ? "sigint" : "deadline");
-        std::fprintf(stderr,
-                     "sweep interrupted: %zu cell%s not run; "
-                     "re-run with --checkpoint %s --resume to "
-                     "finish\n",
-                     outcome.skipped, outcome.skipped == 1 ? "" : "s",
-                     ctx.checkpoint.path.empty()
-                         ? "<path>"
-                         : ctx.checkpoint.path.c_str());
-        return 130;
-    }
-    return outcome.failures.empty() ? 0 : 2;
+    return run.finish(outcome.interrupted, outcome.skipped,
+                      outcome.failures.empty() ? 0 : 2);
 }
