@@ -5,6 +5,10 @@
 #include <bit>
 #include <exception>
 #include <mutex>
+#include <numeric>
+#include <string_view>
+#include <tuple>
+#include <utility>
 
 #include "obs/registry.hh"
 #include "runtime/journaled.hh"
@@ -28,6 +32,54 @@ describeException(const std::exception_ptr &err)
     } catch (...) {
         return "unknown exception";
     }
+}
+
+/**
+ * Trace-locality dispatch order of @p jobs on @p workers workers.
+ *
+ * Cells sorted by the traces they read (profile, then seed, then
+ * core count, so a k-core cell's streams 0..k-1 nest inside a larger
+ * count's) run one trace group after the other: a group's traces are
+ * generated once and stay resident while it runs, however many
+ * groups the whole grid holds.  The sorted list is cut into one
+ * contiguous lane per worker and the lanes are dealt round-robin, so
+ * the pool's FIFO queue hands concurrent workers cells of different
+ * groups instead of queueing them on one trace's generation.
+ */
+std::vector<std::size_t>
+traceLocalOrder(const std::vector<SweepJob> &jobs, int workers)
+{
+    const std::size_t n = jobs.size();
+    std::vector<std::tuple<std::string_view, std::uint64_t, int>> keys;
+    keys.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const SweepJob &job = jobs[i];
+        SUIT_ASSERT(job.profile != nullptr,
+                    "sweep job %zu ('%s') has no workload", i,
+                    job.label.c_str());
+        keys.emplace_back(job.profile->name, job.config.seed,
+                          job.config.cores);
+    }
+    std::vector<std::size_t> sorted(n);
+    std::iota(sorted.begin(), sorted.end(), std::size_t{0});
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return keys[a] < keys[b];
+                     });
+
+    const std::size_t lanes = std::min(
+        n, static_cast<std::size_t>(std::max(workers, 1)));
+    std::vector<std::size_t> order;
+    order.reserve(n);
+    // Lane l is sorted[l*n/lanes, (l+1)*n/lanes).
+    for (std::size_t r = 0; order.size() < n; ++r) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const std::size_t pos = l * n / lanes + r;
+            if (pos < (l + 1) * n / lanes)
+                order.push_back(sorted[pos]);
+        }
+    }
+    return order;
 }
 
 } // namespace
@@ -59,11 +111,10 @@ SweepEngine::run(const std::vector<SweepJob> &jobs,
                  suit::runtime::RunContext &ctx,
                  const RunPolicy &policy)
 {
+    std::vector<std::size_t> order =
+        traceLocalOrder(jobs, session_.jobs());
     const auto cell = [&](std::size_t i) {
         const SweepJob &job = jobs[i];
-        SUIT_ASSERT(job.profile != nullptr,
-                    "sweep job %zu ('%s') has no workload", i,
-                    job.label.c_str());
         EvalConfig config = job.config;
         config.cancel = &ctx.token();
         // Evaluate in the worker's session workspace (simulator and
@@ -74,8 +125,9 @@ SweepEngine::run(const std::vector<SweepJob> &jobs,
             config, *job.profile, session_.traceCache(),
             session_.workspace()));
     };
-    SweepOutcome outcome = runCells(jobs.size(), cell, ctx, policy,
-                                    fingerprintJobs(jobs));
+    SweepOutcome outcome =
+        runOrdered(jobs.size(), cell, ctx, policy, fingerprintJobs(jobs),
+                   std::move(order));
     for (CellFailure &failure : outcome.failures)
         failure.label = jobs[failure.index].label;
     return outcome;
@@ -87,6 +139,16 @@ SweepEngine::runCells(
     const std::function<suit::sim::DomainResult(std::size_t)> &cell,
     suit::runtime::RunContext &ctx, const RunPolicy &policy,
     const GridFingerprint &fingerprint)
+{
+    return runOrdered(n, cell, ctx, policy, fingerprint, {});
+}
+
+SweepOutcome
+SweepEngine::runOrdered(
+    std::size_t n,
+    const std::function<suit::sim::DomainResult(std::size_t)> &cell,
+    suit::runtime::RunContext &ctx, const RunPolicy &policy,
+    const GridFingerprint &fingerprint, std::vector<std::size_t> order)
 {
     SUIT_ASSERT(policy.retries >= 0, "negative retry count %d",
                 policy.retries);
@@ -150,6 +212,7 @@ SweepEngine::runCells(
         return false;
     };
     units.done = policy.onCellDone;
+    units.order = std::move(order);
 
     const suit::runtime::JournaledCounts counts =
         suit::runtime::runJournaled(session_, ctx, n, fingerprint,

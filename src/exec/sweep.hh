@@ -21,6 +21,13 @@
  *    regenerates to the same bytes, being a pure function of its
  *    key).
  *
+ * Since no output depends on which cell starts when, run() starts
+ * the cells in trace-key order rather than job order: grouped by the
+ * traces they read, one contiguous lane of groups per worker, lanes
+ * dealt round-robin.  A grid whose traces overflow the cache then
+ * still generates each trace about once, as long as one group's
+ * traces fit.
+ *
  * A serial Session (jobs == 1, no pool) runs the jobs inline: the
  * serial reference path used by the determinism tests.  Per-run
  * state — cancellation, deadline, journal policy — arrives through a
@@ -146,7 +153,10 @@ class SweepEngine
      * @p policy (retries / strictness): optional checkpoint journal,
      * resume, per-cell retries and graceful failure recording.
      * Completed slots are bit-identical to a serial fail-fast run for
-     * any worker count and any number of prior interruptions.
+     * any worker count and any number of prior interruptions.  Cells
+     * start in trace-key order (see the file comment), so which
+     * cells a cancellation leaves unstarted is not a job-index
+     * prefix.
      *
      * @throws JournalError on an unusable or mismatching journal;
      *         rethrows cell exceptions only when policy.strict.
@@ -176,9 +186,12 @@ class SweepEngine
 
     /**
      * The session's trace cache, shared by all jobs of all run()
-     * calls: repeated (cpu, workload, seed) cells — e.g. Table 6's
-     * strategy x offset grid — generate each trace once (modulo LRU
-     * eviction, which regenerates identically).
+     * calls.  run()'s trace-key dispatch order keeps a (workload,
+     * seed) group's cells together, so Table 6's strategy x offset
+     * cells of one workload reuse its traces; a grid generates each
+     * trace once when one group's traces fit the cap.  Lane
+     * boundaries and runCells(), which keeps index order, can evict
+     * and regenerate a trace (to the same bytes).
      */
     suit::sim::TraceCache &traceCache()
     {
@@ -198,6 +211,16 @@ class SweepEngine
     }
 
   private:
+    /** runCells() starting the cells in @p order (empty: index order;
+     *  see runtime::JournaledUnits::order). */
+    SweepOutcome
+    runOrdered(std::size_t n,
+               const std::function<suit::sim::DomainResult(std::size_t)>
+                   &cell,
+               suit::runtime::RunContext &ctx, const RunPolicy &policy,
+               const GridFingerprint &fingerprint,
+               std::vector<std::size_t> order);
+
     suit::runtime::Session &session_;
 };
 

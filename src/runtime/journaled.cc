@@ -1,6 +1,8 @@
 #include "runtime/journaled.hh"
 
 #include <atomic>
+#include <exception>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +27,10 @@ runJournaled(Session &session, RunContext &ctx, std::size_t n,
     const CheckpointPolicy &ckpt = ctx.checkpoint;
     if (ckpt.resume && ckpt.path.empty())
         throw JournalError("resume requires a checkpoint path");
+
+    SUIT_ASSERT(units.order.empty() || units.order.size() == n,
+                "dispatch order covers %zu of %zu %ss",
+                units.order.size(), n, names.unit);
 
     JournaledCounts counts;
     std::vector<std::uint8_t> restored(n, 0);
@@ -74,9 +80,17 @@ runJournaled(Session &session, RunContext &ctx, std::size_t n,
     // the same session, so pool and serial mode trace identically.
     suit::obs::TraceSession *const trace = ctx.trace();
     const CancelToken &token = ctx.token();
+    // The lowest-index unit exception so far.  A unit above it cannot
+    // change which exception propagates, so it is not started; every
+    // unit below it still runs.  That keeps the rethrown exception
+    // independent of the dispatch order and the worker count.
+    std::mutex error_mu;
+    std::atomic<std::size_t> error_index{n};
+    std::exception_ptr error;
 
     const auto runOne = [&](std::size_t i) {
-        if (restored[i])
+        if (restored[i] ||
+            i > error_index.load(std::memory_order_relaxed))
             return;
         if (token.cancelled()) {
             skipped.fetch_add(1, std::memory_order_relaxed);
@@ -97,6 +111,13 @@ runJournaled(Session &session, RunContext &ctx, std::size_t n,
         } catch (const Cancelled &) {
             skipped.fetch_add(1, std::memory_order_relaxed);
             return;
+        } catch (...) {
+            std::lock_guard lock(error_mu);
+            if (i < error_index.load(std::memory_order_relaxed)) {
+                error_index.store(i, std::memory_order_relaxed);
+                error = std::current_exception();
+            }
+            return;
         }
         if (unit.record)
             journal.append(record);
@@ -113,12 +134,19 @@ runJournaled(Session &session, RunContext &ctx, std::size_t n,
             units.done(i);
     };
 
+    const auto dispatch = [&](std::size_t k) {
+        runOne(units.order.empty() ? k : units.order[k]);
+    };
     if (suit::exec::ThreadPool *pool = session.pool()) {
-        pool->parallelFor(n, runOne);
+        pool->parallelFor(n, dispatch);
     } else {
-        for (std::size_t i = 0; i < n; ++i)
-            runOne(i);
+        for (std::size_t k = 0; k < n; ++k)
+            dispatch(k);
     }
+    // A unit exception leaves the batch tail to the journal's
+    // destructor, which cannot throw over it.
+    if (error)
+        std::rethrow_exception(error);
     // Land any batch tail now (including after a cancellation), so
     // every settled unit is on disk for a resume.
     journal.flush();

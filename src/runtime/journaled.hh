@@ -8,16 +8,23 @@
  *  1. on resume, loads the journal, refuses a fingerprint mismatch,
  *     warns about a dropped torn tail and re-seeds a fresh journal
  *     with the records the engine's restore callback accepted;
- *  2. runs the units on the Session's pool (inline when serial),
- *     skipping restored units and, once the token tripped, counting
- *     the rest skipped; each started unit runs inside a flight span
- *     and a host trace span;
+ *  2. runs the units on the Session's pool (inline when serial) in
+ *     the engine's dispatch order, skipping restored units and, once
+ *     the token tripped, counting the rest skipped; each started
+ *     unit runs inside a flight span and a host trace span;
  *  3. counts a unit aborted mid-flight (runtime::Cancelled) skipped
  *     and never journals it, so a resume recomputes it whole; a
  *     settled unit is journaled, *then* the done callback runs on
  *     the same worker;
- *  4. flushes the journal's batch tail (after a cancellation too) and
- *     publishes the executed/restored/skipped counters.
+ *  4. rethrows the lowest-index unit exception, if any; otherwise
+ *     flushes the journal's batch tail (after a cancellation too)
+ *     and publishes the executed/restored/skipped counters.
+ *
+ * The dispatch order only decides which unit starts when: results
+ * are index-addressed, journal records carry their index and land in
+ * completion order anyway, and a resume skips restored units by
+ * index, so no output depends on it.  The pool and the serial path
+ * walk the same order.
  *
  * What differs between the engines comes in as data (JournaledNames)
  * or callbacks (JournaledUnits); the loop has no engine branch.
@@ -26,6 +33,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "exec/checkpoint.hh"
 #include "obs/trace.hh"
@@ -69,11 +77,17 @@ struct JournaledUnits
      * completed, false when it settled as failed (journaled, not
      * counted executed).  Throwing runtime::Cancelled marks it
      * skipped; any other exception propagates out of runJournaled
-     * (lowest index first).
+     * (lowest index first; a unit above the lowest failure so far
+     * is not started).
      */
     std::function<bool(std::size_t, JournaledUnit &)> run;
     /** Optional: after a settled unit's journal append. */
     std::function<void(std::size_t)> done;
+    /**
+     * Optional dispatch order: a permutation of [0, n), order[k]
+     * being the k-th unit to start.  Empty means index order.
+     */
+    std::vector<std::size_t> order;
 };
 
 /** Accounting of one runJournaled() call. */

@@ -1,7 +1,10 @@
 #include "sim/domain_sim.hh"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <mutex>
+#include <string>
 
 #include "emu/dispatcher.hh"
 #include "emu/simd_ops.hh"
@@ -1108,6 +1111,62 @@ DomainSimulator::collectResultInto(DomainResult &result)
     }
 }
 
+namespace {
+
+/**
+ * Registry handles of the metrics publishObs() records, resolved on
+ * first use like TraceCache::get()'s: one mutex-guarded name lookup
+ * per metric per process instead of one per metric per domain.  A
+ * per-kind trap counter registers when its kind first traps, so the
+ * registry only lists kinds that trapped.
+ */
+struct SimMetricIds
+{
+    using MetricId = suit::obs::MetricId;
+
+    explicit SimMetricIds(suit::obs::Registry &reg)
+        : runs(reg.counter("sim.runs")),
+          traps(reg.counter("sim.traps")),
+          emulations(reg.counter("sim.emulations")),
+          switchDecisions(reg.counter("sim.switch_decisions")),
+          pstateSwitches(reg.counter("sim.pstate_switches")),
+          deadlineResets(reg.counter("sim.deadline.resets")),
+          deadlineExpirations(reg.counter("sim.deadline.expirations")),
+          thrashActivations(reg.counter("sim.thrash_activations")),
+          residencyUs{reg.counter("sim.residency_us.E"),
+                      reg.counter("sim.residency_us.Cf"),
+                      reg.counter("sim.residency_us.CV")},
+          eventsTotal(reg.counter("sim.events.total")),
+          eventsBatched(reg.counter("sim.events.batched")),
+          // Simulated, not host, milliseconds per core.
+          domainSimMs(reg.histogram(
+              "sim.domain_sim_ms",
+              {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0}))
+    {
+    }
+
+    MetricId trapsOf(suit::obs::Registry &reg,
+                     suit::isa::FaultableKind kind)
+    {
+        const auto k = static_cast<std::size_t>(kind);
+        std::call_once(trapsByKindOnce[k], [&] {
+            trapsByKind[k] = reg.counter(std::string("sim.traps.") +
+                                         suit::isa::toString(kind));
+        });
+        return trapsByKind[k];
+    }
+
+    MetricId runs, traps, emulations, switchDecisions, pstateSwitches,
+        deadlineResets, deadlineExpirations, thrashActivations;
+    std::array<MetricId, 3> residencyUs; //!< E, Cf, CV
+    MetricId eventsTotal, eventsBatched, domainSimMs;
+    std::array<MetricId, suit::isa::kNumFaultableKinds> trapsByKind;
+    std::array<std::once_flag, suit::isa::kNumFaultableKinds>
+        trapsByKindOnce;
+};
+
+} // namespace
+
 void
 DomainSimulator::publishObs(const DomainResult &result) const
 {
@@ -1116,51 +1175,40 @@ DomainSimulator::publishObs(const DomainResult &result) const
     suit::obs::Registry &reg = suit::obs::metrics();
     if (!reg.enabled())
         return;
+    static SimMetricIds ids(reg);
 
-    reg.add(reg.counter("sim.runs"));
-    reg.add(reg.counter("sim.traps"), traps_);
+    reg.add(ids.runs);
+    reg.add(ids.traps, traps_);
     for (const auto kind : suit::isa::allFaultableKinds()) {
         const std::uint64_t n =
             trapsByKind_[static_cast<std::size_t>(kind)];
-        if (n == 0)
-            continue;
-        reg.add(reg.counter(std::string("sim.traps.") +
-                            suit::isa::toString(kind)),
-                n);
+        if (n != 0)
+            reg.add(ids.trapsOf(reg, kind), n);
     }
-    reg.add(reg.counter("sim.emulations"), emulations_);
+    reg.add(ids.emulations, emulations_);
     // Every trap the strategy did not resolve by emulating was a
     // curve-switch decision.
-    reg.add(reg.counter("sim.switch_decisions"), traps_ - emulations_);
-    reg.add(reg.counter("sim.pstate_switches"), switches_);
-    reg.add(reg.counter("sim.deadline.resets"), timer_.resets());
-    reg.add(reg.counter("sim.deadline.expirations"),
-            timer_.expirations());
-    reg.add(reg.counter("sim.thrash_activations"),
-            result.thrashDetections);
+    reg.add(ids.switchDecisions, traps_ - emulations_);
+    reg.add(ids.pstateSwitches, switches_);
+    reg.add(ids.deadlineResets, timer_.resets());
+    reg.add(ids.deadlineExpirations, timer_.expirations());
+    reg.add(ids.thrashActivations, result.thrashDetections);
 
     // P-state residency as integrated active time per curve.
-    reg.add(reg.counter("sim.residency_us.E"),
-            static_cast<std::uint64_t>(stateTimeS_[0] * 1e6));
-    reg.add(reg.counter("sim.residency_us.Cf"),
-            static_cast<std::uint64_t>(stateTimeS_[1] * 1e6));
-    reg.add(reg.counter("sim.residency_us.CV"),
-            static_cast<std::uint64_t>(stateTimeS_[2] * 1e6));
+    for (std::size_t s = 0; s < ids.residencyUs.size(); ++s)
+        reg.add(ids.residencyUs[s],
+                static_cast<std::uint64_t>(stateTimeS_[s] * 1e6));
 
     // Batched-window hit rate: share of trace events consumed inside
     // a native window instead of the generic event loop.
     std::uint64_t consumed = 0;
     for (const Core &core : cores_)
         consumed += core.nextEvent;
-    reg.add(reg.counter("sim.events.total"), consumed);
-    reg.add(reg.counter("sim.events.batched"), batchedEvents_);
+    reg.add(ids.eventsTotal, consumed);
+    reg.add(ids.eventsBatched, batchedEvents_);
 
-    static const std::vector<double> kDomainMsBounds{
-        0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0};
-    const suit::obs::MetricId domain_ms =
-        reg.histogram("sim.domain_ms", kDomainMsBounds);
     for (const CoreResult &core : result.cores)
-        reg.observe(domain_ms, core.durationS * 1e3);
+        reg.observe(ids.domainSimMs, core.durationS * 1e3);
 }
 
 } // namespace suit::sim

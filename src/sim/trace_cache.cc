@@ -4,6 +4,7 @@
 
 #include "obs/registry.hh"
 #include "trace/generator.hh"
+#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace suit::sim {
@@ -252,6 +253,26 @@ TraceCache::residentBytes() const
 {
     std::lock_guard lock(mu_);
     return bytes_;
+}
+
+std::string
+TraceCache::summary() const
+{
+    // misses counts every generation, so the rate stays right when
+    // eviction makes a trace regenerate (entries() only counts
+    // residents).
+    const std::uint64_t hit = hits();
+    const std::uint64_t miss = misses();
+    const std::uint64_t lookups = hit + miss;
+    return suit::util::sformat(
+        "%llu traces generated, %llu cache hits, %llu evicted, "
+        "%.1f%% hit rate",
+        static_cast<unsigned long long>(miss),
+        static_cast<unsigned long long>(hit),
+        static_cast<unsigned long long>(evictions()),
+        lookups > 0 ? 100.0 * static_cast<double>(hit) /
+                          static_cast<double>(lookups)
+                    : 0.0);
 }
 
 TraceCache &

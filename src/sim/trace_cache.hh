@@ -103,6 +103,13 @@ class TraceCache
     /** Bytes of resident trace data (accounted entries only). */
     std::size_t residentBytes() const;
 
+    /**
+     * One-line counter summary for CLI footers: "N traces generated,
+     * H cache hits, E evicted, R% hit rate", R being hits over
+     * lookups.
+     */
+    std::string summary() const;
+
     std::size_t capacityBytes() const { return capacity_; }
 
   private:

@@ -12,7 +12,9 @@
  * switch it off again on exit.
  */
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -126,6 +128,62 @@ TEST(ObsSim, PublishedCountersMatchResult)
 
     // This workload traps: the check must bite.
     EXPECT_GT(result.traps, 0u);
+}
+
+TEST(ObsSim, CountersAddUpOverManyDomains)
+{
+    // The end-of-run flush resolves its metric handles once per
+    // process; K domains of mixed shape must still add up exactly.
+    const power::CpuModel cpu = power::cpuA_i9_9900k();
+    const std::vector<const trace::WorkloadProfile *> profiles = {
+        &trace::profileByName("Nginx"),
+        &trace::profileByName("557.xz"),
+        &trace::profileByName("VLC")};
+
+    MetricsOn metrics_on;
+
+    constexpr int kDomains = 6;
+    std::uint64_t events = 0;
+    std::uint64_t traps = 0;
+    std::uint64_t cores = 0;
+    for (int d = 0; d < kDomains; ++d) {
+        const trace::WorkloadProfile &p = *profiles[d % 3];
+        const int streams = 1 + d % 2;
+        std::vector<trace::Trace> traces;
+        for (int s = 0; s < streams; ++s)
+            traces.push_back(
+                trace::TraceGenerator(20 + d).generate(p, s));
+        std::vector<sim::CoreWork> work;
+        for (const trace::Trace &t : traces) {
+            work.push_back({&t, &p});
+            events += t.eventCount();
+        }
+
+        sim::SimConfig cfg;
+        cfg.cpu = &cpu;
+        cfg.offsetMv = -97.0;
+        cfg.mode = sim::RunMode::Suit;
+        cfg.strategy = core::StrategyKind::CombinedFv;
+        cfg.params = core::optimalParams(cpu);
+        cfg.seed = 20 + d;
+        sim::DomainSimulator simulator(cfg, std::move(work));
+        const sim::DomainResult result = simulator.run();
+        traps += result.traps;
+        cores += result.cores.size();
+    }
+
+    const obs::Snapshot snap = obs::metrics().snapshot();
+    ASSERT_NE(snap.find("sim.runs"), nullptr);
+    EXPECT_EQ(snap.find("sim.runs")->count,
+              static_cast<std::uint64_t>(kDomains));
+    EXPECT_EQ(snap.find("sim.events.total")->count, events);
+    EXPECT_EQ(snap.find("sim.traps")->count, traps);
+    // One simulated-duration sample per core; the old host-time
+    // sounding name is gone.
+    ASSERT_NE(snap.find("sim.domain_sim_ms"), nullptr);
+    EXPECT_EQ(snap.find("sim.domain_sim_ms")->histogram.total(), cores);
+    EXPECT_EQ(snap.find("sim.domain_ms"), nullptr);
+    EXPECT_GT(events, 0u);
 }
 
 TEST(ObsSim, TracedRunEmitsSignatureEvents)

@@ -142,20 +142,16 @@ main(int argc, char **argv)
     }
 
     // Footer goes to stderr so it never pollutes a report on stdout.
-    std::fprintf(
-        stderr,
-        "fleet execution: %llu shards (%llu run, %llu restored, "
-        "%llu skipped), %llu traces generated, %llu cache hits, "
-        "%llu evicted\n",
-        static_cast<unsigned long long>(outcome.shards),
-        static_cast<unsigned long long>(outcome.shardsRun),
-        static_cast<unsigned long long>(outcome.shardsRestored),
-        static_cast<unsigned long long>(outcome.shardsSkipped),
-        static_cast<unsigned long long>(
-            engine.traceCache().misses()),
-        static_cast<unsigned long long>(engine.traceCache().hits()),
-        static_cast<unsigned long long>(
-            engine.traceCache().evictions()));
+    std::fprintf(stderr,
+                 "fleet execution: %llu shards (%llu run, %llu "
+                 "restored, %llu skipped), %s\n",
+                 static_cast<unsigned long long>(outcome.shards),
+                 static_cast<unsigned long long>(outcome.shardsRun),
+                 static_cast<unsigned long long>(
+                     outcome.shardsRestored),
+                 static_cast<unsigned long long>(
+                     outcome.shardsSkipped),
+                 engine.traceCache().summary().c_str());
     if (obs::metrics().enabled()) {
         std::fprintf(stderr, "\nobservability metrics:\n%s",
                      obs::metrics().renderTable().c_str());

@@ -92,23 +92,8 @@ runSuiteMode(const sim::EvalConfig &cfg,
                     engine.jobs(), engine.jobs() == 1 ? "" : "s",
                     profiles.size(), outcome.executed,
                     outcome.restored, engine.workerFooter().c_str());
-        const sim::TraceCache &traces = engine.traceCache();
-        const std::uint64_t hits = traces.hits();
-        const std::uint64_t misses = traces.misses();
-        const std::uint64_t lookups = hits + misses;
-        std::printf("Trace cache: %llu trace%s generated, %llu of "
-                    "%llu lookup%s hit (%.1f%% hit rate), %llu "
-                    "evicted\n",
-                    static_cast<unsigned long long>(misses),
-                    misses == 1 ? "" : "s",
-                    static_cast<unsigned long long>(hits),
-                    static_cast<unsigned long long>(lookups),
-                    lookups == 1 ? "" : "s",
-                    lookups > 0 ? 100.0 * static_cast<double>(hits) /
-                                      static_cast<double>(lookups)
-                                : 0.0,
-                    static_cast<unsigned long long>(
-                        traces.evictions()));
+        std::printf("Trace cache: %s\n",
+                    engine.traceCache().summary().c_str());
     }
     return run.finish(outcome.interrupted, outcome.skipped,
                       outcome.failures.empty() ? 0 : 2);

@@ -247,28 +247,13 @@ main(int argc, char **argv)
         std::fclose(out);
 
     // Footer goes to stderr so it never pollutes CSV-on-stdout.
-    // Hit rate is hits/(hits+misses): misses counts every
-    // generation, so the rate stays correct when LRU eviction makes
-    // a trace regenerate (entries() only counts residents).
-    const sim::TraceCache &cache = engine.traceCache();
-    const std::uint64_t trace_hits = cache.hits();
-    const std::uint64_t trace_misses = cache.misses();
-    const std::uint64_t trace_gets = trace_hits + trace_misses;
-    const double hit_rate =
-        trace_gets > 0
-            ? 100.0 * static_cast<double>(trace_hits) /
-                  static_cast<double>(trace_gets)
-            : 0.0;
     std::fprintf(stderr,
                  "sweep execution (%d worker%s, %zu jobs, %zu run, "
-                 "%zu restored, %llu traces generated, %llu cache "
-                 "hits, %llu evicted, %.1f%% hit rate):\n%s",
+                 "%zu restored, %s):\n%s",
                  engine.jobs(), engine.jobs() == 1 ? "" : "s",
                  jobs.size(), outcome.executed, outcome.restored,
-                 static_cast<unsigned long long>(trace_misses),
-                 static_cast<unsigned long long>(trace_hits),
-                 static_cast<unsigned long long>(cache.evictions()),
-                 hit_rate, engine.workerFooter().c_str());
+                 engine.traceCache().summary().c_str(),
+                 engine.workerFooter().c_str());
     if (obs::metrics().enabled()) {
         std::fprintf(stderr, "\nobservability metrics:\n%s",
                      obs::metrics().renderTable().c_str());
