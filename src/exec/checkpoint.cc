@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "obs/flight.hh"
@@ -128,6 +129,109 @@ decodePayload(const char *data, std::size_t size, CellRecord &out)
     return offset == size;
 }
 
+/**
+ * write() all of @p bytes to @p fd, retrying short writes and EINTR.
+ * Returns 0 or the errno of the failed write.
+ */
+int
+writeAll(int fd, const std::string &bytes)
+{
+    const char *data = bytes.data();
+    std::size_t left = bytes.size();
+    while (left > 0) {
+        const ssize_t n = ::write(fd, data, left);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return errno;
+        }
+        data += n;
+        left -= static_cast<std::size_t>(n);
+    }
+    return 0;
+}
+
+/**
+ * Make a rename() into @p path durable by fsyncing its directory.
+ * Returns 0 or the errno of the failure.  EINVAL means the directory
+ * cannot be synced on this filesystem, which leaves nothing to do.
+ */
+int
+syncParentDir(const std::string &path)
+{
+    const std::size_t slash = path.find_last_of('/');
+    const std::string dir = slash == std::string::npos ? "."
+                            : slash == 0 ? "/"
+                                         : path.substr(0, slash);
+    const int fd =
+        ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0)
+        return errno;
+    const int err = ::fsync(fd) == 0 || errno == EINVAL ? 0 : errno;
+    ::close(fd);
+    return err;
+}
+
+/**
+ * Times one durable journal write: span events per durability stage
+ * on the writer thread's host track, so the Chrome trace of a
+ * checkpointed run shows exactly where journal time goes, and the
+ * journal metrics once the write is on disk.
+ */
+class WriteTimer
+{
+  public:
+    WriteTimer()
+        : trace_(obs::activeTrace()),
+          track_(trace_ ? trace_->threadTrack("journal") : 0),
+          traceStart_(now()),
+          wallStart_(std::chrono::steady_clock::now())
+    {
+    }
+
+    /** Trace clock (0 when no trace is active). */
+    double now() const { return trace_ ? trace_->hostNowUs() : 0.0; }
+
+    /** Emit stage @p name spanning [@p start, now). */
+    void stage(double start, const char *name) const
+    {
+        if (trace_) {
+            const double now_us = trace_->hostNowUs();
+            trace_->complete(obs::TraceSession::kHostPid, track_,
+                             start, now_us - start, name, "journal");
+        }
+    }
+
+    /** Close the write's span and record @p bytes written. */
+    void done(std::size_t bytes) const
+    {
+        stage(traceStart_, "journal.append");
+        obs::Registry &reg = obs::metrics();
+        if (!reg.enabled())
+            return;
+        // Resolved once: no registry lookup by name per write.
+        static const obs::MetricId writes =
+            reg.counter("exec.journal.writes");
+        static const obs::MetricId bytes_written =
+            reg.counter("exec.journal.bytes_written");
+        static const obs::MetricId append_ms = reg.histogram(
+            "exec.journal.append_ms",
+            {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0});
+        reg.add(writes);
+        reg.add(bytes_written, bytes);
+        reg.observe(append_ms,
+                    std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - wallStart_)
+                        .count());
+    }
+
+  private:
+    obs::TraceSession *const trace_;
+    const int track_;
+    const double traceStart_;
+    const std::chrono::steady_clock::time_point wallStart_;
+};
+
 } // namespace
 
 std::uint64_t
@@ -153,6 +257,8 @@ CheckpointJournal::~CheckpointJournal()
         suit::util::warn("checkpoint flush on close failed: %s",
                          e.what());
     }
+    if (fd_ >= 0)
+        ::close(fd_);
 }
 
 void
@@ -170,34 +276,78 @@ CheckpointJournal::start(const std::string &path,
                          std::vector<CellRecord> seed)
 {
     std::lock_guard lock(mu_);
-    path_ = path;
-    image_.clear();
-    image_.append(kMagic, sizeof(kMagic));
-    putU32(kVersion, image_);
-    putU32(0, image_); // reserved
-    putU64(fp.hash, image_);
-    putU64(fp.cells, image_);
+    if (fd_ >= 0)
+        ::close(fd_);
+    fd_ = -1;
+    path_.clear();
+    tail_.clear();
+    pending_ = 0;
+
+    std::string image;
+    image.append(kMagic, sizeof(kMagic));
+    putU32(kVersion, image);
+    putU32(0, image); // reserved
+    putU64(fp.hash, image);
+    putU64(fp.cells, image);
     for (const CellRecord &record : seed)
-        encodeRecord(encodePayload(record), image_);
+        encodeRecord(encodePayload(record), image);
+
     // The header (and any resume seed) always hits the disk before
     // the run starts, whatever the flush interval: a crash during
-    // the first batch must recover the restored cells.
-    writeImage();
-    pending_ = 0;
+    // the first batch must recover the restored cells.  The file
+    // appears under its name only complete, and the descriptor that
+    // wrote it stays open for the appends.
+    const WriteTimer timer;
+    const std::string tmp = path + ".tmp";
+    double t = timer.now();
+    const int fd = ::open(tmp.c_str(),
+                          O_WRONLY | O_APPEND | O_CREAT | O_TRUNC |
+                              O_CLOEXEC,
+                          0666);
+    int err = fd < 0 ? errno : 0;
+    timer.stage(t, "journal.open");
+    if (fd < 0)
+        throw JournalError(suit::util::sformat(
+            "cannot write checkpoint '%s': %s", tmp.c_str(),
+            std::strerror(err)));
+    t = timer.now();
+    err = writeAll(fd, image);
+    timer.stage(t, "journal.write");
+    t = timer.now();
+    if (err == 0 && ::fsync(fd) != 0)
+        err = errno;
+    timer.stage(t, "journal.fsync");
+    t = timer.now();
+    if (err == 0 && std::rename(tmp.c_str(), path.c_str()) != 0)
+        err = errno;
+    if (err == 0)
+        err = syncParentDir(path);
+    timer.stage(t, "journal.rename");
+    if (err != 0) {
+        ::close(fd);
+        throw JournalError(suit::util::sformat(
+            "cannot write checkpoint '%s': %s", path.c_str(),
+            std::strerror(err)));
+    }
+    timer.done(image.size());
+    path_ = path;
+    fd_ = fd;
+    durableSize_ = image.size();
 }
 
 void
 CheckpointJournal::append(const CellRecord &record)
 {
     obs::FlightSpan span("journal.append", "exec");
+    std::string frame;
+    encodeRecord(encodePayload(record), frame);
     std::lock_guard lock(mu_);
     if (path_.empty())
         return;
-    encodeRecord(encodePayload(record), image_);
+    tail_.append(frame);
     if (++pending_ < flushEvery_)
         return; // buffered; durable at the next interval boundary
-    writeImage();
-    pending_ = 0;
+    flushLocked();
 }
 
 void
@@ -206,75 +356,40 @@ CheckpointJournal::flush()
     std::lock_guard lock(mu_);
     if (path_.empty() || pending_ == 0)
         return;
-    writeImage();
-    pending_ = 0;
+    flushLocked();
 }
 
 void
-CheckpointJournal::writeImage()
+CheckpointJournal::flushLocked()
 {
-    // Span events per durability stage (open / write / fsync /
-    // rename) on the writer thread's host track: the Chrome trace of
-    // a checkpointed run shows exactly where journal time goes.
-    obs::TraceSession *const trace = obs::activeTrace();
-    const int track =
-        trace ? trace->threadTrack("journal") : 0;
-    const auto wall_start = std::chrono::steady_clock::now();
-    const auto stage_start = [&] {
-        return trace ? trace->hostNowUs() : 0.0;
-    };
-    const auto stage_end = [&](double start, const char *name) {
-        if (trace) {
-            const double now_us = trace->hostNowUs();
-            trace->complete(obs::TraceSession::kHostPid, track,
-                            start, now_us - start, name, "journal");
-        }
-    };
-    const double append_start = stage_start();
-
-    const std::string tmp = path_ + ".tmp";
-    double t = stage_start();
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    stage_end(t, "journal.open");
-    if (f == nullptr)
+    if (fd_ < 0)
         throw JournalError(suit::util::sformat(
-            "cannot write checkpoint '%s': %s", tmp.c_str(),
-            std::strerror(errno)));
-    t = stage_start();
-    const bool wrote =
-        std::fwrite(image_.data(), 1, image_.size(), f) ==
-            image_.size() &&
-        std::fflush(f) == 0;
-    stage_end(t, "journal.write");
-    t = stage_start();
-    const bool synced = wrote && ::fsync(::fileno(f)) == 0;
-    stage_end(t, "journal.fsync");
-    std::fclose(f);
-    t = stage_start();
-    const bool renamed =
-        synced && std::rename(tmp.c_str(), path_.c_str()) == 0;
-    stage_end(t, "journal.rename");
-    stage_end(append_start, "journal.append");
-    if (!renamed)
+            "checkpoint '%s' is unusable after a failed write",
+            path_.c_str()));
+    const WriteTimer timer;
+    double t = timer.now();
+    int err = writeAll(fd_, tail_);
+    timer.stage(t, "journal.write");
+    t = timer.now();
+    if (err == 0 && ::fdatasync(fd_) != 0)
+        err = errno;
+    timer.stage(t, "journal.fsync");
+    if (err != 0) {
+        // Cut a partly written batch back to the last record end on
+        // disk: the next append must not land after a torn record.
+        // If even that fails, stop writing to the file altogether.
+        if (::ftruncate(fd_, static_cast<off_t>(durableSize_)) != 0) {
+            ::close(fd_);
+            fd_ = -1;
+        }
         throw JournalError(suit::util::sformat(
             "cannot write checkpoint '%s': %s", path_.c_str(),
-            std::strerror(errno)));
-
-    obs::Registry &reg = obs::metrics();
-    if (reg.enabled()) {
-        reg.add(reg.counter("exec.journal.writes"));
-        reg.add(reg.counter("exec.journal.bytes_written"),
-                image_.size());
-        static const std::vector<double> kAppendMsBounds{
-            0.01, 0.1, 1.0, 10.0, 100.0, 1000.0};
-        const double elapsed_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
-        reg.observe(
-            reg.histogram("exec.journal.append_ms", kAppendMsBounds),
-            elapsed_ms);
+            std::strerror(err)));
     }
+    timer.done(tail_.size());
+    durableSize_ += tail_.size();
+    tail_.clear();
+    pending_ = 0;
 }
 
 JournalContents

@@ -18,18 +18,23 @@
  *                               the encoding (the fleet engine stores
  *                               serialized shard accumulators)
  *
- * Durability: a flush rewrites the journal image to `<path>.tmp`,
- * flushes it to the kernel (fflush + fsync) and atomically rename()s
- * it over `<path>`.  A kill at *any* instant — including mid-record —
- * therefore leaves either the previous or the new journal on disk,
- * never a torn one.  By default every append() flushes; a batched
- * flush interval (setFlushInterval / --checkpoint-flush) amortises
- * the cycle over N records, bounding the loss after a crash to the
- * last unflushed batch.  The loader is nevertheless
- * defensive: records are length- and checksum-framed, and load()
- * keeps the longest valid prefix of a truncated or corrupted file
- * (reporting the dropped byte count) instead of refusing it, so even
- * a journal damaged outside our control resumes as far as possible.
+ * Durability: start() writes the header (plus any resume seed) to
+ * `<path>.tmp`, fsyncs it, rename()s it over `<path>` and fsyncs the
+ * directory, so a fresh or resumed journal appears atomically and
+ * survives a power loss — it is never torn at that point.  From
+ * then on records are appended to the same descriptor (O_APPEND) and
+ * made durable with fdatasync; no record is ever rewritten.  A kill
+ * mid-append can therefore leave one torn frame at the tail, which
+ * load() drops; a failed write is cut back to the last durable record
+ * boundary, so a later append never lands after a torn record.  By
+ * default every append() flushes; a batched flush interval
+ * (setFlushInterval / --checkpoint-flush) amortises the write +
+ * fdatasync over N records, bounding the loss after a crash to the
+ * last unflushed batch.  The loader is defensive: records are length-
+ * and checksum-framed, and load() keeps the longest valid prefix of
+ * a truncated or corrupted file (reporting the dropped byte count)
+ * instead of refusing it, so a journal damaged by a crash or outside
+ * our control resumes as far as possible.
  *
  * The grid fingerprint ties a journal to the exact grid that
  * produced it: SweepEngine hashes every cell's CPU, core count,
@@ -125,7 +130,7 @@ struct JournalContents
 };
 
 /**
- * Append-only results journal with atomic-rewrite durability.
+ * Append-only results journal: atomic start, fdatasync'd appends.
  *
  * A default-constructed journal is inert: append() is a no-op, so
  * engine code can call it unconditionally.  append() is thread-safe —
@@ -148,7 +153,7 @@ class CheckpointJournal
     /**
      * Flush to disk every @p every appends (>= 1).  The default, 1,
      * writes each record as it completes; larger intervals batch the
-     * rewrite + fsync + rename cycle, trading at most `every - 1`
+     * write + fdatasync, trading at most `every - 1`
      * re-run cells after a crash for far fewer synchronous writes.
      * Buffered records are strictly ordered after flushed ones, so
      * recovery still yields the longest valid record prefix.  Set
@@ -158,7 +163,9 @@ class CheckpointJournal
 
     /**
      * Bind to @p path and write a fresh header (plus @p seed records
-     * recovered by a resume), replacing any existing file.
+     * recovered by a resume), atomically replacing any existing file.
+     *
+     * @throws JournalError if the file cannot be written.
      */
     void start(const std::string &path, const GridFingerprint &fp,
                std::vector<CellRecord> seed = {});
@@ -168,6 +175,9 @@ class CheckpointJournal
      * interval the record is durable on return; with a batched
      * interval it becomes durable at the next interval boundary, an
      * explicit flush(), or journal destruction.
+     *
+     * @throws JournalError if a flush fails; the file is first cut
+     *         back to its last complete record.
      */
     void append(const CellRecord &record);
 
@@ -190,12 +200,17 @@ class CheckpointJournal
     static JournalContents load(const std::string &path);
 
   private:
-    /** Write image_ via temp file + flush + atomic rename. */
-    void writeImage();
+    /**
+     * Append tail_ to the journal and fdatasync it; on failure cut
+     * the file back to durableSize_ and throw JournalError.
+     */
+    void flushLocked();
 
     std::mutex mu_;
     std::string path_;
-    std::string image_; //!< serialized header + records
+    int fd_ = -1; //!< O_APPEND descriptor on path_; -1 if unusable
+    std::uint64_t durableSize_ = 0; //!< on-disk size, at a record end
+    std::string tail_; //!< framed records not yet written
     int flushEvery_ = 1; //!< appends per synchronous flush
     int pending_ = 0; //!< records appended since the last flush
 };

@@ -1,17 +1,22 @@
 /**
  * @file
  * Checkpoint/resume tests: journal round trip, torn-tail and corrupt
- * record recovery, fingerprint mismatch refusal, kill-and-resume
+ * record recovery at every byte offset, a failed write cut back to a
+ * record boundary, fingerprint mismatch refusal, kill-and-resume
  * determinism on a real grid, retry and failed-cell accounting, and
  * cooperative stop semantics.
  */
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include <gtest/gtest.h>
 
@@ -71,6 +76,43 @@ writeFile(const std::string &path, const std::string &bytes)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Size of the journal header (magic, version, fingerprint). */
+constexpr std::size_t kHeaderSize = 32;
+
+/**
+ * End offset of every record frame in the journal image @p bytes,
+ * read straight from the version-1 framing: [length u32][checksum
+ * u32][payload].
+ */
+std::vector<std::size_t>
+recordEnds(const std::string &bytes)
+{
+    std::vector<std::size_t> ends;
+    std::size_t pos = kHeaderSize;
+    while (pos + 8 <= bytes.size()) {
+        std::uint32_t len = 0;
+        for (int i = 0; i < 4; ++i)
+            len |= static_cast<std::uint32_t>(
+                       static_cast<unsigned char>(bytes[pos + i]))
+                   << (8 * i);
+        pos += 8 + len;
+        ends.push_back(pos);
+    }
+    EXPECT_EQ(pos, bytes.size()) << "journal does not end on a frame";
+    return ends;
+}
+
+/** Records whose frames end at or before @p offset. */
+std::size_t
+recordsWithin(const std::vector<std::size_t> &ends,
+              std::size_t offset)
+{
+    std::size_t n = 0;
+    while (n < ends.size() && ends[n] <= offset)
+        ++n;
+    return n;
 }
 
 /** A recognisable synthetic result. */
@@ -284,6 +326,157 @@ TEST(CheckpointJournal, BatchedImageTruncationRecoversValidPrefix)
                         makeResult(static_cast<double>(i)));
 }
 
+/** Field-by-field equality of two journal records. */
+void
+expectSameRecord(const CellRecord &a, const CellRecord &b)
+{
+    EXPECT_EQ(a.index, b.index);
+    EXPECT_EQ(a.failed, b.failed);
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_EQ(a.isBlob, b.isBlob);
+    EXPECT_EQ(a.blob, b.blob);
+    expectIdentical(a.result, b.result);
+}
+
+TEST(CheckpointJournal, TruncationAtEveryOffsetKeepsCompleteRecords)
+{
+    ScratchFile file("every_cut.bin");
+    ScratchFile cut("every_cut_copy.bin");
+    const GridFingerprint fp{5, 0x5EED};
+    {
+        CheckpointJournal journal;
+        journal.start(file.path(), fp);
+        journal.append({0, false, "", makeResult(1.0)});
+        journal.append({3, true, "cell exploded", {}});
+        journal.append(CellRecord::blobRecord(4, "opaque bytes"));
+        journal.append({1, false, "", makeResult(2.0)});
+    }
+    const std::string bytes = readFile(file.path());
+    const std::vector<std::size_t> ends = recordEnds(bytes);
+    ASSERT_EQ(ends.size(), 4u);
+    const JournalContents full = CheckpointJournal::load(file.path());
+    ASSERT_EQ(full.records.size(), 4u);
+
+    for (std::size_t offset = 0; offset <= bytes.size(); ++offset) {
+        SCOPED_TRACE("cut at byte " + std::to_string(offset));
+        writeFile(cut.path(), bytes.substr(0, offset));
+        if (offset < kHeaderSize) {
+            EXPECT_THROW(CheckpointJournal::load(cut.path()),
+                         JournalError);
+            continue;
+        }
+        const JournalContents loaded =
+            CheckpointJournal::load(cut.path());
+        const std::size_t kept = recordsWithin(ends, offset);
+        EXPECT_EQ(loaded.fingerprint, fp);
+        ASSERT_EQ(loaded.records.size(), kept);
+        EXPECT_EQ(loaded.droppedBytes,
+                  offset -
+                      (kept == 0 ? kHeaderSize : ends[kept - 1]));
+        for (std::size_t i = 0; i < kept; ++i)
+            expectSameRecord(loaded.records[i], full.records[i]);
+    }
+}
+
+TEST(CheckpointJournal, FlippedByteAtEveryOffsetStopsAtItsRecord)
+{
+    ScratchFile file("every_flip.bin");
+    ScratchFile flipped("every_flip_copy.bin");
+    {
+        CheckpointJournal journal;
+        journal.start(file.path(), {3, 11});
+        journal.append({2, false, "", makeResult(0.5)});
+        journal.append({0, true, "failed twice", {}});
+        journal.append({1, false, "", makeResult(1.5)});
+    }
+    const std::string bytes = readFile(file.path());
+    const std::vector<std::size_t> ends = recordEnds(bytes);
+    const JournalContents full = CheckpointJournal::load(file.path());
+
+    for (std::size_t offset = kHeaderSize; offset < bytes.size();
+         ++offset) {
+        SCOPED_TRACE("flip at byte " + std::to_string(offset));
+        std::string damaged = bytes;
+        damaged[offset] = static_cast<char>(damaged[offset] ^ 0x01);
+        writeFile(flipped.path(), damaged);
+        const JournalContents loaded =
+            CheckpointJournal::load(flipped.path());
+        // The damaged record and everything after it are dropped.
+        const std::size_t kept = recordsWithin(ends, offset);
+        ASSERT_EQ(loaded.records.size(), kept);
+        EXPECT_EQ(loaded.droppedBytes,
+                  bytes.size() -
+                      (kept == 0 ? kHeaderSize : ends[kept - 1]));
+        for (std::size_t i = 0; i < kept; ++i)
+            expectSameRecord(loaded.records[i], full.records[i]);
+    }
+}
+
+/**
+ * Child-process body: start a journal at @p path under a file-size
+ * limit of @p limit bytes (SIGXFSZ ignored, so writes past it fail
+ * with EFBIG) and append until a write fails, then once more.  Exits
+ * with the number of appends that succeeded.
+ */
+[[noreturn]] void
+appendPastFileSizeLimit(const std::string &path, rlim_t limit)
+{
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit fsize{limit, limit};
+    if (::setrlimit(RLIMIT_FSIZE, &fsize) != 0)
+        std::_Exit(100);
+    CheckpointJournal journal;
+    journal.start(path, {8, 21});
+    int appended = 0;
+    try {
+        for (std::size_t i = 0; i < 8; ++i) {
+            journal.append(
+                {i, false, "", makeResult(static_cast<double>(i))});
+            ++appended;
+        }
+    } catch (const JournalError &) {
+    }
+    // Retrying after the failure must not leave a torn record
+    // behind either.
+    try {
+        journal.append({7, false, "", makeResult(7.0)});
+    } catch (const JournalError &) {
+    }
+    std::_Exit(appended);
+}
+
+TEST(CheckpointJournalDeathTest, FailedWriteIsCutBackToARecordEnd)
+{
+    ScratchFile file("fsize.bin");
+    std::size_t frame = 0;
+    {
+        ScratchFile probe("fsize_probe.bin");
+        CheckpointJournal journal;
+        journal.start(probe.path(), {1, 1});
+        journal.append({0, false, "", makeResult(0.0)});
+        frame = readFile(probe.path()).size() - kHeaderSize;
+    }
+
+    // The child may grow the journal to two and a half records: the
+    // third append is a short write, then EFBIG.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(appendPastFileSizeLimit(file.path(),
+                                        kHeaderSize + 2 * frame +
+                                            frame / 2),
+                ::testing::ExitedWithCode(2), "");
+
+    const JournalContents loaded =
+        CheckpointJournal::load(file.path());
+    EXPECT_EQ(loaded.droppedBytes, 0u);
+    EXPECT_EQ(readFile(file.path()).size(), kHeaderSize + 2 * frame);
+    ASSERT_EQ(loaded.records.size(), 2u);
+    for (std::size_t i = 0; i < loaded.records.size(); ++i) {
+        EXPECT_EQ(loaded.records[i].index, i);
+        expectIdentical(loaded.records[i].result,
+                        makeResult(static_cast<double>(i)));
+    }
+}
+
 TEST(SweepEngine, BatchedCheckpointResumeBitIdenticalToSerialRun)
 {
     const power::CpuModel cpu = power::cpuC_xeon4208();
@@ -387,6 +580,52 @@ TEST(SweepEngine, KillAndResumeBitIdenticalToSerialRun)
     EXPECT_EQ(idle.executed, 0u);
     for (std::size_t i = 0; i < expected.size(); ++i)
         expectIdentical(idle.results[i], expected[i]);
+}
+
+TEST(SweepEngine, ResumeAtEveryRecordBoundaryBitIdenticalToSerialRun)
+{
+    const power::CpuModel cpu = power::cpuC_xeon4208();
+    const std::vector<SweepJob> jobs = smallGrid(cpu);
+    ScratchFile file("boundary_resume.bin");
+
+    // One session for every run: its trace cache keeps the resumes
+    // cheap without touching their results.
+    runtime::Session session({2, 0});
+    runtime::Session serial({1, 0});
+    const std::vector<DomainResult> expected =
+        SweepEngine(serial).run(jobs);
+    runtime::RunContext first;
+    first.checkpoint.path = file.path();
+    ASSERT_TRUE(SweepEngine(serial).run(jobs, first).complete());
+    const std::string bytes = readFile(file.path());
+    std::vector<std::size_t> boundaries{kHeaderSize};
+    for (const std::size_t end : recordEnds(bytes))
+        boundaries.push_back(end);
+    ASSERT_EQ(boundaries.size(), jobs.size() + 1);
+
+    // A kill can leave the journal cut anywhere; cut it at each
+    // record boundary and one byte either side of it.
+    for (const std::size_t boundary : boundaries) {
+        for (const std::size_t offset :
+             {boundary - 1, boundary, boundary + 1}) {
+            if (offset < kHeaderSize || offset > bytes.size())
+                continue;
+            SCOPED_TRACE("resume from byte " +
+                         std::to_string(offset));
+            writeFile(file.path(), bytes.substr(0, offset));
+            runtime::RunContext ctx;
+            ctx.checkpoint.path = file.path();
+            ctx.checkpoint.resume = true;
+            const SweepOutcome out =
+                SweepEngine(session).run(jobs, ctx);
+            EXPECT_TRUE(out.complete());
+            EXPECT_EQ(out.restored,
+                      recordsWithin(boundaries, offset) - 1);
+            ASSERT_EQ(out.results.size(), expected.size());
+            for (std::size_t i = 0; i < expected.size(); ++i)
+                expectIdentical(out.results[i], expected[i]);
+        }
+    }
 }
 
 TEST(SweepEngine, ResumeRefusesMismatchedFingerprint)

@@ -2,15 +2,18 @@
  * @file
  * FleetEngine determinism tests: serial vs multi-worker byte
  * identity, shard-size invariance, kill-and-resume equivalence
- * through the checkpoint journal, fingerprint mismatch refusal, and
- * report schema validation.
+ * through the checkpoint journal (from a journal cut or damaged at
+ * any byte), fingerprint mismatch refusal, and report schema
+ * validation.
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -303,6 +306,123 @@ TEST(FleetEngine, ChecksumFlippedBlobResumesFromValidPrefix)
               reference);
 }
 
+/** Size of the journal header (magic, version, fingerprint). */
+constexpr std::size_t kHeaderSize = 32;
+
+/** End offset of every version-1 record frame in @p bytes. */
+std::vector<std::size_t>
+recordEnds(const std::string &bytes)
+{
+    std::vector<std::size_t> ends;
+    std::size_t pos = kHeaderSize;
+    while (pos + 8 <= bytes.size()) {
+        std::uint32_t len = 0;
+        for (int i = 0; i < 4; ++i)
+            len |= static_cast<std::uint32_t>(
+                       static_cast<unsigned char>(bytes[pos + i]))
+                   << (8 * i);
+        pos += 8 + len;
+        ends.push_back(pos);
+    }
+    EXPECT_EQ(pos, bytes.size()) << "journal does not end on a frame";
+    return ends;
+}
+
+/** Records whose frames end at or before @p offset. */
+std::size_t
+recordsWithin(const std::vector<std::size_t> &ends,
+              std::size_t offset)
+{
+    std::size_t n = 0;
+    while (n < ends.size() && ends[n] <= offset)
+        ++n;
+    return n;
+}
+
+/**
+ * Crash consistency of a fleet journal: cut or damaged at any byte,
+ * it loads as exactly the blob records before the damage, and a
+ * resume from a cut at (or one byte either side of) any record
+ * boundary reproduces the uninterrupted report byte for byte.
+ */
+TEST(FleetEngine, JournalCutOrDamagedAtAnyByteResumesToTheSameReport)
+{
+    constexpr std::uint64_t kShard = 160; // three shard blobs
+    const std::string reference = reportOf(testSpec(), 1, kShard);
+
+    ScratchFile journal("every_byte.ckpt");
+    ScratchFile copy("every_byte_copy.ckpt");
+    FleetOptions checkpointed;
+    checkpointed.shardSize = kShard;
+    runtime::Session session({2, 0});
+    {
+        runtime::RunContext ctx;
+        ctx.checkpoint.path = journal.path();
+        FleetEngine engine(session, testSpec());
+        ASSERT_TRUE(engine.run(ctx, checkpointed).complete());
+    }
+    const std::string bytes = readFile(journal.path());
+    const std::vector<std::size_t> ends = recordEnds(bytes);
+    const exec::JournalContents full =
+        exec::CheckpointJournal::load(journal.path());
+    ASSERT_EQ(full.records.size(), 3u);
+    ASSERT_EQ(ends.size(), full.records.size());
+
+    const auto expectPrefix = [&](const exec::JournalContents &loaded,
+                                  std::size_t kept) {
+        ASSERT_EQ(loaded.records.size(), kept);
+        for (std::size_t i = 0; i < kept; ++i) {
+            EXPECT_EQ(loaded.records[i].index, full.records[i].index);
+            EXPECT_EQ(loaded.records[i].blob, full.records[i].blob);
+        }
+    };
+    for (std::size_t offset = 0; offset <= bytes.size(); ++offset) {
+        SCOPED_TRACE("cut at byte " + std::to_string(offset));
+        writeFile(copy.path(), bytes.substr(0, offset));
+        if (offset < kHeaderSize) {
+            EXPECT_THROW(exec::CheckpointJournal::load(copy.path()),
+                         exec::JournalError);
+            continue;
+        }
+        expectPrefix(exec::CheckpointJournal::load(copy.path()),
+                     recordsWithin(ends, offset));
+    }
+    for (std::size_t offset = kHeaderSize; offset < bytes.size();
+         ++offset) {
+        SCOPED_TRACE("flip at byte " + std::to_string(offset));
+        std::string damaged = bytes;
+        damaged[offset] = static_cast<char>(damaged[offset] ^ 0x01);
+        writeFile(copy.path(), damaged);
+        expectPrefix(exec::CheckpointJournal::load(copy.path()),
+                     recordsWithin(ends, offset));
+    }
+
+    std::vector<std::size_t> boundaries{kHeaderSize};
+    boundaries.insert(boundaries.end(), ends.begin(), ends.end());
+    for (const std::size_t boundary : boundaries) {
+        for (const std::size_t offset :
+             {boundary - 1, boundary, boundary + 1}) {
+            if (offset < kHeaderSize || offset > bytes.size())
+                continue;
+            SCOPED_TRACE("resume from byte " +
+                         std::to_string(offset));
+            writeFile(journal.path(), bytes.substr(0, offset));
+            runtime::RunContext ctx;
+            ctx.checkpoint.path = journal.path();
+            ctx.checkpoint.resume = true;
+            FleetEngine engine(session, testSpec());
+            const FleetOutcome resumed =
+                engine.run(ctx, checkpointed);
+            EXPECT_TRUE(resumed.complete());
+            EXPECT_EQ(resumed.shardsRestored,
+                      recordsWithin(ends, offset));
+            EXPECT_EQ(fleet::renderReportJson(engine.spec(),
+                                              resumed.totals),
+                      reference);
+        }
+    }
+}
+
 /**
  * A blob record that passes the journal's framing checks but does
  * not decode as a shard accumulator must not poison the resume: the
@@ -485,6 +605,13 @@ TEST(FleetEngine, TelemetrySamplerDoesNotChangeTheReport)
     EXPECT_TRUE(outcome.complete());
     EXPECT_EQ(fleet::renderReportJson(engine.spec(), outcome.totals),
               reference);
+    // The run can finish before the 1 ms sampler first ticks; give
+    // the still-running sampler a bounded wait for its first sample.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (session.telemetry()->samplesTaken() == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_GE(session.telemetry()->samplesTaken(), 1u);
     obs::metrics().setEnabled(false);
 }
