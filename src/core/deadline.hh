@@ -39,6 +39,24 @@ class DeadlineTimer
         }
     }
 
+    /**
+     * @p n faultable instructions executed, the last at @p last: the
+     * same state as @p n touch() calls ending at @p last (expiry
+     * last + reload, resets + n).  No-op while disarmed or for
+     * n == 0.  Lets a batched native window keep the count-down in a
+     * register and write it back once.
+     */
+    void touchMany(std::uint64_t n, suit::util::Tick last)
+    {
+        if (armed_ && n != 0) {
+            expiry_ = last + reload_;
+            resets_ += n;
+        }
+    }
+
+    /** Reload value (valid only while armed). */
+    suit::util::Tick reload() const { return reload_; }
+
     /** Disarm without firing. */
     void cancel();
 

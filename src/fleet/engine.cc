@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <tuple>
 
 #include "core/params.hh"
 #include "exec/checkpoint.hh"
@@ -81,41 +83,74 @@ FleetEngine::journalFingerprint(std::uint64_t shard_size) const
     return suit::exec::fnv1a64(bytes, sizeof(bytes));
 }
 
-void
-FleetEngine::simulateDomain(const DomainConfig &config,
-                            FleetAccumulator &acc,
-                            const suit::runtime::CancelToken *cancel)
+namespace {
+
+/** Key fixing a domain's traces: profile, trace seed and streams. */
+std::tuple<std::uint32_t, std::uint16_t, std::uint8_t>
+traceKey(const DomainConfig &config)
 {
-    const ResolvedRack &rack = racks_[config.rack];
-    const RackSpec &rack_spec = spec_.racks[config.rack];
-    const suit::trace::WorkloadProfile &profile =
-        rack.profiles[config.workload];
+    return {config.rack, config.workload, config.variant};
+}
+
+} // namespace
+
+void
+FleetEngine::simulateBlock(const std::vector<DomainConfig> &block,
+                           FleetAccumulator &acc,
+                           const suit::runtime::CancelToken *cancel)
+{
+    // Run the block in stable trace-key order, so each key's domains
+    // form one run: one cache fetch per run instead of per domain,
+    // with the trace hot in cache for the whole run.  Every domain
+    // is a pure function of (spec, index) and every total an
+    // ExactSum, so the order inside a shard changes no result bit.
+    thread_local std::vector<std::size_t> order;
+    order.resize(block.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  const auto ka = traceKey(block[a]);
+                  const auto kb = traceKey(block[b]);
+                  return ka < kb || (ka == kb && a < b);
+              });
 
     // The worker's session workspace: simulator, trace pins and
     // result scratch all keep their capacity across domains, so the
     // steady-state domain loop allocates nothing.  The pins keep
-    // evicted traces alive for this domain; one cache lock covers
+    // evicted traces alive for the key's run; one cache lock covers
     // every stream.
     suit::sim::SimWorkspace &ws = session_.workspace();
-    session_.traceCache().getMany(profile, config.traceSeed,
-                                  rack.streams, ws.pinned);
-    ws.work.clear();
-    for (int s = 0; s < rack.streams; ++s)
-        ws.work.push_back(
-            {ws.pinned[static_cast<std::size_t>(s)].get(), &profile});
+    const DomainConfig *prev = nullptr;
+    for (const std::size_t i : order) {
+        const DomainConfig &config = block[i];
+        const ResolvedRack &rack = racks_[config.rack];
+        const suit::trace::WorkloadProfile &profile =
+            rack.profiles[config.workload];
+        if (prev == nullptr || traceKey(*prev) != traceKey(config)) {
+            session_.traceCache().getMany(profile, config.traceSeed,
+                                          rack.streams, ws.pinned);
+            ws.work.clear();
+            for (int s = 0; s < rack.streams; ++s)
+                ws.work.push_back(
+                    {ws.pinned[static_cast<std::size_t>(s)].get(),
+                     &profile});
+        }
+        prev = &config;
 
-    suit::sim::SimConfig sim_cfg;
-    sim_cfg.cpu = rack.cpu;
-    sim_cfg.offsetMv = config.offsetMv;
-    sim_cfg.mode = suit::sim::RunMode::Suit;
-    sim_cfg.strategy = rack_spec.strategies[config.strategy];
-    sim_cfg.params = rack.params;
-    sim_cfg.seed = config.simSeed;
-    sim_cfg.cancel = cancel;
+        suit::sim::SimConfig sim_cfg;
+        sim_cfg.cpu = rack.cpu;
+        sim_cfg.offsetMv = config.offsetMv;
+        sim_cfg.mode = suit::sim::RunMode::Suit;
+        sim_cfg.strategy =
+            spec_.racks[config.rack].strategies[config.strategy];
+        sim_cfg.params = rack.params;
+        sim_cfg.seed = config.simSeed;
+        sim_cfg.cancel = cancel;
 
-    ws.sim.reset(sim_cfg, ws.work);
-    ws.sim.runInto(ws.result);
-    acc.addDomain(config.rack, rack.basePowerW, ws.result);
+        ws.sim.reset(sim_cfg, ws.work);
+        ws.sim.runInto(ws.result);
+        acc.addDomain(config.rack, rack.basePowerW, ws.result);
+    }
 }
 
 FleetOutcome
@@ -148,8 +183,6 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
     // Latched by the RunContext: workers trace into the same session.
     suit::obs::TraceSession *const trace = ctx.trace();
     suit::obs::Registry &reg = suit::obs::metrics();
-    static const std::vector<double> kShardMsBounds{
-        1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0};
 
     // One named host-time track per rack carrying cumulative
     // counter series ('C' events): domains completed, package
@@ -235,8 +268,7 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
 
         // A cancellation mid-shard discards the partial accumulator.
         FleetAccumulator acc(spec_.racks.size());
-        for (const DomainConfig &config : block)
-            simulateDomain(config, acc, &ctx.token());
+        simulateBlock(block, acc, &ctx.token());
 
         if (unit.record) {
             std::string bytes;
@@ -247,8 +279,12 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
         domains_simulated.fetch_add(count,
                                     std::memory_order_relaxed);
         if (reg.enabled()) {
+            // Resolved once: no registry lookup by name per shard.
+            static const suit::obs::MetricId shard_ms = reg.histogram(
+                "fleet.shard_ms",
+                {1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0});
             reg.observe(
-                reg.histogram("fleet.shard_ms", kShardMsBounds),
+                shard_ms,
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - wall_start)
                     .count());
@@ -283,9 +319,11 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
             out.totals.merge(*slot);
     }
 
-    if (reg.enabled())
-        reg.add(reg.counter("fleet.domains.simulated"),
-                domains_simulated.load());
+    if (reg.enabled()) {
+        static const suit::obs::MetricId simulated =
+            reg.counter("fleet.domains.simulated");
+        reg.add(simulated, domains_simulated.load());
+    }
     return out;
 }
 

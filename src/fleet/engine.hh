@@ -12,14 +12,23 @@
  * results are never stored, so memory scales with shards, not
  * domains.
  *
+ * Inside a shard the domains run in stable trace-key order
+ * (rack, workload, variant) — the key that fixes a domain's profile,
+ * trace seed and stream count.  Racks are contiguous index ranges, so
+ * a shard spans one rack or a few and holds at most their workloads x
+ * variants keys: the shard fetches each key's traces from the cache
+ * once and reuses the pins for the key's whole run of domains,
+ * instead of one locked lookup per domain.
+ *
  * Determinism contract, mirroring exec::SweepEngine:
  *  - every domain is a pure function of (spec, global index)
  *    (FleetSpec::domainAt), so no domain observes scheduling;
  *  - shard accumulators live in index-addressed slots and merge in
  *    shard order;
  *  - every floating-point total is a util::ExactSum, so the merged
- *    aggregate is bit-identical to a serial run for any worker count
- *    *and* any shard size (exact sums are associative).
+ *    aggregate is bit-identical to a serial run for any worker count,
+ *    any shard size and any order inside a shard (exact sums are
+ *    associative and commutative).
  *
  * Checkpointing reuses the exec journal: each finished shard appends
  * one blob record (CellRecord status 2) carrying its serialized
@@ -158,10 +167,13 @@ class FleetEngine
         double basePowerW = 0.0;
     };
 
-    /** Simulate global domain @p config into @p acc. */
-    void simulateDomain(const DomainConfig &config,
-                        FleetAccumulator &acc,
-                        const suit::runtime::CancelToken *cancel);
+    /**
+     * Simulate one shard's expanded domains @p block into @p acc, in
+     * trace-key order with one cache fetch per key run.
+     */
+    void simulateBlock(const std::vector<DomainConfig> &block,
+                       FleetAccumulator &acc,
+                       const suit::runtime::CancelToken *cancel);
 
     suit::runtime::Session &session_;
     FleetSpec spec_;

@@ -699,52 +699,76 @@ DomainSimulator::runNativeWindowSingle(std::uint64_t &budget)
     const double rate = rates_[static_cast<std::size_t>(sidx)];
     const double pf = powerTbl_[sidx];
     const bool suit_mode = cfg_.mode == RunMode::Suit;
-    const Tick run_cap = pending_ ? pending_->runUntil : kNever;
-    const Tick complete_at = pending_ ? pending_->completeAt : kNever;
+    const bool has_pending = pending_.has_value();
+    const Tick run_cap = has_pending ? pending_->runUntil : kNever;
+    const Tick complete_at = has_pending ? pending_->completeAt : kNever;
     const auto &events = core.work.trace->events();
+    const auto *const event = events.data();
+    const std::size_t event_count = events.size();
     const std::size_t window_first = core.nextEvent;
+
+    // Everything the loop updates per event lives in a local and is
+    // written back once at window exit, so no event waits on
+    // store-to-load forwarding through a member.  The timer takes the
+    // window's touches in one touchMany().
+    const Tick reload = suit_mode ? timer_.reload() : 0;
+    Tick expiry = suit_mode ? timer_.expiry() : kNever;
+    std::size_t next = window_first;
+    bool past_last = core.pastLastEvent;
+    std::uint64_t left = budget;
     double remaining = remaining_[0];
+    double power_s = powerIntegralS_;
+    double active_s = activeTimeS_;
+    double state_s = stateTimeS_[sidx];
 
     Tick t = now_;
-    while (!core.pastLastEvent) {
-        if (pending_ && t >= run_cap)
+    while (!past_last) {
+        if (has_pending && t >= run_cap)
             break; // frozen from t on: the transition goes first
         const Tick arrival = t + windowSecondsToTicks(remaining / rate);
         // Stop where another event source outranks the core arrival
         // (the loop's tie order: transitions > timers > cores).
-        if (suit_mode && arrival >= timer_.expiry())
+        if (suit_mode && arrival >= expiry)
             break;
-        if (pending_ && (arrival > run_cap || arrival >= complete_at))
+        if (has_pending && (arrival > run_cap || arrival >= complete_at))
             break;
-        SUIT_ASSERT(budget-- > 0, "simulation step budget exhausted");
+        SUIT_ASSERT(left-- > 0, "simulation step budget exhausted");
         if (arrival > t) {
             // Replay the reference accumulator sequence per event —
             // regrouping the sums would change the floating-point
             // results.
             const double dt_s = windowTicksToSeconds(arrival - t);
-            powerIntegralS_ += pf * dt_s;
-            activeTimeS_ += dt_s;
-            stateTimeS_[sidx] += dt_s;
+            power_s += pf * dt_s;
+            active_s += dt_s;
+            state_s += dt_s;
         }
         t = arrival;
-        if (suit_mode)
-            timer_.touch(t);
+        expiry = t + reload; // read only in Suit mode
         // Native execution of the event (consumeEvent() inlined).
-        ++core.nextEvent;
-        if (core.nextEvent < events.size()) {
-            remaining = static_cast<double>(events[core.nextEvent].gap);
+        ++next;
+        if (next < event_count) {
+            remaining = static_cast<double>(event[next].gap);
         } else {
             remaining = static_cast<double>(
                 core.work.trace->tailInstructions());
-            core.pastLastEvent = true;
+            past_last = true;
         }
     }
+    const std::uint64_t consumed = next - window_first;
+    if (suit_mode)
+        timer_.touchMany(consumed, t);
+    core.nextEvent = next;
+    core.pastLastEvent = past_last;
+    budget = left;
+    powerIntegralS_ = power_s;
+    activeTimeS_ = active_s;
+    stateTimeS_[sidx] = state_s;
     remaining_[0] = remaining;
     now_ = t;
     arrivalStale_[0] = 1;
     // One delta per window instead of a per-event increment keeps the
     // always-on counter out of the hot loop body.
-    batchedEvents_ += core.nextEvent - window_first;
+    batchedEvents_ += consumed;
 }
 
 void

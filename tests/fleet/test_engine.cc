@@ -1,19 +1,23 @@
 /**
  * @file
  * FleetEngine determinism tests: serial vs multi-worker byte
- * identity, shard-size invariance, kill-and-resume equivalence
+ * identity, shard-size invariance, one trace fetch per trace-key run
+ * inside a shard, kill-and-resume equivalence
  * through the checkpoint journal (from a journal cut or damaged at
  * any byte), fingerprint mismatch refusal, and report schema
  * validation.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,6 +122,68 @@ TEST(FleetEngine, ShardSizeDoesNotChangeTheReport)
     const std::string ra = reportOf(testSpec(), 2, 16);
     EXPECT_EQ(ra, reportOf(testSpec(), 2, 64));
     EXPECT_EQ(ra, reportOf(testSpec(), 2, 0));
+}
+
+TEST(FleetEngine, ShardFetchesEachTraceOncePerKeyRun)
+{
+    // A shard runs its domains in (rack, workload, variant) order and
+    // fetches each key's traces once.  The cache counts one hit or
+    // miss per stream, so a key of the 2-stream rack counts twice.
+    const FleetSpec spec = testSpec();
+    std::vector<int> streams;
+    for (const fleet::RackSpec &rack : spec.racks) {
+        const power::CpuModel cpu = power::cpuModelByName(rack.cpu);
+        streams.push_back(
+            cpu.domains() == power::DomainLayout::SharedAll ? rack.cores
+                                                             : 1);
+    }
+    ASSERT_EQ(streams[1], 2);
+
+    const std::uint64_t domains = spec.totalDomains();
+    std::string reference;
+    for (const std::uint64_t shard_size : {1, 7, 64, 4096}) {
+        std::uint64_t expected = 0;
+        for (std::uint64_t first = 0; first < domains;
+             first += shard_size) {
+            std::set<std::tuple<std::uint32_t, std::uint16_t,
+                                std::uint8_t>>
+                keys;
+            const std::uint64_t last =
+                std::min(domains, first + shard_size);
+            for (std::uint64_t i = first; i < last; ++i) {
+                const fleet::DomainConfig d = spec.domainAt(i);
+                if (keys.insert({d.rack, d.workload, d.variant}).second)
+                    expected += static_cast<std::uint64_t>(
+                        streams[d.rack]);
+            }
+        }
+
+        runtime::Session session({1, 0});
+        FleetEngine engine(session, spec);
+        FleetOptions options;
+        options.shardSize = shard_size;
+        const FleetOutcome outcome = engine.run(options);
+        ASSERT_TRUE(outcome.complete());
+        const sim::TraceCache &cache = engine.traceCache();
+        EXPECT_EQ(cache.hits() + cache.misses(), expected)
+            << "shard size " << shard_size;
+        if (shard_size == 1) {
+            // One key per shard: every domain fetches.
+            std::uint64_t stream_domains = 0;
+            for (std::size_t r = 0; r < spec.racks.size(); ++r)
+                stream_domains += spec.racks[r].domains *
+                                  static_cast<std::uint64_t>(streams[r]);
+            EXPECT_EQ(expected, stream_domains);
+        } else {
+            EXPECT_LT(expected, domains);
+        }
+
+        const std::string report =
+            fleet::renderReportJson(engine.spec(), outcome.totals);
+        if (reference.empty())
+            reference = report;
+        EXPECT_EQ(report, reference) << "shard size " << shard_size;
+    }
 }
 
 TEST(FleetEngine, KillAndResumeMatchesUninterruptedRun)

@@ -3,16 +3,19 @@
  * End-to-end checks of the simulator instrumentation: enabling the
  * metrics registry and installing a trace session must not perturb
  * simulation results by a single bit, the published counters must
- * agree with the DomainResult they describe, and a traced run must
- * produce a valid Chrome document containing the paper's signature
- * events (p-state transitions, #DO traps).
+ * agree with the DomainResult they describe and with the reference
+ * loop's, and a traced run must produce a valid Chrome document
+ * containing the paper's signature events (p-state transitions, #DO
+ * traps).
  *
  * Uses the process-global obs::metrics() registry — the same one the
  * library instrumentation records into — so tests reset it and
  * switch it off again on exit.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,7 +27,9 @@
 #include "obs/trace.hh"
 #include "obs/validate.hh"
 #include "sim/domain_sim.hh"
+#include "sim/evaluation.hh"
 #include "sim/result_io.hh"
+#include "sim/trace_cache.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
 
@@ -184,6 +189,91 @@ TEST(ObsSim, CountersAddUpOverManyDomains)
     EXPECT_EQ(snap.find("sim.domain_sim_ms")->histogram.total(), cores);
     EXPECT_EQ(snap.find("sim.domain_ms"), nullptr);
     EXPECT_GT(events, 0u);
+}
+
+/** Every registry counter after one runWorkload() of @p cfg. */
+std::map<std::string, std::uint64_t>
+countersAfter(const sim::EvalConfig &cfg,
+              const trace::WorkloadProfile &p, sim::TraceCache &traces)
+{
+    obs::metrics().reset();
+    (void)sim::runWorkload(cfg, p, traces);
+    std::map<std::string, std::uint64_t> counters;
+    for (const obs::MetricValue &m : obs::metrics().snapshot().metrics) {
+        if (m.kind == obs::MetricKind::Counter)
+            counters[m.name] = m.count;
+    }
+    return counters;
+}
+
+TEST(ObsSim, FastAndReferenceLoopsPublishTheSameCounters)
+{
+    // The fast loop's batched windows account the deadline timer and
+    // the event counters once per window, not per event; every
+    // published counter must still match the reference loop's.  Only
+    // sim.events.batched counts fast-loop work by definition.
+    const std::vector<power::CpuModel> cpus = {power::cpuA_i9_9900k(),
+                                               power::cpuC_xeon4208()};
+    const std::vector<std::pair<sim::RunMode, core::StrategyKind>>
+        modes = {
+            {sim::RunMode::Baseline, core::StrategyKind::CombinedFv},
+            {sim::RunMode::Suit, core::StrategyKind::Emulation},
+            {sim::RunMode::Suit, core::StrategyKind::Frequency},
+            {sim::RunMode::Suit, core::StrategyKind::Voltage},
+            {sim::RunMode::Suit, core::StrategyKind::CombinedFv},
+            {sim::RunMode::Suit, core::StrategyKind::Hybrid}};
+    std::vector<trace::WorkloadProfile> profiles;
+    for (const char *name : {"Nginx", "502.gcc", "557.xz"}) {
+        // A slice of each workload, as a fleet's trace_scale takes.
+        trace::WorkloadProfile p = trace::profileByName(name);
+        p.totalInstructions =
+            std::max<std::uint64_t>(1000000, p.totalInstructions / 100);
+        profiles.push_back(std::move(p));
+    }
+
+    MetricsOn metrics_on;
+    sim::TraceCache traces;
+    int checked = 0;
+    std::uint64_t resets = 0;
+    std::uint64_t expirations = 0;
+    for (const power::CpuModel &cpu : cpus) {
+        for (const auto &[mode, strategy] : modes) {
+            for (const int cores : {1, 4}) {
+                for (const trace::WorkloadProfile &p : profiles) {
+                    sim::EvalConfig cfg;
+                    cfg.cpu = &cpu;
+                    cfg.cores = cores;
+                    cfg.mode = mode;
+                    cfg.strategy = strategy;
+                    cfg.params = core::optimalParams(cpu);
+                    cfg.seed = 13;
+                    // Warm the cache: both runs then count the same
+                    // trace-cache hits.
+                    (void)sim::runWorkload(cfg, p, traces);
+
+                    std::map<std::string, std::uint64_t> fast =
+                        countersAfter(cfg, p, traces);
+                    cfg.referencePath = true;
+                    std::map<std::string, std::uint64_t> ref =
+                        countersAfter(cfg, p, traces);
+                    EXPECT_EQ(ref["sim.events.batched"], 0u);
+                    fast.erase("sim.events.batched");
+                    ref.erase("sim.events.batched");
+                    EXPECT_EQ(fast, ref)
+                        << "CPU " << cpu.label() << " cores=" << cores
+                        << " mode=" << static_cast<int>(mode) << " "
+                        << core::toString(strategy) << " " << p.name;
+                    resets += ref["sim.deadline.resets"];
+                    expirations += ref["sim.deadline.expirations"];
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 72);
+    // The timer counters must be live for the comparison to bite.
+    EXPECT_GT(resets, 0u);
+    EXPECT_GT(expirations, 0u);
 }
 
 TEST(ObsSim, TracedRunEmitsSignatureEvents)
