@@ -87,6 +87,21 @@ windowTicksToSeconds(Tick t)
 }
 /** @} */
 
+/**
+ * Event @p i's gap as the double the loops accumulate, read from the
+ * trace's hoisted gap column: a u32 load plus a well-predicted escape
+ * compare, and the same double trace.gap(i) converts to.
+ */
+inline double
+gapAt(const suit::trace::Trace &trace, const std::uint32_t *gaps,
+      std::size_t i)
+{
+    const std::uint32_t g = gaps[i];
+    if (g != suit::trace::EventColumns::kGapEscape) [[likely]]
+        return static_cast<double>(g);
+    return static_cast<double>(trace.gap(i));
+}
+
 /** Does moving between two p-states change the clock frequency? */
 bool
 frequencyEdge(SuitPState from, SuitPState to)
@@ -188,13 +203,12 @@ DomainSimulator::reset(const SimConfig &config,
             core.pastLastEvent = true;
             remaining_[i] =
                 static_cast<double>(w.trace->totalInstructions());
-        } else if (w.trace->events().empty()) {
+        } else if (w.trace->eventCount() == 0) {
             core.pastLastEvent = true;
             remaining_[i] =
                 static_cast<double>(w.trace->totalInstructions());
         } else {
-            remaining_[i] =
-                static_cast<double>(w.trace->events()[0].gap);
+            remaining_[i] = static_cast<double>(w.trace->gap(0));
         }
         cores_.push_back(core);
     }
@@ -572,15 +586,13 @@ void
 DomainSimulator::consumeEvent(std::size_t i)
 {
     Core &core = cores_[i];
-    const auto &events = core.work.trace->events();
+    const suit::trace::Trace &trace = *core.work.trace;
     ++core.nextEvent;
-    if (core.nextEvent < events.size()) {
-        remaining_[i] =
-            static_cast<double>(events[core.nextEvent].gap);
+    if (core.nextEvent < trace.eventCount()) {
+        remaining_[i] = static_cast<double>(trace.gap(core.nextEvent));
     } else {
         // Drain the instructions after the last faultable one.
-        remaining_[i] =
-            static_cast<double>(core.work.trace->tailInstructions());
+        remaining_[i] = static_cast<double>(trace.tailInstructions());
         core.pastLastEvent = true;
     }
     arrivalStale_[i] = 1;
@@ -590,7 +602,8 @@ void
 DomainSimulator::handleFaultableInstruction(std::size_t i)
 {
     Core &core = cores_[i];
-    const auto &event = core.work.trace->events()[core.nextEvent];
+    const suit::isa::FaultableKind kind =
+        core.work.trace->kind(core.nextEvent);
 
     if (cfg_.mode != RunMode::Suit || !disabled_) {
         // Executes natively.  In SUIT mode the hardware deadline
@@ -603,14 +616,14 @@ DomainSimulator::handleFaultableInstruction(std::size_t i)
 
     // Disabled instruction fetched: #DO exception.
     ++traps_;
-    ++trapsByKind_[static_cast<std::size_t>(event.kind)];
+    ++trapsByKind_[static_cast<std::size_t>(kind)];
     if (cfg_.recordStateLog)
         stateLog_.push_back({now_, pstate_, true});
     if (trace_) {
         trace_->instant(suit::obs::TraceSession::kSimPid, track_,
                         suit::obs::TraceSession::simUs(now_),
                         "do-trap", "sim",
-                        {{"kind", suit::isa::toString(event.kind)},
+                        {{"kind", suit::isa::toString(kind)},
                          {"core", static_cast<int>(i)}});
     }
     trappingCore_ = i;
@@ -620,8 +633,12 @@ DomainSimulator::handleFaultableInstruction(std::size_t i)
                    cfg_.cpu->exceptionDelayUs()));
 
     suit::os::TrapFrame frame;
-    frame.kind = event.kind;
-    frame.instructionIndex = core.work.trace->eventIndex(core.nextEvent);
+    frame.kind = kind;
+    // The cursor walks forward from the previous trap: amortised one
+    // add per event, where Trace::eventIndex() would re-walk up to a
+    // block of gaps on every trap.
+    frame.instructionIndex =
+        core.trapIndex.indexOf(*core.work.trace, core.nextEvent);
     frame.coreId = static_cast<int>(i);
     frame.when = now_;
 
@@ -643,7 +660,7 @@ DomainSimulator::handleFaultableInstruction(std::size_t i)
                 static_cast<double>(cfg_.params.maxExceptionCount));
         }
         const Tick cost = static_cast<Tick>(
-            static_cast<double>(emulationCostTicks(event.kind)) *
+            static_cast<double>(emulationCostTicks(kind)) *
             weight);
         resume_[i] = std::max(resume_[i], now_ + cost);
     } else {
@@ -702,9 +719,9 @@ DomainSimulator::runNativeWindowSingle(std::uint64_t &budget)
     const bool has_pending = pending_.has_value();
     const Tick run_cap = has_pending ? pending_->runUntil : kNever;
     const Tick complete_at = has_pending ? pending_->completeAt : kNever;
-    const auto &events = core.work.trace->events();
-    const auto *const event = events.data();
-    const std::size_t event_count = events.size();
+    const suit::trace::Trace &trace = *core.work.trace;
+    const std::uint32_t *const gaps = trace.gapColumn();
+    const std::size_t event_count = trace.eventCount();
     const std::size_t window_first = core.nextEvent;
 
     // Everything the loop updates per event lives in a local and is
@@ -747,10 +764,9 @@ DomainSimulator::runNativeWindowSingle(std::uint64_t &budget)
         // Native execution of the event (consumeEvent() inlined).
         ++next;
         if (next < event_count) {
-            remaining = static_cast<double>(event[next].gap);
+            remaining = gapAt(trace, gaps, next);
         } else {
-            remaining = static_cast<double>(
-                core.work.trace->tailInstructions());
+            remaining = static_cast<double>(trace.tailInstructions());
             past_last = true;
         }
     }
@@ -875,13 +891,13 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
             timer_.touch(t);
         // (5) Native execution of the winner (consumeEvent inlined).
         ++core.nextEvent;
-        const auto &events = core.work.trace->events();
-        if (core.nextEvent < events.size()) {
+        const suit::trace::Trace &trace = *core.work.trace;
+        if (core.nextEvent < trace.eventCount()) {
             remaining[win] =
-                static_cast<double>(events[core.nextEvent].gap);
+                gapAt(trace, trace.gapColumn(), core.nextEvent);
         } else {
-            remaining[win] = static_cast<double>(
-                core.work.trace->tailInstructions());
+            remaining[win] =
+                static_cast<double>(trace.tailInstructions());
             core.pastLastEvent = true;
         }
         ++consumed;

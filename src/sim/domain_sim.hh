@@ -240,6 +240,8 @@ class DomainSimulator final : public suit::core::CpuControl
     {
         CoreWork work;
         std::size_t nextEvent = 0;  //!< index into trace events
+        /** Instruction index of the trapping event (#DO frame). */
+        suit::trace::EventIndexCursor trapIndex;
         bool pastLastEvent = false; //!< draining the tail
         bool done = false;
         suit::util::Tick finishTime = 0;

@@ -59,8 +59,10 @@ TraceGenerator::generate(const WorkloadProfile &profile,
                 "profile '%s': burst must contain at least one event",
                 profile.name.c_str());
 
-    std::vector<FaultableEvent> events;
-    // A loose reservation; heavy-tailed gaps make the count vary.
+    // Events go straight into the trace's columns.  A loose
+    // reservation (heavy-tailed gaps make the count vary); the Trace
+    // constructor trims the slack.
+    EventColumns events;
     const double expected_cycle =
         bm.meanInterBurstGap() +
         bm.meanBurstEvents * bm.meanWithinBurstGap;
@@ -92,7 +94,7 @@ TraceGenerator::generate(const WorkloadProfile &profile,
                 if (consumed + gap + 1 > total)
                     break;
             }
-            events.push_back({gap, sampleKind(profile.kindMix, rng)});
+            events.push_back(gap, sampleKind(profile.kindMix, rng));
             consumed += gap + 1;
             first = false;
         } while (rng.nextBool(continue_p));

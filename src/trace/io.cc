@@ -1,5 +1,6 @@
 #include "trace/io.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -65,6 +66,62 @@ readU32(std::istream &is)
     return v;
 }
 
+/**
+ * Events reserved up front when the stream cannot bound the count;
+ * the columns grow past it as events actually arrive, so a hostile
+ * header count costs nothing until the events exist.
+ */
+constexpr std::uint64_t kReserveCap = 1U << 20;
+
+/** Smallest .sfb event: a one-byte gap varint plus the kind byte. */
+constexpr std::uint64_t kMinBinaryEventBytes = 2;
+
+/** Bytes left in @p is, or kReserveCap events' worth if unknown. */
+std::uint64_t
+remainingBytes(std::istream &is)
+{
+    const std::istream::pos_type here = is.tellg();
+    if (here == std::istream::pos_type(-1))
+        return kReserveCap * kMinBinaryEventBytes;
+    is.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is.tellg();
+    is.seekg(here);
+    if (!is || end == std::istream::pos_type(-1) || end < here)
+        fatal("trace stream is not seekable");
+    return static_cast<std::uint64_t>(end - here);
+}
+
+/**
+ * Reject header values the Trace constructor would assert on, so a
+ * malformed file takes the fatal() path instead of a panic.
+ */
+void
+checkHeader(const std::string &name, double ipc, double weight)
+{
+    if (!(ipc > 0.0))
+        fatal("trace '%s' needs a positive IPC (got %g)", name.c_str(),
+              ipc);
+    if (!(weight >= 1.0))
+        fatal("trace '%s' needs an event weight >= 1 (got %g)",
+              name.c_str(), weight);
+}
+
+/** Append one parsed event, rejecting one that runs past @p total. */
+void
+appendEvent(EventColumns &events, const std::string &name,
+            std::uint64_t total, std::uint64_t gap,
+            suit::isa::FaultableKind kind)
+{
+    // span() <= total holds for every accepted event, and the event
+    // needs gap + 1 more instructions.
+    if (gap >= total - events.span())
+        fatal("trace '%s': event %zu runs past the %llu-instruction "
+              "stream",
+              name.c_str(), events.size(),
+              static_cast<unsigned long long>(total));
+    events.push_back(gap, kind);
+}
+
 } // namespace
 
 void
@@ -114,8 +171,10 @@ readText(std::istream &is)
             fatal("malformed trace header line '%s'", line.c_str());
     }
 
-    std::vector<FaultableEvent> events;
-    events.reserve(count);
+    checkHeader(name, ipc, weight);
+
+    EventColumns events;
+    events.reserve(std::min(count, kReserveCap));
     for (std::uint64_t i = 0; i < count; ++i) {
         std::uint64_t gap = 0;
         std::string mnemonic;
@@ -123,8 +182,8 @@ readText(std::istream &is)
             fatal("trace events truncated at %llu of %llu",
                   static_cast<unsigned long long>(i),
                   static_cast<unsigned long long>(count));
-        events.push_back(
-            {gap, suit::isa::faultableKindFromString(mnemonic)});
+        appendEvent(events, name, total, gap,
+                    suit::isa::faultableKindFromString(mnemonic));
     }
     return Trace(name, total, ipc, std::move(events), weight);
 }
@@ -167,9 +226,11 @@ readBinary(std::istream &is)
     const double weight =
         static_cast<double>(readVarint(is)) / 1000.0;
     const std::uint64_t count = readVarint(is);
+    checkHeader(name, ipc, weight);
 
-    std::vector<FaultableEvent> events;
-    events.reserve(count);
+    EventColumns events;
+    events.reserve(
+        std::min(count, remainingBytes(is) / kMinBinaryEventBytes));
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t gap = readVarint(is);
         const int kind = is.get();
@@ -178,8 +239,8 @@ readBinary(std::istream &is)
         if (kind < 0 ||
             kind >= static_cast<int>(suit::isa::kNumFaultableKinds))
             fatal("trace contains unknown instruction id %d", kind);
-        events.push_back(
-            {gap, static_cast<suit::isa::FaultableKind>(kind)});
+        appendEvent(events, name, total, gap,
+                    static_cast<suit::isa::FaultableKind>(kind));
     }
     return Trace(name, total, ipc, std::move(events), weight);
 }

@@ -9,6 +9,13 @@
  *  - text (.sft): line-oriented, diff-able, self-describing;
  *  - binary (.sfb): compact varint encoding, ~5 bytes/event.
  *
+ * Both readers append events straight into the trace's columns.  They
+ * treat the input as untrusted: a header's event count only bounds
+ * the up-front reservation (by the bytes left in a seekable .sfb
+ * stream, by a fixed cap otherwise), and an IPC <= 0, an event
+ * weight < 1 or an event past the stream's instruction count is
+ * rejected with fatal() before a Trace is built.
+ *
  * Text format:
  *     suit-trace v1
  *     name <workload>

@@ -2,9 +2,11 @@
 #
 # Runs a small shared-domain grid (2 core counts x 2 strategies x 3
 # workloads) under a trace-cache cap that holds one workload's two
-# streams but not all six traces.  In job order such a grid evicts and
-# regenerates traces; in trace-key order it must generate each of its
-# 3 x 2 distinct (workload, seed, stream) traces exactly once.  Runs
+# streams but not all six traces: at ~5 B/event the largest pair
+# (Nginx) takes ~6.0 MiB and all six ~10.3 MiB, so the cap is 8 MiB.
+# In job order such a grid evicts and regenerates traces; in
+# trace-key order it must generate each of its 3 x 2 distinct
+# (workload, seed, stream) traces exactly once.  Runs
 # it with --jobs 1 and --jobs 4 and requires:
 #   - byte-identical CSVs;
 #   - the --jobs 1 footer to report "6 traces generated".
@@ -21,7 +23,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(GRID
     --cpu A --cores 1,2 --strategy e,fV
-    --workload 557.xz,Nginx,VLC --trace-cache-mb 40)
+    --workload 557.xz,Nginx,VLC --trace-cache-mb 8)
 set(DISTINCT_KEYS 6)
 
 foreach(jobs 1 4)

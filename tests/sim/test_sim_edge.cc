@@ -217,4 +217,72 @@ TEST(SimEdge, ZeroOffsetIsNeutralApartFromImul)
     EXPECT_NEAR(r.powerDelta(), 0.0, 1e-6);
 }
 
+/**
+ * Core @p c's trace for the escaped-gap tests: bursts of small gaps
+ * separated by gaps at and past the 32-bit escape sentinel, one of
+ * them 2^40.
+ */
+trace::Trace
+escapedGapTrace(int c)
+{
+    constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+    const std::uint64_t big[] = {k32 - 2, k32 - 1, k32,
+                                 std::uint64_t{1} << 40};
+    std::vector<trace::FaultableEvent> events;
+    std::uint64_t span = 0;
+    for (int burst = 0; burst < 6; ++burst) {
+        const std::uint64_t gap = big[(burst + c) % 4] + 1000 * c;
+        events.push_back({gap, isa::FaultableKind::VOR});
+        span += gap + 1;
+        for (int k = 0; k < 20; ++k) {
+            const std::uint64_t small = 500 + 37 * k + 11 * c;
+            events.push_back({small, isa::FaultableKind::AESENC});
+            span += small + 1;
+        }
+    }
+    return trace::Trace("escaped", span + 5000, 1.0, events);
+}
+
+TEST(SimEdge, EscapedGapsFastMatchesReferenceOneAndFourCores)
+{
+    const power::CpuModel cpu = power::cpuA_i9_9900k();
+    std::vector<trace::Trace> traces;
+    for (int c = 0; c < 4; ++c)
+        traces.push_back(escapedGapTrace(c));
+    std::vector<trace::WorkloadProfile> profiles;
+    for (const trace::Trace &t : traces)
+        profiles.push_back(plainProfile(t.totalInstructions()));
+
+    for (const std::size_t cores : {std::size_t{1}, std::size_t{4}}) {
+        std::vector<sim::CoreWork> work;
+        for (std::size_t c = 0; c < cores; ++c)
+            work.push_back({&traces[c], &profiles[c]});
+        for (const RunMode mode : {RunMode::Suit, RunMode::Baseline}) {
+            for (const core::StrategyKind strategy :
+                 {core::StrategyKind::CombinedFv,
+                  core::StrategyKind::Emulation}) {
+                SimConfig cfg = cfgFor(cpu);
+                cfg.mode = mode;
+                cfg.strategy = strategy;
+                DomainSimulator fast_sim(cfg, work);
+                const DomainResult fast = fast_sim.run();
+                cfg.referencePath = true;
+                DomainSimulator ref_sim(cfg, work);
+                const DomainResult ref = ref_sim.run();
+
+                std::string fast_bytes;
+                std::string ref_bytes;
+                sim::serializeResult(fast, fast_bytes);
+                sim::serializeResult(ref, ref_bytes);
+                EXPECT_EQ(fast_bytes, ref_bytes)
+                    << cores << " cores, mode "
+                    << static_cast<int>(mode) << ", strategy "
+                    << core::toString(strategy);
+                if (mode == RunMode::Suit)
+                    EXPECT_GT(fast.traps, 0u);
+            }
+        }
+    }
+}
+
 } // namespace

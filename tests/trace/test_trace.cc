@@ -7,7 +7,10 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "trace/generator.hh"
+#include "trace/io.hh"
 #include "trace/profile.hh"
 #include "trace/trace.hh"
 #include "util/rng.hh"
@@ -275,6 +278,124 @@ TEST(TraceTest, TailInstructionsPanicsOnCorruptedTrace)
     // simulator core draining 10^19 phantom instructions.
     TraceTestPeer::setTotalInstructions(t, 500);
     EXPECT_DEATH((void)t.tailInstructions(), "inconsistent");
+}
+
+/** Gaps around the u32 escape sentinel, kinds cycling. */
+Trace
+escapedGapTrace()
+{
+    constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+    return Trace("escape", 4 * k32 + (std::uint64_t{1} << 40), 1.0,
+                 {{k32 - 2, FaultableKind::VOR},
+                  {3, FaultableKind::AESENC},
+                  {k32 - 1, FaultableKind::VXOR},
+                  {0, FaultableKind::VOR},
+                  {k32, FaultableKind::AESENC},
+                  {std::uint64_t{1} << 40, FaultableKind::VXOR},
+                  {7, FaultableKind::VOR}});
+}
+
+void
+expectSameEvents(const Trace &a, const Trace &b)
+{
+    EXPECT_EQ(a.totalInstructions(), b.totalInstructions());
+    ASSERT_EQ(a.eventCount(), b.eventCount());
+    for (std::size_t i = 0; i < a.eventCount(); ++i) {
+        EXPECT_EQ(a.events()[i].gap, b.events()[i].gap) << i;
+        EXPECT_EQ(a.events()[i].kind, b.events()[i].kind) << i;
+    }
+}
+
+TEST(TraceTest, GapsAtAndPastTheU32EscapeRoundTrip)
+{
+    constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+    const std::vector<std::uint64_t> gaps = {
+        k32 - 2, 3, k32 - 1, 0, k32, std::uint64_t{1} << 40, 7};
+    const Trace t = escapedGapTrace();
+    ASSERT_EQ(t.eventCount(), gaps.size());
+
+    std::uint64_t index = 0;
+    for (std::size_t i = 0; i < gaps.size(); ++i) {
+        EXPECT_EQ(t.events()[i].gap, gaps[i]) << i;
+        EXPECT_EQ(t.gap(i), gaps[i]) << i;
+        index += gaps[i];
+        EXPECT_EQ(t.eventIndex(i), index) << i;
+        ++index;
+    }
+    EXPECT_EQ(t.tailInstructions(), t.totalInstructions() - index);
+    EXPECT_EQ(TraceStats::compute(t).maxGap, std::uint64_t{1} << 40);
+
+    std::stringstream text, binary;
+    writeText(t, text);
+    writeBinary(t, binary);
+    expectSameEvents(t, readText(text));
+    expectSameEvents(t, readBinary(binary));
+}
+
+TEST(TraceTest, EventIndexMatchesPrefixSumAcrossBlocks)
+{
+    // Several index blocks, with escaped gaps on and off the block
+    // starts.
+    suit::util::Rng rng(17);
+    std::vector<FaultableEvent> events;
+    std::uint64_t span = 0;
+    for (std::size_t i = 0; i < 5 * EventColumns::kBlockEvents + 3;
+         ++i) {
+        std::uint64_t gap = rng.nextBelow(50);
+        if (i % 37 == 0 || i == 2 * EventColumns::kBlockEvents)
+            gap = (std::uint64_t{1} << 32) + rng.nextBelow(3) - 1;
+        events.push_back({gap, FaultableKind::VOR});
+        span += gap + 1;
+    }
+    const Trace t("blocks", span + 10, 1.0, events);
+    std::uint64_t index = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        index += events[i].gap;
+        ASSERT_EQ(t.eventIndex(i), index) << i;
+        ++index;
+    }
+    EXPECT_EQ(t.tailInstructions(), 10u);
+}
+
+TEST(TraceTest, IndexCursorMatchesEventIndexOnMonotoneQueries)
+{
+    const Trace t = TraceGenerator(5).generate(profileByName("557.xz"));
+    ASSERT_GT(t.eventCount(), 1000u);
+    suit::util::Rng rng(23);
+    for (int round = 0; round < 20; ++round) {
+        // Non-decreasing queries with repeats and jumps of up to a
+        // few blocks, like the traps of one simulated core.
+        EventIndexCursor cursor;
+        std::size_t i = rng.nextBelow(4);
+        while (i < t.eventCount()) {
+            ASSERT_EQ(cursor.indexOf(t, i), t.eventIndex(i)) << i;
+            i += rng.nextBool(0.2) ? 0 : rng.nextBelow(200);
+        }
+    }
+    EventIndexCursor escaped;
+    const Trace e = escapedGapTrace();
+    for (std::size_t i = 0; i < e.eventCount(); ++i)
+        EXPECT_EQ(escaped.indexOf(e, i), e.eventIndex(i)) << i;
+}
+
+TEST(TraceTest, IndexCursorRejectsMovingBack)
+{
+    const Trace t("t", 1000, 1.0,
+                  {{10, FaultableKind::VOR}, {5, FaultableKind::VOR}});
+    EventIndexCursor cursor;
+    EXPECT_EQ(cursor.indexOf(t, 1), 16u);
+    EXPECT_DEATH((void)cursor.indexOf(t, 0), "moved back");
+}
+
+TEST(TraceTest, GeneratedTraceCostsAboutFiveBytesPerEvent)
+{
+    // A u32 gap, a one-byte kind and 1/64 of a block start per event:
+    // reserve slack left behind by the generator, or a padded event
+    // struct, would break this bound.
+    const Trace t = TraceGenerator(1).generate(profileByName("502.gcc"));
+    ASSERT_GT(t.eventCount(), 10000u);
+    EXPECT_LE(static_cast<double>(t.memoryBytes()),
+              5.25 * static_cast<double>(t.eventCount()) + 4096.0);
 }
 
 TEST(ImulOverhead, MatchesPaperAnchors)
