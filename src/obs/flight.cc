@@ -144,9 +144,9 @@ FlightSpan::~FlightSpan()
         spans.depth.store(d - 1, std::memory_order_release);
 }
 
-FlightRecorder::FlightRecorder(
-    FlightConfig config, std::shared_ptr<TelemetrySampler> sampler)
-    : cfg_(std::move(config)), sampler_(std::move(sampler))
+FlightRecorder::FlightRecorder(FlightConfig config,
+                               const TelemetrySampler *sampler)
+    : cfg_(std::move(config)), sampler_(sampler)
 {
     sampleScratch_.reserve(cfg_.lastSamples);
     previous_ = g_active.exchange(this, std::memory_order_acq_rel);

@@ -33,8 +33,8 @@
 #define SUIT_OBS_FLIGHT_HH
 
 #include <cstddef>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "obs/telemetry.hh"
 
@@ -57,12 +57,12 @@ class FlightRecorder
   public:
     /**
      * Arm the recorder.  @p sampler provides the ring (may be null:
-     * the dump then carries only the header and span stacks).  At
-     * most one recorder is active at a time (the newest wins).
+     * the dump then carries only the header and span stacks) and
+     * must outlive the recorder.  At most one recorder is active at
+     * a time (the newest wins).
      */
-    explicit FlightRecorder(
-        FlightConfig config,
-        std::shared_ptr<TelemetrySampler> sampler = nullptr);
+    explicit FlightRecorder(FlightConfig config,
+                            const TelemetrySampler *sampler = nullptr);
 
     /** Disarms (restores signal handlers installed by this one). */
     ~FlightRecorder();
@@ -88,7 +88,7 @@ class FlightRecorder
 
   private:
     FlightConfig cfg_;
-    std::shared_ptr<TelemetrySampler> sampler_;
+    const TelemetrySampler *sampler_;
     std::uint64_t dumps_ = 0;
     bool installedHandlers_ = false;
     FlightRecorder *previous_ = nullptr;

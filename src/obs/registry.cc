@@ -218,43 +218,12 @@ Registry::set(MetricId id, double value)
 Snapshot
 Registry::snapshot() const
 {
-    std::lock_guard lock(mu_);
-
-    // Merge all shards into one flat cell image first: concurrent
-    // writers keep mutating their shard, so each cell is read exactly
-    // once to keep per-metric values internally consistent.
-    std::vector<std::uint64_t> merged(nextSlot_, 0);
-    for (const auto &[tid, shard] : shards_) {
-        (void)tid;
-        for (std::uint32_t i = 0; i < nextSlot_; ++i)
-            merged[i] +=
-                shard->cells[i].load(std::memory_order_relaxed);
-    }
-
     Snapshot snap;
-    snap.metrics.reserve(byName_.size());
-    for (const auto &[name, info] : byName_) {
-        MetricValue mv;
-        mv.name = name;
-        mv.kind = info->kind;
-        switch (info->kind) {
-          case MetricKind::Counter:
-            mv.count = merged[info->firstSlot];
-            break;
-          case MetricKind::Gauge:
-            mv.value = gauges_[info->gaugeIndex];
-            break;
-          case MetricKind::Histogram: {
-            util::BucketHistogram hist(info->bounds);
-            for (std::uint32_t b = 0; b < info->slots; ++b)
-                hist.addCount(b, merged[info->firstSlot + b]);
-            mv.histogram = std::move(hist);
-            mv.count = mv.histogram.total();
-            break;
-          }
-        }
-        snap.metrics.push_back(std::move(mv));
-    }
+    snapshotInto(snap);
+    std::stable_sort(snap.metrics.begin(), snap.metrics.end(),
+                     [](const MetricValue &a, const MetricValue &b) {
+                         return a.name < b.name;
+                     });
     return snap;
 }
 
@@ -265,9 +234,9 @@ Registry::snapshotInto(Snapshot &out) const
 
     // Registration order: infos_ is append-only, so index i always
     // means the same metric and out's slots can be refilled in
-    // place.  Cells are merged per metric (each cell still read
-    // exactly once), skipping the flat merge buffer snapshot()
-    // allocates.
+    // place.  Cells are merged per metric, each cell read exactly
+    // once, so concurrent writers cannot make a metric internally
+    // inconsistent.
     if (out.metrics.size() != infos_.size())
         out.metrics.resize(infos_.size());
     std::size_t i = 0;
@@ -331,13 +300,36 @@ Registry::size() const
     return byName_.size();
 }
 
-std::string
-Registry::renderTable() const
+namespace {
+
+/**
+ * @p snap's metrics in name order, whatever the snapshot's own order:
+ * the registration-order snapshots the telemetry sampler retains then
+ * render identically to snapshot()'s name order.
+ */
+std::vector<const MetricValue *>
+byName(const Snapshot &snap)
 {
-    const Snapshot snap = snapshot();
+    std::vector<const MetricValue *> order;
+    order.reserve(snap.metrics.size());
+    for (const MetricValue &m : snap.metrics)
+        order.push_back(&m);
+    std::stable_sort(order.begin(), order.end(),
+                     [](const MetricValue *a, const MetricValue *b) {
+                         return a->name < b->name;
+                     });
+    return order;
+}
+
+} // namespace
+
+std::string
+renderMetricsTable(const Snapshot &snap)
+{
     util::TablePrinter table({"metric", "kind", "value", "p50", "p90",
                               "p99"});
-    for (const MetricValue &m : snap.metrics) {
+    for (const MetricValue *mp : byName(snap)) {
+        const MetricValue &m = *mp;
         switch (m.kind) {
           case MetricKind::Counter:
             table.addRow({m.name, "counter",
@@ -366,25 +358,9 @@ Registry::renderTable() const
 }
 
 std::string
-Registry::renderJson() const
-{
-    return renderMetricsJson(snapshot());
-}
-
-std::string
 renderMetricsJson(const Snapshot &snap)
 {
-    // Sort by name so the registration-order snapshots the telemetry
-    // sampler retains render identically to snapshot()'s name order.
-    std::vector<const MetricValue *> order;
-    order.reserve(snap.metrics.size());
-    for (const MetricValue &m : snap.metrics)
-        order.push_back(&m);
-    std::stable_sort(order.begin(), order.end(),
-                     [](const MetricValue *a, const MetricValue *b) {
-                         return a->name < b->name;
-                     });
-
+    const std::vector<const MetricValue *> order = byName(snap);
     std::string out;
     out += "{\n";
     out += "  \"schema\": \"suit-obs-metrics-v1\",\n";
@@ -446,8 +422,11 @@ renderMetricsJson(const Snapshot &snap)
 Registry &
 metrics()
 {
-    static Registry registry;
-    return registry;
+    // Never destroyed: a CliScope's sampler thread may still be
+    // reading it when fatal() calls std::exit() and static
+    // destructors run.
+    static Registry *const registry = new Registry;
+    return *registry;
 }
 
 } // namespace suit::obs

@@ -12,7 +12,8 @@
  *    (modelled on the exec per-worker counters); add()/observe()
  *    touch only the calling thread's shard with relaxed atomics —
  *    no locks, no false sharing with readers;
- *  - snapshot() merges all shards under the registry mutex, which is
+ *  - snapshotInto() merges all shards under the registry mutex (the
+ *    one merge loop; snapshot() sorts its result by name), which is
  *    race-free because the cells are atomics and shards are never
  *    freed before the registry;
  *  - the registry is *disabled* by default, and the enabled check is
@@ -94,7 +95,10 @@ struct MetricValue
     suit::util::BucketHistogram histogram;
 };
 
-/** Point-in-time merge of every shard, sorted by metric name. */
+/**
+ * Point-in-time merge of every shard: name order from
+ * Registry::snapshot(), registration order from snapshotInto().
+ */
 struct Snapshot
 {
     std::vector<MetricValue> metrics;
@@ -154,17 +158,20 @@ class Registry
     }
     /** @} */
 
-    /** Merge every shard into a point-in-time snapshot. */
+    /**
+     * Point-in-time snapshot sorted by metric name: snapshotInto()
+     * followed by a stable sort.
+     */
     Snapshot snapshot() const;
 
     /**
      * Merge every shard into @p out, reusing its buffers.  Metrics
      * appear in *registration* order (stable indices — the telemetry
-     * ring's series ids), unlike snapshot()'s name order; the
-     * renderers sort by name themselves, so both orders render
-     * identically.  Once @p out has seen this registry's metric set,
-     * refills allocate nothing — the telemetry sampler's
-     * zero-steady-state-allocation contract.
+     * ring's series ids), unlike snapshot()'s name order; the JSON
+     * and table renderers sort by name themselves, so both orders
+     * render identically there.  Once @p out has seen this
+     * registry's metric set, refills allocate nothing — the
+     * telemetry sampler's zero-steady-state-allocation contract.
      */
     void snapshotInto(Snapshot &out) const;
 
@@ -173,18 +180,6 @@ class Registry
 
     /** Number of registered metrics. */
     std::size_t size() const;
-
-    /**
-     * Render the snapshot as an aligned text table: counters and
-     * gauges with their value, histograms with total and p50/p90/p99.
-     */
-    std::string renderTable() const;
-
-    /**
-     * Render the snapshot as a JSON document
-     * (schema "suit-obs-metrics-v1").
-     */
-    std::string renderJson() const;
 
   private:
     /**
@@ -219,12 +214,18 @@ class Registry
 /**
  * Render @p snap as the "suit-obs-metrics-v1" JSON document, one
  * metric object per line, sorted by name regardless of the
- * snapshot's own order.  Registry::renderJson() and the telemetry
- * sampler's retained-snapshot dump share this renderer, which is
- * what keeps `--metrics-interval` dumps and the final dump
+ * snapshot's own order.  `--metrics-interval` dumps and the final
+ * `--metrics` dump both go through it, which keeps them
  * byte-compatible.
  */
 std::string renderMetricsJson(const Snapshot &snap);
+
+/**
+ * Render @p snap as an aligned text table sorted by name: counters
+ * and gauges with their value, histograms with total and
+ * p50/p90/p99.
+ */
+std::string renderMetricsTable(const Snapshot &snap);
 
 /** The process-wide registry the libraries record into. */
 Registry &metrics();

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 
 #include "obs/registry.hh"
 #include "util/logging.hh"
@@ -22,8 +23,8 @@ addCliOptions(util::ArgParser &args)
                    "(derive from --metrics/--trace-out)");
     args.addOption("metrics-interval", "0",
                    "dump the metrics registry every N seconds while "
-                   "running (0 = only at exit); implies --obs-level "
-                   "metrics");
+                   "running, rounded up to a whole sampler period "
+                   "(0 = only at exit); implies --obs-level metrics");
     args.addOption("listen-metrics", "0",
                    "serve OpenMetrics text on 127.0.0.1:PORT while "
                    "running (0 = off; implies --obs-level metrics)");
@@ -37,8 +38,8 @@ addCliOptions(util::ArgParser &args)
                    "JSONL path (implies --obs-level metrics)");
     args.addOption("sample-interval-ms", "100",
                    "telemetry sampler period in milliseconds "
-                   "(used by --listen-metrics/--metrics-series/"
-                   "--flight-recorder)");
+                   "(used by --metrics-interval/--listen-metrics/"
+                   "--metrics-series/--flight-recorder)");
 }
 
 CliScope::CliScope(const util::ArgParser &args)
@@ -90,41 +91,53 @@ CliScope::CliScope(const util::ArgParser &args)
                     sampleMs.c_str());
     }
 
-    if (metricsIntervalS_ > 0.0 && level_ == Level::Off)
+    const bool wantsSampler = metricsIntervalS_ > 0.0 ||
+                              listenPort_ != 0 ||
+                              !seriesPath_.empty() ||
+                              !flightPath_.empty();
+    if (wantsSampler && level_ == Level::Off)
         level_ = Level::Metrics;
-    if (telemetryConfig().enabled && level_ == Level::Off)
-        level_ = Level::Metrics;
-
-    // Arm the flight recorder immediately (sampler-less: header and
-    // span stacks only) so crash coverage starts before the Session
-    // exists; attachTelemetry() re-arms it against the ring.
-    if (!flightPath_.empty())
-        flight_ = std::make_unique<FlightRecorder>(
-            FlightConfig{flightPath_});
 
     metrics().setEnabled(level_ != Level::Off);
     if (level_ == Level::Full) {
         trace_ = std::make_unique<TraceSession>();
         setActiveTrace(trace_.get());
     }
+    if (!wantsSampler)
+        return;
 
-    if (metricsIntervalS_ > 0.0) {
-        dumper_ = std::thread([this] {
-            const auto interval_ms =
-                std::chrono::milliseconds(static_cast<long long>(
-                    metricsIntervalS_ * 1e3));
-            std::unique_lock lock(dumperMu_);
-            while (!dumperStop_) {
-                if (dumperCv_.wait_for(lock, interval_ms, [this] {
-                        return dumperStop_;
-                    }))
-                    break;
-                lock.unlock();
-                dumpMetrics();
-                lock.lock();
-            }
-        });
+    sampler_ = std::make_unique<TelemetrySampler>(
+        metrics(), TelemetryConfig{.intervalS = sampleIntervalMs_ / 1e3});
+    if (!flightPath_.empty())
+        flight_ = std::make_unique<FlightRecorder>(
+            FlightConfig{flightPath_}, sampler_.get());
+    if (listenPort_ != 0) {
+        // Scrape-triggered sampling: every scrape refreshes the
+        // retained snapshot before rendering, like a Prometheus
+        // collect callback.
+        server_ = std::make_unique<MetricsServer>(
+            listenPort_, [sampler = sampler_.get()] {
+                sampler->sampleOnce();
+                return sampler->renderLatest(renderOpenMetrics);
+            });
+        if (server_->ok())
+            util::inform("serving OpenMetrics on 127.0.0.1:%u",
+                         static_cast<unsigned>(server_->port()));
     }
+    std::function<void()> onTick;
+    if (metricsIntervalS_ > 0.0) {
+        using Clock = std::chrono::steady_clock;
+        const auto every = std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double>(metricsIntervalS_));
+        onTick = [this, every, last = Clock::now()]() mutable {
+            const Clock::time_point now = Clock::now();
+            if (now - last < every)
+                return;
+            last = now;
+            dumpMetrics();
+        };
+    }
+    sampler_->start(std::move(onTick));
 }
 
 CliScope::~CliScope()
@@ -158,62 +171,11 @@ writeFileAtomic(const std::string &path, const std::string &doc)
 
 } // namespace
 
-TelemetryConfig
-CliScope::telemetryConfig() const
-{
-    TelemetryConfig cfg;
-    cfg.enabled = listenPort_ != 0 || !seriesPath_.empty() ||
-                  !flightPath_.empty();
-    cfg.intervalS = sampleIntervalMs_ / 1e3;
-    return cfg;
-}
-
-void
-CliScope::attachTelemetry(std::shared_ptr<TelemetrySampler> sampler)
-{
-    if (!sampler)
-        return;
-    {
-        std::lock_guard lock(samplerMu_);
-        sampler_ = sampler;
-    }
-    if (!flightPath_.empty()) {
-        flight_.reset(); // re-arm against the ring
-        flight_ = std::make_unique<FlightRecorder>(
-            FlightConfig{flightPath_}, sampler);
-    }
-    if (listenPort_ != 0 && !server_) {
-        // Scrape-triggered sampling: every scrape refreshes the
-        // retained snapshot before rendering, like a Prometheus
-        // collect callback.
-        server_ = std::make_unique<MetricsServer>(
-            listenPort_, [sampler] {
-                sampler->sampleOnce();
-                return sampler->renderOpenMetricsText();
-            });
-        if (server_->ok())
-            util::inform("serving OpenMetrics on 127.0.0.1:%u",
-                         static_cast<unsigned>(server_->port()));
-    }
-}
-
-void
-CliScope::startLocalTelemetry()
-{
-    const TelemetryConfig cfg = telemetryConfig();
-    if (!cfg.enabled || telemetry())
-        return;
-    auto sampler = std::make_shared<TelemetrySampler>(metrics(), cfg);
-    sampler->start();
-    ownsSampler_ = true;
-    attachTelemetry(std::move(sampler));
-}
-
 void
 CliScope::noteInterruption(const char *reason)
 {
-    if (auto sampler = telemetry())
-        sampler->sampleOnce(); // capture the end state in the ring
+    if (sampler_)
+        sampler_->sampleOnce(); // capture the end state in the ring
     if (flight_)
         flight_->dump(reason);
 }
@@ -221,23 +183,16 @@ CliScope::noteInterruption(const char *reason)
 void
 CliScope::dumpMetrics() const
 {
-    // Reuse the sampler's retained snapshot when one is attached:
-    // periodic dumps then cost one render, not a walk over every
-    // registry shard per interval.
-    const auto sampler = telemetry();
-    const bool sampled = sampler && sampler->samplesTaken() > 0;
-    const std::string doc =
-        sampled ? sampler->renderLatestJson() : metrics().renderJson();
-    if (metricsPath_.empty()) {
-        const std::string table = metrics().renderTable();
-        std::fwrite(table.data(), 1, table.size(), stderr);
-        return;
-    }
-    if (metricsPath_ == "-") {
+    const auto render =
+        metricsPath_.empty() ? renderMetricsTable : renderMetricsJson;
+    const std::string doc = sampler_ ? sampler_->renderLatest(render)
+                                     : render(metrics().snapshot());
+    if (metricsPath_.empty())
+        std::fwrite(doc.data(), 1, doc.size(), stderr);
+    else if (metricsPath_ == "-")
         std::fwrite(doc.data(), 1, doc.size(), stdout);
-        return;
-    }
-    writeFileAtomic(metricsPath_, doc);
+    else
+        writeFileAtomic(metricsPath_, doc);
 }
 
 void
@@ -247,24 +202,14 @@ CliScope::finish()
         return;
     finished_ = true;
 
-    if (dumper_.joinable()) {
-        {
-            std::lock_guard lock(dumperMu_);
-            dumperStop_ = true;
-        }
-        dumperCv_.notify_all();
-        dumper_.join();
-    }
-
-    // Quiesce the scrape endpoint, then take one final sample so the
-    // retained snapshot (and the ring tail) reflects the end state.
+    // Quiesce the scrape endpoint and the sampler thread (and with
+    // it the interval dumps), then take one final sample so the
+    // retained snapshot and the ring tail reflect the end state.
     if (server_)
         server_->stop();
-    const auto sampler = telemetry();
-    if (sampler) {
-        if (ownsSampler_)
-            sampler->stop();
-        sampler->sampleOnce();
+    if (sampler_) {
+        sampler_->stop();
+        sampler_->sampleOnce();
     }
 
     if (trace_)
@@ -272,18 +217,13 @@ CliScope::finish()
 
     if (!metricsPath_.empty() && metricsEnabled())
         dumpMetrics();
-    if (!seriesPath_.empty() && !sampler)
-        util::warn("--metrics-series: no telemetry sampler was "
-                   "attached; nothing written");
-    if (!seriesPath_.empty() && sampler) {
-        if (seriesPath_ == "-") {
-            const std::string doc =
-                sampler->renderOpenMetricsText();
+    if (!seriesPath_.empty()) {
+        const std::string doc =
+            sampler_->renderLatest(renderOpenMetrics);
+        if (seriesPath_ == "-")
             std::fwrite(doc.data(), 1, doc.size(), stdout);
-        } else {
-            writeFileAtomic(seriesPath_,
-                            sampler->renderOpenMetricsText());
-        }
+        else
+            writeFileAtomic(seriesPath_, doc);
     }
     if (trace_ && !tracePath_.empty())
         trace_->writeTo(tracePath_);

@@ -2,8 +2,8 @@
  * @file
  * One-stop observability wiring for the CLI tools.
  *
- * Every instrumented binary adds the same three options and
- * constructs one CliScope around its run:
+ * Every instrumented binary adds the same options and constructs one
+ * CliScope around its run:
  *
  *   --metrics <path|->        write the metrics registry as JSON
  *   --trace-out <path|->      write a Chrome trace_event timeline
@@ -20,24 +20,21 @@
  * TraceSession as the active trace, and on finish()/destruction
  * writes both outputs and tears the wiring back down.
  *
- * --metrics-interval starts a background dumper thread for
- * long-running tools (suit_sweep, suit_fleet): every interval it
- * snapshots the registry — to the --metrics path via an atomic
- * temp-file + rename (so a concurrent reader never sees a torn
- * JSON document), or as a table to stderr when no path was given.
- * A non-zero interval implies at least Level::Metrics, as do the
- * three telemetry flags.
+ * Four flags need the telemetry sampler: --metrics-interval,
+ * --listen-metrics, --metrics-series and --flight-recorder.  When any
+ * of them is given the constructor creates the run's one
+ * TelemetrySampler over obs::metrics(), starts it (the only periodic
+ * obs thread), arms the flight recorder against its ring and starts
+ * the exposition server, all before any engine or pool exists.  Each
+ * of these implies at least Level::Metrics.
  *
- * The telemetry flags need a TelemetrySampler.  The sampler is owned
- * by runtime::Session (it is per-process execution state, like the
- * thread pool): CLIs pass telemetryConfig() into their
- * SessionConfig and hand the resulting sampler back via
- * attachTelemetry(), which starts the exposition server and arms the
- * flight recorder.  Tools without a Session call
- * startLocalTelemetry() instead and the scope owns the sampler
- * itself.  The shared_ptr matters: the scope outlives the Session
- * (it is declared first), so it keeps the ring alive for the final
- * --metrics-series write after the Session stopped the thread.
+ * --metrics-interval rides the sampler thread: after each periodic
+ * sample a tick hook checks the elapsed time and, once the interval
+ * has passed, renders the sampler's retained snapshot — to the
+ * --metrics path via an atomic temp-file + rename (so a concurrent
+ * reader never sees a torn JSON document), or as a table to stderr
+ * when no path was given.  Dumps therefore land on sampler ticks: the
+ * interval is rounded up to a whole --sample-interval-ms period.
  *
  * Declare the CliScope *before* any thread pool or engine whose
  * workers may emit events, so the session outlives every emitter.
@@ -46,12 +43,9 @@
 #ifndef SUIT_OBS_SETUP_HH
 #define SUIT_OBS_SETUP_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/flight.hh"
 #include "obs/openmetrics.hh"
@@ -98,33 +92,8 @@ class CliScope
     /** The trace session, or null below Level::Full. */
     TraceSession *trace() { return trace_.get(); }
 
-    /**
-     * The sampler configuration implied by the telemetry flags
-     * (enabled iff --listen-metrics, --metrics-series or
-     * --flight-recorder was given).  Feed into SessionConfig.
-     */
-    TelemetryConfig telemetryConfig() const;
-
-    /**
-     * Adopt the Session-owned sampler: starts the --listen-metrics
-     * exposition server and (re)arms the --flight-recorder against
-     * the ring.  A null @p sampler is ignored.
-     */
-    void attachTelemetry(std::shared_ptr<TelemetrySampler> sampler);
-
-    /**
-     * For tools without a runtime::Session: create, start and own a
-     * sampler per telemetryConfig() (no-op when telemetry is off or
-     * a sampler is already attached).
-     */
-    void startLocalTelemetry();
-
-    /** The attached sampler, or null. */
-    std::shared_ptr<TelemetrySampler> telemetry() const
-    {
-        std::lock_guard lock(samplerMu_);
-        return sampler_;
-    }
+    /** The run's telemetry sampler, or null without a telemetry flag. */
+    const TelemetrySampler *telemetry() const { return sampler_.get(); }
 
     /** The exposition server, or null (port 0 / bind failure). */
     MetricsServer *metricsServer() { return server_.get(); }
@@ -140,15 +109,21 @@ class CliScope
     void noteInterruption(const char *reason);
 
     /**
-     * Write --metrics and --trace-out outputs, uninstall the active
-     * trace and disable the registry.  Idempotent; called by the
-     * destructor, but call it explicitly when output ordering
-     * relative to other footers matters.
+     * Stop the exposition server and the sampler, take one final
+     * sample, write the --metrics, --metrics-series and --trace-out
+     * outputs, uninstall the active trace and disable the registry.
+     * Idempotent; called by the destructor, but call it explicitly
+     * when output ordering relative to other footers matters.
      */
     void finish();
 
   private:
-    /** One periodic dump (and the final write path of finish()). */
+    /**
+     * Render and write the --metrics output: the sampler's latest
+     * snapshot when there is a sampler, else a fresh registry
+     * snapshot.  The --metrics-interval tick hook and finish() share
+     * it.
+     */
     void dumpMetrics() const;
 
     Level level_ = Level::Off;
@@ -160,21 +135,13 @@ class CliScope
     std::string flightPath_;
     double sampleIntervalMs_ = 100.0;
     std::unique_ptr<TraceSession> trace_;
-    // sampler_ is written once by attachTelemetry() on the main
-    // thread but read by the --metrics-interval dumper thread, so
-    // every access goes through samplerMu_.
-    mutable std::mutex samplerMu_;
-    std::shared_ptr<TelemetrySampler> sampler_;
+    // Written only by the constructor, before the sampler thread
+    // starts; declared before the server and the flight recorder,
+    // which read it and are destroyed first.
+    std::unique_ptr<TelemetrySampler> sampler_;
     std::unique_ptr<MetricsServer> server_;
     std::unique_ptr<FlightRecorder> flight_;
-    bool ownsSampler_ = false;
     bool finished_ = false;
-
-    // Background dumper (only when --metrics-interval > 0).
-    std::thread dumper_;
-    std::mutex dumperMu_;
-    std::condition_variable dumperCv_;
-    bool dumperStop_ = false;
 };
 
 } // namespace suit::obs

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 
-#include "obs/openmetrics.hh"
 #include "util/logging.hh"
 
 namespace suit::obs {
@@ -47,13 +46,14 @@ TelemetrySampler::~TelemetrySampler()
 }
 
 void
-TelemetrySampler::start()
+TelemetrySampler::start(std::function<void()> onTick)
 {
     std::lock_guard lock(threadMu_);
     if (thread_.joinable())
         return; // already running
     threadStop_ = false;
-    thread_ = std::thread([this] { samplerMain(); });
+    thread_ = std::thread(
+        [this, onTick = std::move(onTick)] { samplerMain(onTick); });
 }
 
 void
@@ -79,7 +79,7 @@ TelemetrySampler::running() const
 }
 
 void
-TelemetrySampler::samplerMain()
+TelemetrySampler::samplerMain(const std::function<void()> &onTick)
 {
     const auto interval =
         std::chrono::duration<double>(cfg_.intervalS);
@@ -90,6 +90,8 @@ TelemetrySampler::samplerMain()
             break;
         lock.unlock();
         sampleOnce();
+        if (onTick)
+            onTick();
         lock.lock();
     }
 }
@@ -249,25 +251,12 @@ TelemetrySampler::lastSamples(std::size_t n) const
     return out;
 }
 
-Snapshot
-TelemetrySampler::latestSnapshot() const
-{
-    std::lock_guard lock(snapMu_);
-    return front_;
-}
-
 std::string
-TelemetrySampler::renderLatestJson() const
+TelemetrySampler::renderLatest(
+    std::string (*render)(const Snapshot &)) const
 {
     std::lock_guard lock(snapMu_);
-    return renderMetricsJson(front_);
-}
-
-std::string
-TelemetrySampler::renderOpenMetricsText() const
-{
-    std::lock_guard lock(snapMu_);
-    return renderOpenMetrics(front_);
+    return render(front_);
 }
 
 } // namespace suit::obs

@@ -30,9 +30,13 @@
  * registers — which the registry treats as a rare, mutex-protected
  * event anyway.
  *
- * The retained front Snapshot is what makes `--metrics-interval`
- * cheap: periodic dumps render the sampler's latest snapshot instead
- * of re-walking every registry shard per interval.
+ * The retained front Snapshot is what every renderer reads through
+ * renderLatest(): the `--metrics-interval` dump (which runs as the
+ * start() tick hook, on the sampler thread), the OpenMetrics scrape
+ * and the final `--metrics`/`--metrics-series` writes.  Nothing
+ * re-walks the registry shards besides sampleOnce().
+ *
+ * obs::CliScope owns the one sampler of a CLI run; see setup.hh.
  */
 
 #ifndef SUIT_OBS_TELEMETRY_HH
@@ -42,6 +46,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -52,11 +57,9 @@
 
 namespace suit::obs {
 
-/** How a Session's telemetry sampler should run. */
+/** How a telemetry sampler should run. */
 struct TelemetryConfig
 {
-    /** Master switch; a disabled config creates no sampler. */
-    bool enabled = false;
     /** Sampling period in seconds (--sample-interval-ms / 1e3). */
     double intervalS = 0.1;
     /** Ring capacity in samples; fixed once constructed. */
@@ -103,8 +106,13 @@ class TelemetrySampler
     TelemetrySampler(const TelemetrySampler &) = delete;
     TelemetrySampler &operator=(const TelemetrySampler &) = delete;
 
-    /** @{ Background thread lifecycle; both are idempotent. */
-    void start();
+    /**
+     * @{ Background thread lifecycle; both are idempotent.  start()
+     * calls @p onTick on the sampler thread after each periodic
+     * sample (not after sampleOnce() calls from other threads); a
+     * start() while running keeps the running thread and its hook.
+     */
+    void start(std::function<void()> onTick = {});
     void stop();
     bool running() const;
     /** @} */
@@ -142,24 +150,16 @@ class TelemetrySampler
     std::vector<TelemetrySample> lastSamples(std::size_t n) const;
 
     /**
-     * Copy of the most recent full registry snapshot (empty before
-     * the first sample).
+     * Render the most recent full registry snapshot (empty before
+     * the first sample) with @p render — renderMetricsJson,
+     * renderMetricsTable or renderOpenMetrics.  No registry shard
+     * walk.
      */
-    Snapshot latestSnapshot() const;
-
-    /**
-     * Render the latest snapshot as the suit-obs-metrics-v1 JSON
-     * document — byte-identical to Registry::renderJson() when the
-     * registry is quiescent.  This is the `--metrics-interval` dump
-     * path: no registry shard walk.
-     */
-    std::string renderLatestJson() const;
-
-    /** Render the latest snapshot as OpenMetrics text. */
-    std::string renderOpenMetricsText() const;
+    std::string
+    renderLatest(std::string (*render)(const Snapshot &)) const;
 
   private:
-    void samplerMain();
+    void samplerMain(const std::function<void()> &onTick);
     void refreshSeriesLocked(const Snapshot &snap);
 
     Registry &reg_;

@@ -44,7 +44,7 @@ struct CheckResult
 CheckResult checkChromeTrace(const std::string &doc);
 
 /**
- * Validate a metrics document as written by Registry::renderJson():
+ * Validate a metrics document as written by renderMetricsJson():
  * schema "suit-obs-metrics-v1", each metric carrying name and a known
  * kind, counters/histograms a count, histograms bounds plus exactly
  * bounds+1 buckets.

@@ -10,8 +10,7 @@ namespace {
 
 /** Validate the run flags and build the Session's configuration. */
 SessionConfig
-sessionConfig(const suit::util::ArgParser &args,
-              const suit::obs::CliScope &obs)
+sessionConfig(const suit::util::ArgParser &args)
 {
     const double deadline_s = args.getDouble("deadline-s");
     if (deadline_s < 0.0)
@@ -27,7 +26,6 @@ sessionConfig(const suit::util::ArgParser &args,
         static_cast<int>(args.getIntInRange("jobs", 0, INT_MAX));
     config.traceCacheBytes = static_cast<std::size_t>(cache_mb) << 20;
     config.pinWorkers = args.getFlag("pin");
-    config.telemetry = obs.telemetryConfig();
     return config;
 }
 
@@ -71,9 +69,8 @@ CliRun::addOptions(suit::util::ArgParser &args, const char *noun,
 CliRun::CliRun(const suit::util::ArgParser &args,
                suit::obs::CliScope &obs, const char *noun)
     : args_(args), obs_(obs), noun_(noun),
-      session_(sessionConfig(args, obs))
+      session_(sessionConfig(args))
 {
-    obs_.attachTelemetry(session_.telemetry());
     ctx_.checkpoint.path = args.get("checkpoint");
     ctx_.checkpoint.resume = args.getFlag("resume");
     ctx_.checkpoint.flushInterval = static_cast<int>(

@@ -7,11 +7,11 @@
  * --trace-cache-mb, --checkpoint, --checkpoint-flush, --resume,
  * --deadline-s and optionally --stop-after), worded for the CLI's
  * unit noun ("cell", "shard", "workload").  After parsing, one CliRun
- * validates them, builds the Session (adopting the CliScope's
- * telemetry) and the RunContext (journal policy, deadline, Ctrl-C
- * link); finish() prints the "interrupted ... re-run with
- * --checkpoint X --resume" footer and maps an interrupted run to exit
- * code 130.
+ * validates them, builds the Session and the RunContext (journal
+ * policy, deadline, Ctrl-C link); finish() prints the "interrupted
+ * ... re-run with --checkpoint X --resume" footer and maps an
+ * interrupted run to exit code 130.  The telemetry sampler is not
+ * part of the run wiring: the obs::CliScope owns it.
  *
  * Declare the CliRun after the obs::CliScope, so the Session and its
  * workers are torn down before the scope writes its outputs.

@@ -31,12 +31,6 @@ Session::Session(SessionConfig config)
     for (std::size_t i = 0; i < slots; ++i)
         workspaces_.push_back(
             std::make_unique<suit::sim::SimWorkspace>());
-
-    if (cfg_.telemetry.enabled) {
-        telemetry_ = std::make_shared<suit::obs::TelemetrySampler>(
-            suit::obs::metrics(), cfg_.telemetry);
-        telemetry_->start();
-    }
 }
 
 suit::sim::SimWorkspace &
@@ -47,15 +41,6 @@ Session::workspace()
     SUIT_ASSERT(slot < workspaces_.size(),
                 "worker index %d outside this session's pool", worker);
     return *workspaces_[slot];
-}
-
-Session::~Session()
-{
-    // Stop the sampling thread with the Session; the ring itself may
-    // outlive us through the shared_ptr a CliScope holds for its
-    // final series/flight writes.
-    if (telemetry_)
-        telemetry_->stop();
 }
 
 int

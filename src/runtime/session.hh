@@ -19,6 +19,9 @@
  *    +- CancelToken             cancel / SIGINT link / deadline
  *    +- CheckpointPolicy        journal path + resume
  *    +- obs::TraceSession*      latched at construction
+ *
+ * The telemetry sampler is not Session state: obs::CliScope owns the
+ * one sampler of a CLI run and starts it before any Session exists.
  */
 #pragma once
 
@@ -28,7 +31,6 @@
 #include <vector>
 
 #include "exec/thread_pool.hh"
-#include "obs/telemetry.hh"
 #include "sim/trace_cache.hh"
 #include "sim/workspace.hh"
 
@@ -53,20 +55,12 @@ struct SessionConfig {
      * unpinned.  No effect in serial mode.
      */
     bool pinWorkers = false;
-    /**
-     * Telemetry sampler over obs::metrics() (disabled by default).
-     * When enabled the Session owns a TelemetrySampler thread for
-     * its lifetime — obs::CliScope::telemetryConfig() builds this
-     * from --listen-metrics/--metrics-series/--flight-recorder.
-     */
-    suit::obs::TelemetryConfig telemetry;
 };
 
 class Session
 {
   public:
     explicit Session(SessionConfig config = {});
-    ~Session();
 
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
@@ -100,19 +94,6 @@ class Session
     const SessionConfig &config() const { return cfg_; }
 
     /**
-     * The session-owned telemetry sampler, or null when telemetry
-     * is disabled.  Shared so obs::CliScope (declared before the
-     * Session in every CLI, thus destroyed after it) can keep the
-     * ring alive for its final --metrics-series/--flight-recorder
-     * writes; the Session's destructor stops the sampling thread.
-     */
-    const std::shared_ptr<suit::obs::TelemetrySampler> &
-    telemetry() const
-    {
-        return telemetry_;
-    }
-
-    /**
      * Per-worker counters accumulated over every run so far (empty
      * in serial mode).
      */
@@ -131,7 +112,6 @@ class Session
     std::unique_ptr<suit::exec::ThreadPool> pool_;
     /** Slot 0: session thread; slots 1..jobs(): pool workers. */
     std::vector<std::unique_ptr<suit::sim::SimWorkspace>> workspaces_;
-    std::shared_ptr<suit::obs::TelemetrySampler> telemetry_;
 };
 
 } // namespace suit::runtime

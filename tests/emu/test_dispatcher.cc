@@ -85,8 +85,9 @@ TEST(Dispatcher, AesencIsTheMostExpensiveEmulation)
 {
     const double aes = emulationCostCycles(FaultableKind::AESENC);
     for (FaultableKind kind : allFaultableKinds()) {
-        if (kind != FaultableKind::AESENC)
+        if (kind != FaultableKind::AESENC) {
             EXPECT_GT(aes, emulationCostCycles(kind));
+        }
     }
 }
 

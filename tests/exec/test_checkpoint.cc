@@ -131,6 +131,27 @@ makeResult(double tag)
     return r;
 }
 
+/** An ok record for cell @p index carrying makeResult(@p tag). */
+CellRecord
+okRecord(std::uint64_t index, double tag)
+{
+    CellRecord record;
+    record.index = index;
+    record.result = makeResult(tag);
+    return record;
+}
+
+/** A failed record for cell @p index. */
+CellRecord
+failedRecord(std::uint64_t index, std::string error)
+{
+    CellRecord record;
+    record.index = index;
+    record.failed = true;
+    record.error = std::move(error);
+    return record;
+}
+
 /** Bitwise equality of every field of two domain results. */
 void
 expectIdentical(const DomainResult &a, const DomainResult &b)
@@ -181,9 +202,9 @@ TEST(CheckpointJournal, RoundTripsRecordsAndFingerprint)
 
     CheckpointJournal journal;
     journal.start(file.path(), fp);
-    journal.append({0, false, "", makeResult(0.125)});
-    journal.append({2, false, "", makeResult(0.5)});
-    journal.append({3, true, "cell exploded", {}});
+    journal.append(okRecord(0, 0.125));
+    journal.append(okRecord(2, 0.5));
+    journal.append(failedRecord(3, "cell exploded"));
 
     const JournalContents loaded =
         CheckpointJournal::load(file.path());
@@ -204,9 +225,9 @@ TEST(CheckpointJournal, TruncatedTailKeepsEarlierRecords)
     ScratchFile file("truncated.bin");
     CheckpointJournal journal;
     journal.start(file.path(), {3, 7});
-    journal.append({0, false, "", makeResult(1.0)});
-    journal.append({1, false, "", makeResult(2.0)});
-    journal.append({2, false, "", makeResult(3.0)});
+    journal.append(okRecord(0, 1.0));
+    journal.append(okRecord(1, 2.0));
+    journal.append(okRecord(2, 3.0));
 
     // Simulate a torn final record (e.g. a journal copied mid-write
     // by an external tool).
@@ -225,9 +246,9 @@ TEST(CheckpointJournal, CorruptRecordStopsRecoveryAtItsOffset)
     ScratchFile file("corrupt.bin");
     CheckpointJournal journal;
     journal.start(file.path(), {2, 7});
-    journal.append({0, false, "", makeResult(1.0)});
+    journal.append(okRecord(0, 1.0));
     const std::size_t first_end = readFile(file.path()).size();
-    journal.append({1, false, "", makeResult(2.0)});
+    journal.append(okRecord(1, 2.0));
 
     // Flip one payload byte of the second record: its checksum no
     // longer matches, so recovery keeps only the first record.
@@ -264,15 +285,15 @@ TEST(CheckpointJournal, BatchedFlushDefersDurabilityOnly)
     EXPECT_EQ(CheckpointJournal::load(file.path()).fingerprint, fp);
 
     // Two appends stay buffered; the third lands the whole batch.
-    journal.append({0, false, "", makeResult(1.0)});
-    journal.append({1, false, "", makeResult(2.0)});
+    journal.append(okRecord(0, 1.0));
+    journal.append(okRecord(1, 2.0));
     EXPECT_TRUE(CheckpointJournal::load(file.path()).records.empty());
-    journal.append({2, false, "", makeResult(3.0)});
+    journal.append(okRecord(2, 3.0));
     EXPECT_EQ(CheckpointJournal::load(file.path()).records.size(), 3u);
 
     // A partial batch is landed by an explicit flush(); the journal
     // still recovers every record in order.
-    journal.append({3, false, "", makeResult(4.0)});
+    journal.append(okRecord(3, 4.0));
     EXPECT_EQ(CheckpointJournal::load(file.path()).records.size(), 3u);
     journal.flush();
     const JournalContents loaded =
@@ -292,8 +313,8 @@ TEST(CheckpointJournal, DestructorLandsThePendingBatch)
         CheckpointJournal journal;
         journal.start(file.path(), {4, 9});
         journal.setFlushInterval(100);
-        journal.append({0, false, "", makeResult(1.0)});
-        journal.append({1, false, "", makeResult(2.0)});
+        journal.append(okRecord(0, 1.0));
+        journal.append(okRecord(1, 2.0));
         EXPECT_TRUE(
             CheckpointJournal::load(file.path()).records.empty());
     }
@@ -311,8 +332,7 @@ TEST(CheckpointJournal, BatchedImageTruncationRecoversValidPrefix)
     journal.start(file.path(), {6, 3});
     journal.setFlushInterval(2);
     for (std::size_t i = 0; i < 6; ++i)
-        journal.append(
-            {i, false, "", makeResult(static_cast<double>(i))});
+        journal.append(okRecord(i, static_cast<double>(i)));
 
     std::string bytes = readFile(file.path());
     writeFile(file.path(), bytes.substr(0, bytes.size() - 7));
@@ -346,10 +366,10 @@ TEST(CheckpointJournal, TruncationAtEveryOffsetKeepsCompleteRecords)
     {
         CheckpointJournal journal;
         journal.start(file.path(), fp);
-        journal.append({0, false, "", makeResult(1.0)});
-        journal.append({3, true, "cell exploded", {}});
+        journal.append(okRecord(0, 1.0));
+        journal.append(failedRecord(3, "cell exploded"));
         journal.append(CellRecord::blobRecord(4, "opaque bytes"));
-        journal.append({1, false, "", makeResult(2.0)});
+        journal.append(okRecord(1, 2.0));
     }
     const std::string bytes = readFile(file.path());
     const std::vector<std::size_t> ends = recordEnds(bytes);
@@ -385,9 +405,9 @@ TEST(CheckpointJournal, FlippedByteAtEveryOffsetStopsAtItsRecord)
     {
         CheckpointJournal journal;
         journal.start(file.path(), {3, 11});
-        journal.append({2, false, "", makeResult(0.5)});
-        journal.append({0, true, "failed twice", {}});
-        journal.append({1, false, "", makeResult(1.5)});
+        journal.append(okRecord(2, 0.5));
+        journal.append(failedRecord(0, "failed twice"));
+        journal.append(okRecord(1, 1.5));
     }
     const std::string bytes = readFile(file.path());
     const std::vector<std::size_t> ends = recordEnds(bytes);
@@ -430,8 +450,7 @@ appendPastFileSizeLimit(const std::string &path, rlim_t limit)
     int appended = 0;
     try {
         for (std::size_t i = 0; i < 8; ++i) {
-            journal.append(
-                {i, false, "", makeResult(static_cast<double>(i))});
+            journal.append(okRecord(i, static_cast<double>(i)));
             ++appended;
         }
     } catch (const JournalError &) {
@@ -439,7 +458,7 @@ appendPastFileSizeLimit(const std::string &path, rlim_t limit)
     // Retrying after the failure must not leave a torn record
     // behind either.
     try {
-        journal.append({7, false, "", makeResult(7.0)});
+        journal.append(okRecord(7, 7.0));
     } catch (const JournalError &) {
     }
     std::_Exit(appended);
@@ -453,7 +472,7 @@ TEST(CheckpointJournalDeathTest, FailedWriteIsCutBackToARecordEnd)
         ScratchFile probe("fsize_probe.bin");
         CheckpointJournal journal;
         journal.start(probe.path(), {1, 1});
-        journal.append({0, false, "", makeResult(0.0)});
+        journal.append(okRecord(0, 0.0));
         frame = readFile(probe.path()).size() - kHeaderSize;
     }
 

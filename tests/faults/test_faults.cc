@@ -130,8 +130,9 @@ TEST(FaultInjectorTest, FaultsWellBelowVmin)
             inj.execute(req, 0, 4.5e9, vmin - 30);
         ASSERT_FALSE(out.crashed);
         faults += out.faulted;
-        if (out.faulted)
+        if (out.faulted) {
             EXPECT_NE(out.value, suit::emu::emulate(req));
+        }
     }
     EXPECT_EQ(faults, 50); // 30 mV below the onset ramp: always
 }

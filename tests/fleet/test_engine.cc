@@ -25,6 +25,7 @@
 #include "exec/checkpoint.hh"
 #include "fleet/engine.hh"
 #include "obs/registry.hh"
+#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "obs/validate.hh"
 #include "runtime/run_context.hh"
@@ -656,13 +657,15 @@ TEST(FleetEngine, TelemetrySamplerDoesNotChangeTheReport)
     obs::metrics().setEnabled(true);
     const std::string reference = reportOf(testSpec(), 2, 32);
 
+    obs::TelemetryConfig telemetry;
+    telemetry.intervalS = 0.001; // sample aggressively
+    obs::TelemetrySampler sampler(obs::metrics(), telemetry);
+    sampler.start();
+    EXPECT_TRUE(sampler.running());
+
     runtime::SessionConfig cfg;
     cfg.jobs = 2;
-    cfg.telemetry.enabled = true;
-    cfg.telemetry.intervalS = 0.001; // sample aggressively
     runtime::Session session(cfg);
-    ASSERT_NE(session.telemetry(), nullptr);
-    EXPECT_TRUE(session.telemetry()->running());
 
     FleetEngine engine(session, testSpec());
     FleetOptions options;
@@ -675,10 +678,10 @@ TEST(FleetEngine, TelemetrySamplerDoesNotChangeTheReport)
     // the still-running sampler a bounded wait for its first sample.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (session.telemetry()->samplesTaken() == 0 &&
+    while (sampler.samplesTaken() == 0 &&
            std::chrono::steady_clock::now() < deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_GE(session.telemetry()->samplesTaken(), 1u);
+    EXPECT_GE(sampler.samplesTaken(), 1u);
     obs::metrics().setEnabled(false);
 }
 

@@ -151,8 +151,9 @@ TEST(FleetSpecExpand, SharesTraceSeedsPerVariantOnly)
             static_cast<int>(cfg.variant));
         const auto [it, fresh] =
             seed_of.emplace(key, cfg.traceSeed);
-        if (!fresh)
+        if (!fresh) {
             EXPECT_EQ(it->second, cfg.traceSeed);
+        }
         trace_seeds.insert(cfg.traceSeed);
         EXPECT_TRUE(sim_seeds.insert(cfg.simSeed).second)
             << "sim seed of domain " << i << " reused";

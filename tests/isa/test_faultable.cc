@@ -39,9 +39,10 @@ TEST(Faultable, FrequentFaultersHaveHigherVmin)
     }
     // IMUL faults first of all.
     for (FaultableKind k : kinds) {
-        if (k != FaultableKind::IMUL)
+        if (k != FaultableKind::IMUL) {
             EXPECT_GT(relativeVminMv(FaultableKind::IMUL),
                       relativeVminMv(k));
+        }
     }
 }
 
@@ -85,8 +86,9 @@ TEST(FaultableSetTest, AllAndTrapSet)
     EXPECT_EQ(trap.count(), static_cast<int>(kNumFaultableKinds) - 1);
     EXPECT_FALSE(trap.contains(FaultableKind::IMUL));
     for (FaultableKind k : allFaultableKinds()) {
-        if (k != FaultableKind::IMUL)
+        if (k != FaultableKind::IMUL) {
             EXPECT_TRUE(trap.contains(k)) << toString(k);
+        }
     }
 }
 

@@ -151,7 +151,7 @@ TEST(ObsRegistry, JsonExportPassesValidator)
     reg.observe(reg.histogram("c.hist", {1.0, 2.0}), 1.5);
 
     const obs::CheckResult result =
-        obs::checkMetricsJson(reg.renderJson());
+        obs::checkMetricsJson(obs::renderMetricsJson(reg.snapshot()));
     EXPECT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.entries, 3u);
     EXPECT_TRUE(result.hasName("a.count"));
@@ -165,7 +165,7 @@ TEST(ObsRegistry, TableExportMentionsEveryMetric)
     reg.setEnabled(true);
     reg.add(reg.counter("one"), 1);
     reg.observe(reg.histogram("two", {5.0}), 3.0);
-    const std::string table = reg.renderTable();
+    const std::string table = obs::renderMetricsTable(reg.snapshot());
     EXPECT_NE(table.find("one"), std::string::npos);
     EXPECT_NE(table.find("two"), std::string::npos);
 }

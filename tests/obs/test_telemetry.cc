@@ -69,7 +69,6 @@ TelemetryConfig
 manualConfig(std::size_t capacity = 8)
 {
     TelemetryConfig cfg;
-    cfg.enabled = true;
     cfg.intervalS = 3600.0; // background thread effectively idle
     cfg.ringCapacity = capacity;
     return cfg;
@@ -189,14 +188,18 @@ TEST(ObsTelemetry, RenderLatestJsonMatchesRegistryRender)
 
     TelemetrySampler sampler(reg, manualConfig());
     sampler.sampleOnce();
-    EXPECT_EQ(sampler.renderLatestJson(), reg.renderJson());
+    EXPECT_EQ(sampler.renderLatest(obs::renderMetricsJson),
+              obs::renderMetricsJson(reg.snapshot()));
     EXPECT_TRUE(
-        obs::checkMetricsJson(sampler.renderLatestJson()).ok);
+        obs::checkMetricsJson(
+            sampler.renderLatest(obs::renderMetricsJson))
+            .ok);
 
     // Still identical after more traffic and another sample.
     reg.add(reg.counter("aa.first"), 9);
     sampler.sampleOnce();
-    EXPECT_EQ(sampler.renderLatestJson(), reg.renderJson());
+    EXPECT_EQ(sampler.renderLatest(obs::renderMetricsJson),
+              obs::renderMetricsJson(reg.snapshot()));
 }
 
 TEST(ObsTelemetry, ConcurrentSampleWhileIncrementIsCoherent)
@@ -247,7 +250,8 @@ TEST(ObsOpenMetrics, RenderedTextPassesValidator)
 
     TelemetrySampler sampler(reg, manualConfig());
     sampler.sampleOnce();
-    const std::string doc = sampler.renderOpenMetricsText();
+    const std::string doc =
+        sampler.renderLatest(obs::renderOpenMetrics);
 
     const obs::CheckResult result = obs::checkOpenMetrics(doc);
     EXPECT_TRUE(result.ok) << result.error;
@@ -289,7 +293,7 @@ TEST(ObsOpenMetrics, ServerServesScrapesOnEphemeralPort)
 
     obs::MetricsServer server(0, [&] {
         sampler.sampleOnce();
-        return sampler.renderOpenMetricsText();
+        return sampler.renderLatest(obs::renderOpenMetrics);
     });
     ASSERT_TRUE(server.ok());
     ASSERT_NE(server.port(), 0);
@@ -330,18 +334,17 @@ TEST(ObsFlight, DumpWritesValidJsonlWithSpans)
     Registry reg;
     reg.setEnabled(true);
     const MetricId c = reg.counter("flight.count");
-    auto sampler =
-        std::make_shared<TelemetrySampler>(reg, manualConfig());
+    TelemetrySampler sampler(reg, manualConfig());
     for (int i = 0; i < 3; ++i) {
         reg.add(c, 2);
-        sampler->sampleOnce();
+        sampler.sampleOnce();
     }
 
     const ScratchFile out("flight.jsonl");
     obs::FlightConfig cfg;
     cfg.path = out.path();
     cfg.installSignalHandlers = false;
-    obs::FlightRecorder recorder(cfg, sampler);
+    obs::FlightRecorder recorder(cfg, &sampler);
     EXPECT_TRUE(obs::flightSpansActive());
     {
         obs::FlightSpan outer("outer", "test");

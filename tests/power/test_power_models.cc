@@ -161,8 +161,9 @@ TEST(Transition, VoltageWaveformSettles)
     EXPECT_NEAR(wave.back().value, 900.0, 5.0);
     // Monotone apart from noise: last pre-trigger sample still low.
     for (const auto &s : wave) {
-        if (s.timeUs < 0)
+        if (s.timeUs < 0) {
             EXPECT_NEAR(s.value, 800.0, 5.0);
+        }
     }
 }
 

@@ -226,9 +226,10 @@ TEST_P(ProfileP, GeneratedTraceIsWellFormed)
     const trace::TraceStats stats = trace::TraceStats::compute(t);
     for (auto kind : isa::allFaultableKinds()) {
         const auto k = static_cast<std::size_t>(kind);
-        if (profile.kindMix[k] == 0.0)
+        if (profile.kindMix[k] == 0.0) {
             EXPECT_EQ(stats.kindCounts[k], 0u)
                 << isa::toString(kind);
+        }
     }
     EXPECT_EQ(stats.kindCounts[static_cast<std::size_t>(
                   isa::FaultableKind::IMUL)],
@@ -273,8 +274,9 @@ TEST_P(ProfileP, SimulationInvariantsHold)
     EXPECT_GT(r.perfDelta(), -0.25);
     EXPECT_LT(r.perfDelta(), 0.05);
     // Traps imply switches under fV unless everything merged.
-    if (r.traps > 0)
+    if (r.traps > 0) {
         EXPECT_GT(r.pstateSwitches, 0u);
+    }
 }
 
 std::vector<std::string>

@@ -91,8 +91,9 @@ TEST(RunJournaled, RethrowsLowestIndexWhateverTheOrder)
                     << "unit " << i << ", jobs " << jobs;
             // Serially in index order, nothing above it starts: the
             // fail-fast behaviour of an index-order loop.
-            if (jobs == 1 && order == identity)
+            if (jobs == 1 && order == identity) {
                 EXPECT_EQ(started.size(), 4u);
+            }
         }
     }
 }

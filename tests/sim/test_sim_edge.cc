@@ -278,8 +278,9 @@ TEST(SimEdge, EscapedGapsFastMatchesReferenceOneAndFourCores)
                     << cores << " cores, mode "
                     << static_cast<int>(mode) << ", strategy "
                     << core::toString(strategy);
-                if (mode == RunMode::Suit)
+                if (mode == RunMode::Suit) {
                     EXPECT_GT(fast.traps, 0u);
+                }
             }
         }
     }

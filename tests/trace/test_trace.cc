@@ -99,8 +99,9 @@ TEST(Profiles, ImulDensitiesMatchSec61)
     // 525.x264: 0.99 % IMUL; everything else well below.
     EXPECT_NEAR(profileByName("525.x264").imulFraction, 0.0099, 1e-9);
     for (const auto &p : allProfiles()) {
-        if (p.name != "525.x264")
+        if (p.name != "525.x264") {
             EXPECT_LT(p.imulFraction, 0.002) << p.name;
+        }
     }
 }
 

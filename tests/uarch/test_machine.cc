@@ -170,7 +170,7 @@ TEST(SuitMachineTest, RunsPublishPipelineCountersToObsRegistry)
     const MachineResult suit_run = machine.runSuit(p);
     reg.setEnabled(false);
 
-    const std::string doc = reg.renderJson();
+    const std::string doc = obs::renderMetricsJson(reg.snapshot());
     for (const char *key :
          {"uarch.runs", "uarch.instructions", "uarch.cycles",
           "uarch.branches", "uarch.mispredicts", "uarch.loads",

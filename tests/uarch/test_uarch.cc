@@ -156,8 +156,9 @@ TEST(ProgramTest, MemOpsCarryAddressesInsideFootprint)
     const ProgramMix mix = specFpLikeMix();
     const Program p = ProgramGenerator(7).generate(mix, 50'000);
     for (const Inst &inst : p.insts) {
-        if (inst.isMem())
+        if (inst.isMem()) {
             EXPECT_LT(inst.addr, mix.footprintBytes);
+        }
     }
 }
 

@@ -248,7 +248,6 @@ measureTelemetryOverheadPct(const sim::SimConfig &base,
     };
 
     obs::TelemetryConfig sampler_cfg;
-    sampler_cfg.enabled = true;
     sampler_cfg.intervalS = 0.1;
 
     {

@@ -48,9 +48,7 @@ main(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 0;
 
-    // No runtime::Session here: the scope owns the sampler itself.
     obs::CliScope obs_scope(args);
-    obs_scope.startLocalTelemetry();
 
     const power::DvfsCurve curve = power::i9_9900kCurve();
     faults::VminConfig vcfg;

@@ -154,7 +154,8 @@ main(int argc, char **argv)
                  engine.traceCache().summary().c_str());
     if (obs::metrics().enabled()) {
         std::fprintf(stderr, "\nobservability metrics:\n%s",
-                     obs::metrics().renderTable().c_str());
+                     obs::renderMetricsTable(obs::metrics().snapshot())
+                         .c_str());
     }
     return run.finish(outcome.interrupted, outcome.shardsSkipped, 0);
 }

@@ -180,8 +180,6 @@ main(int argc, char **argv)
     if (!args.get("checkpoint").empty() || args.getFlag("resume"))
         util::fatal("--checkpoint/--resume apply to multi-workload "
                     "suite runs only");
-    // Single-run path: no Session, so the scope owns the sampler.
-    obs_scope.startLocalTelemetry();
 
     sim::DomainResult result;
     std::string workload_name;

@@ -256,7 +256,8 @@ main(int argc, char **argv)
                  engine.workerFooter().c_str());
     if (obs::metrics().enabled()) {
         std::fprintf(stderr, "\nobservability metrics:\n%s",
-                     obs::metrics().renderTable().c_str());
+                     obs::renderMetricsTable(obs::metrics().snapshot())
+                         .c_str());
     }
     for (const exec::CellFailure &f : outcome.failures)
         std::fprintf(stderr,
