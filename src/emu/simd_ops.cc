@@ -1,9 +1,6 @@
 #include "emu/simd_ops.hh"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 
 #include "util/logging.hh"
 
@@ -145,87 +142,6 @@ imulFull(std::int64_t a, std::int64_t b)
         static_cast<unsigned __int128>(p));
     r.hi = static_cast<std::int64_t>(p >> 64);
     return r;
-}
-
-namespace {
-
-ScanImpl
-scanImplFromEnv()
-{
-    const char *env = std::getenv("SUIT_ARRIVAL_SCAN");
-    if (env == nullptr)
-        return ScanImpl::Auto;
-    const std::string_view v{env};
-    if (v == "scalar")
-        return ScanImpl::Scalar;
-    if (v == "vector")
-        return ScanImpl::Vector;
-    return ScanImpl::Auto;
-}
-
-std::atomic<ScanImpl> g_scanImpl{scanImplFromEnv()};
-
-} // namespace
-
-void
-setArrivalScanImpl(ScanImpl impl)
-{
-    g_scanImpl.store(impl, std::memory_order_relaxed);
-}
-
-ScanImpl
-arrivalScanImpl()
-{
-    return g_scanImpl.load(std::memory_order_relaxed);
-}
-
-std::size_t
-minIndexU64Scalar(const std::uint64_t *values, std::size_t count)
-{
-    if (count == 0)
-        return 0;
-    std::size_t best = 0;
-    std::uint64_t best_v = values[0];
-    for (std::size_t i = 1; i < count; ++i) {
-        // Strict <: ties keep the earlier (lower) index.
-        if (values[i] < best_v) {
-            best_v = values[i];
-            best = i;
-        }
-    }
-    return best;
-}
-
-#if !defined(SUIT_HAVE_AVX2_SCAN)
-
-bool
-vectorScanAvailable()
-{
-    return false;
-}
-
-std::size_t
-minIndexU64Vector(const std::uint64_t *values, std::size_t count)
-{
-    return minIndexU64Scalar(values, count);
-}
-
-#endif // !defined(SUIT_HAVE_AVX2_SCAN)
-
-std::size_t
-minIndexU64(const std::uint64_t *values, std::size_t count)
-{
-    switch (arrivalScanImpl()) {
-      case ScanImpl::Scalar:
-        return minIndexU64Scalar(values, count);
-      case ScanImpl::Vector:
-        return minIndexU64Vector(values, count);
-      case ScanImpl::Auto:
-      default:
-        if (count >= kVectorScanMinLanes && vectorScanAvailable())
-            return minIndexU64Vector(values, count);
-        return minIndexU64Scalar(values, count);
-    }
 }
 
 } // namespace suit::emu

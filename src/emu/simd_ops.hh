@@ -13,7 +13,6 @@
 #ifndef SUIT_EMU_SIMD_OPS_HH
 #define SUIT_EMU_SIMD_OPS_HH
 
-#include <cstddef>
 #include <cstdint>
 
 #include "emu/vec.hh"
@@ -82,71 +81,6 @@ struct Int128
 
 /** Full signed multiply, returning both product halves. */
 Int128 imulFull(std::int64_t a, std::int64_t b);
-
-/**
- * @{ Host-side SIMD kernels.
- *
- * Unlike the emulation payloads above — which model *guest*
- * instructions — these run on behalf of the simulator itself.  The
- * domain simulator's per-event arrival scan is a min-reduction over
- * one unsigned 64-bit tick per core; minIndexU64() is its kernel,
- * with a portable scalar loop and an AVX2 intrinsic variant selected
- * at runtime.
- */
-
-/** Which minIndexU64() implementation to run. */
-enum class ScanImpl
-{
-    /** Scalar for small rows, vector where supported and profitable. */
-    Auto,
-    /** Always the portable scalar loop. */
-    Scalar,
-    /** Always the intrinsic kernel (falls back if unsupported). */
-    Vector,
-};
-
-/**
- * Select the arrival-scan implementation at runtime (thread-safe).
- * The initial value honours the SUIT_ARRIVAL_SCAN environment
- * variable ("auto", "scalar", "vector"); unknown values mean Auto.
- */
-void setArrivalScanImpl(ScanImpl impl);
-
-/** Currently selected arrival-scan implementation. */
-ScanImpl arrivalScanImpl();
-
-/** True when the AVX2 kernel was compiled in and the CPU has AVX2. */
-bool vectorScanAvailable();
-
-/**
- * Row length from which Auto prefers the vector kernel; below it the
- * kernel's setup cost exceeds a scalar scan.  Callers with an inlined
- * scalar scan (the domain simulator's hot loops) use the same bound
- * to decide when calling out to minIndexU64() pays.
- */
-constexpr std::size_t kVectorScanMinLanes = 8;
-
-/**
- * Index of the minimum of @p values[0..count); ties resolve to the
- * lowest index, matching a strict < linear scan.  count == 0 returns
- * 0.  Dispatches per arrivalScanImpl().
- */
-std::size_t minIndexU64(const std::uint64_t *values, std::size_t count);
-
-/** The portable scalar kernel behind minIndexU64(). */
-std::size_t minIndexU64Scalar(const std::uint64_t *values,
-                              std::size_t count);
-
-/**
- * The intrinsic kernel behind minIndexU64(): AVX2 signed-compare min
- * with the unsigned bias trick, then a lowest-index pass over the
- * minimum.  Falls back to the scalar loop when vectorScanAvailable()
- * is false.
- */
-std::size_t minIndexU64Vector(const std::uint64_t *values,
-                              std::size_t count);
-
-/** @} */
 
 } // namespace suit::emu
 

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "emu/dispatcher.hh"
-#include "emu/simd_ops.hh"
 #include "obs/registry.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
@@ -34,17 +33,11 @@ constexpr std::uint32_t kCancelPollInterval = 4096;
 
 /**
  * Min-reduction over the arrival row: the index of the earliest
- * arrival, ties to the lowest core (a strict < scan).  Narrow
- * domains inline the branch-free scalar scan; wide rows — or a
- * forced emu::ScanImpl::Vector toggle — go through the emu kernel.
- * @p fn_scan is hoisted per run/window so the per-event cost is one
- * predictable branch.
+ * arrival, ties to the lowest core (a strict < scan), branch-free.
  */
 inline std::size_t
-scanArrivals(const Tick *arrival, std::size_t n, bool fn_scan)
+scanArrivals(const Tick *arrival, std::size_t n)
 {
-    if (fn_scan)
-        return suit::emu::minIndexU64(arrival, n);
     std::size_t win = 0;
     Tick best = arrival[0];
     for (std::size_t i = 1; i < n; ++i) {
@@ -55,14 +48,6 @@ scanArrivals(const Tick *arrival, std::size_t n, bool fn_scan)
     return win;
 }
 
-/** Should arrival scans call the emu kernel for @p n lanes? */
-inline bool
-useFnScan(std::size_t n)
-{
-    return n >= suit::emu::kVectorScanMinLanes ||
-           suit::emu::arrivalScanImpl() == suit::emu::ScanImpl::Vector;
-}
-
 /**
  * @{ secondsToTicks()/ticksToSeconds() for values known to fit in 63
  * bits.  Every simulated time does: 2^63 ps is ~106 days and traces
@@ -70,7 +55,9 @@ useFnScan(std::size_t n)
  * double/Tick for such values — the cast is what the unsigned
  * conversion computes after its range fixup — but lets the compiler
  * drop the fixup branch from the hot windows.  (A value >= 2^63
- * would be UB here; the UBSan suite run guards the invariant.)
+ * would be UB here; the sim/exec suites under
+ * -DSUIT_SANITIZE=undefined,float-cast-overflow guard the invariant —
+ * GCC's plain -fsanitize=undefined does not check float casts.)
  */
 inline Tick
 windowSecondsToTicks(double s)
@@ -164,7 +151,6 @@ DomainSimulator::reset(const SimConfig &config,
     remaining_.assign(nCores_, 0.0);
     resume_.assign(nCores_, 0);
     arrival_.assign(nCores_, 0);
-    arrivalStale_.assign(nCores_, 1);
     doneMask_.assign(nCores_, 0);
     rates_.assign(static_cast<std::size_t>(kNumSuitPStates) * nCores_,
                   0.0);
@@ -340,40 +326,15 @@ DomainSimulator::setTimerInterrupt(Tick reload)
 }
 
 void
-DomainSimulator::invalidateArrivals()
-{
-    for (std::size_t i = 0; i < nCores_; ++i)
-        arrivalStale_[i] = 1;
-}
-
-void
-DomainSimulator::refreshArrivals()
-{
-    for (std::size_t i = 0; i < nCores_; ++i) {
-        if (arrivalStale_[i]) {
-            arrival_[i] = coreArrivalFast(i);
-            arrivalStale_[i] = 0;
-        }
-    }
-}
-
-void
-DomainSimulator::cancelPending()
-{
-    pending_.reset();
-    invalidateArrivals();
-}
-
-void
 DomainSimulator::cancelPendingPState()
 {
-    cancelPending();
+    pending_.reset();
 }
 
 void
 DomainSimulator::changePStateWait(SuitPState target)
 {
-    cancelPending();
+    pending_.reset();
     if (pstate_ == target)
         return;
 
@@ -405,13 +366,12 @@ DomainSimulator::changePStateWait(SuitPState target)
         stateLog_.push_back({until, pstate_, false});
     if (trace_)
         tracePState(until, pstate_, "wait");
-    invalidateArrivals();
 }
 
 void
 DomainSimulator::changePStateAsync(SuitPState target)
 {
-    cancelPending();
+    pending_.reset();
     if (pstate_ == target)
         return;
 
@@ -430,7 +390,6 @@ DomainSimulator::changePStateAsync(SuitPState target)
     p.completeAt = now_ + delay;
     p.runUntil = p.completeAt - std::min(stall, delay);
     pending_ = p;
-    invalidateArrivals();
 }
 
 void
@@ -444,7 +403,6 @@ DomainSimulator::completePending()
         stateLog_.push_back({now_, pstate_, false});
     if (trace_)
         tracePState(now_, pstate_, "async");
-    invalidateArrivals();
 }
 
 Tick
@@ -540,11 +498,6 @@ DomainSimulator::advanceToFast(Tick t)
         const Tick lo = std::max(now_, resume_[i]);
         const Tick hi = t;
         if (lo < hi) {
-            // The core progressed: remaining_ changes, so the cached
-            // arrival would no longer match a recompute.  (When
-            // lo >= hi it provably would — resume_ >= t means a
-            // recompute starts from the same resume_ with the same
-            // remaining_ — so the cache stays valid.)
             double progress_s = suit::util::ticksToSeconds(hi - lo);
             if (pending_) {
                 const Tick f_lo = std::max(lo, pending_->runUntil);
@@ -555,7 +508,6 @@ DomainSimulator::advanceToFast(Tick t)
             }
             remaining_[i] -= progress_s * rate[i];
             remaining_[i] = std::max(remaining_[i], 0.0);
-            arrivalStale_[i] = 1;
         }
     }
     now_ = t;
@@ -595,7 +547,6 @@ DomainSimulator::consumeEvent(std::size_t i)
         remaining_[i] = static_cast<double>(trace.tailInstructions());
         core.pastLastEvent = true;
     }
-    arrivalStale_[i] = 1;
 }
 
 void
@@ -781,7 +732,6 @@ DomainSimulator::runNativeWindowSingle(std::uint64_t &budget)
     stateTimeS_[sidx] = state_s;
     remaining_[0] = remaining;
     now_ = t;
-    arrivalStale_[0] = 1;
     // One delta per window instead of a per-event increment keeps the
     // always-on counter out of the hot loop body.
     batchedEvents_ += consumed;
@@ -815,7 +765,6 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
     // every core and the per-core progress interval equals the shared
     // dt — the per-lane clip below vanishes.
     const bool plain = !stalls_possible && !has_pending;
-    const bool fn_scan = useFnScan(n);
 
     std::uint64_t consumed = 0;
     Tick t = now_;
@@ -842,7 +791,7 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
         }
         // (2) Min-reduction over the arrival row; ties pick the
         // lowest core index, like the generic scan's strict <.
-        const std::size_t win = scanArrivals(arrival, n, fn_scan);
+        const std::size_t win = scanArrivals(arrival, n);
         const Tick m = arrival[win];
         // (3) Stop where another event source outranks the winning
         // core (tie order: transitions > timers > cores), or where
@@ -903,11 +852,6 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
         ++consumed;
     }
     now_ = t;
-    // The final scan above ran after the last mutation, so arrival_
-    // holds exactly what coreArrivalFast() would recompute at now_:
-    // hand the row to the generic scan as a valid cache.
-    for (std::size_t i = 0; i < n; ++i)
-        arrivalStale_[i] = 0;
     batchedEvents_ += consumed;
 }
 
@@ -1023,7 +967,6 @@ DomainSimulator::runFast(DomainResult &out)
     // domains run the generalised window that replays the reference
     // progress interleaving per event (see DESIGN.md).
     const bool single_core = nCores_ == 1;
-    const bool fn_scan = useFnScan(nCores_);
 
     std::uint32_t cancel_countdown = kCancelPollInterval;
     while (active > 0) {
@@ -1058,9 +1001,9 @@ DomainSimulator::runFast(DomainResult &out)
             best = timer_.expiry();
             kind = 1;
         }
-        refreshArrivals();
-        const std::size_t ci =
-            scanArrivals(arrival_.data(), nCores_, fn_scan);
+        for (std::size_t i = 0; i < nCores_; ++i)
+            arrival_[i] = coreArrivalFast(i);
+        const std::size_t ci = scanArrivals(arrival_.data(), nCores_);
         if (arrival_[ci] < best) {
             best = arrival_[ci];
             kind = 2;
@@ -1093,8 +1036,6 @@ DomainSimulator::runFast(DomainResult &out)
                 core.done = true;
                 core.finishTime = now_;
                 doneMask_[core_idx] = kNever;
-                arrival_[core_idx] = kNever;
-                arrivalStale_[core_idx] = 0;
                 --active;
             } else {
                 handleFaultableInstruction(core_idx);

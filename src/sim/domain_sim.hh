@@ -141,9 +141,9 @@ struct SimConfig
     bool recordStateLog = false;
     /**
      * Run the pre-optimization reference event loop instead of the
-     * fast path (invariant tables, arrival cache, batched native
-     * windows).  Both paths produce bit-identical DomainResults —
-     * the golden-identity test suite serializes and compares them
+     * fast path (invariant tables, batched native windows).  Both
+     * paths produce bit-identical DomainResults — the
+     * golden-identity test suite serializes and compares them
      * across the full configuration matrix — so this flag exists
      * only for that verification and for benchmarking the speedup.
      */
@@ -231,7 +231,7 @@ class DomainSimulator final : public suit::core::CpuControl
   private:
     /**
      * Per-core cold state.  The hot per-event state (instructions to
-     * the next event, stall resume time, cached arrival tick) lives
+     * the next event, stall resume time, next arrival tick) lives
      * in the structure-of-arrays members below so the per-event scans
      * touch dense homogeneous rows; see DESIGN.md ("Domain-simulator
      * hot path").
@@ -275,8 +275,7 @@ class DomainSimulator final : public suit::core::CpuControl
     std::size_t nCores_ = 0;
     std::vector<double> remaining_;          //!< instructions to event
     std::vector<suit::util::Tick> resume_;   //!< stalled until
-    std::vector<suit::util::Tick> arrival_;  //!< cached next arrival
-    std::vector<std::uint8_t> arrivalStale_; //!< cache invalid flags
+    std::vector<suit::util::Tick> arrival_;  //!< next arrival scratch
     std::vector<suit::util::Tick> doneMask_; //!< 0 running, ~0 done
     std::vector<double> rates_; //!< instrRate per [p-state][core]
     /** @} */
@@ -337,20 +336,15 @@ class DomainSimulator final : public suit::core::CpuControl
     /** @} */
 
     /**
-     * @{ Fast event loop: cached rate/power tables, incremental
-     * arrival scheduling over the SoA rows with a vectorizable
-     * min-reduction, and batched native windows for both single- and
-     * multi-core domains.  Produces bit-identical results to the
-     * reference loop (argued in DESIGN.md, enforced by the
-     * golden-identity suite).
+     * @{ Fast event loop: cached rate/power tables, a branch-free
+     * arrival min-reduction over the SoA rows, and batched native
+     * windows for both single- and multi-core domains.  Produces
+     * bit-identical results to the reference loop (argued in
+     * DESIGN.md, enforced by the golden-identity suite).
      */
     void runFast(DomainResult &out);
     void advanceToFast(suit::util::Tick t);
     suit::util::Tick coreArrivalFast(std::size_t i) const;
-    /** Recompute every stale entry of arrival_. */
-    void refreshArrivals();
-    /** Drop every core's cached arrival (rate/stall/pending edit). */
-    void invalidateArrivals();
     /** May the next events of core 0 run as one native batch? */
     bool singleWindowOpen() const;
     /** May a multi-core native window run from now_? */
@@ -384,8 +378,6 @@ class DomainSimulator final : public suit::core::CpuControl
     void consumeEvent(std::size_t i);
     /** Apply a completed p-state change. */
     void completePending();
-    /** Cancel any in-flight transition (hardware re-request). */
-    void cancelPending();
 
     suit::util::Tick emulationCostTicks(suit::isa::FaultableKind kind)
         const;

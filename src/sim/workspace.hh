@@ -34,8 +34,15 @@
 
 namespace suit::sim {
 
-/** Reusable per-worker buffers for domain evaluation. */
-struct SimWorkspace
+/**
+ * Reusable per-worker buffers for domain evaluation.  Cache-line
+ * aligned so a workspace shares no line with another worker's data:
+ * the simulator's members are written on every event-loop step.
+ * Unaligned, removing one simulator member shifted the heap layout
+ * enough to cost ~15 % more CPU on a 4-worker single-core sweep
+ * (DESIGN.md, "Fast-path ablation").
+ */
+struct alignas(64) SimWorkspace
 {
     /** The reusable simulator; reset() rebinds it per domain. */
     DomainSimulator sim;

@@ -2,8 +2,8 @@
  * @file
  * Golden bit-identity suite for the domain-simulator fast path.
  *
- * The optimised event loop (invariant tables, incremental arrival
- * scheduling, batched native windows) must reproduce the reference
+ * The optimised event loop (invariant tables, a branch-free arrival
+ * scan, batched native windows) must reproduce the reference
  * loop byte-for-byte: every DomainResult — including the optional
  * p-state timeline — is serialised through sim::result_io and
  * compared against the SimConfig::referencePath run of the same
@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "core/params.hh"
-#include "emu/simd_ops.hh"
 #include "exec/sweep.hh"
 #include "obs/registry.hh"
 #include "runtime/session.hh"
@@ -146,31 +145,16 @@ TEST(GoldenIdentity, FastPathMatchesReferenceAcrossMatrix)
     EXPECT_EQ(checked, 3 * 2 * 2 * 7 * 2);
 }
 
-/** RAII: force one arrival-scan implementation, restore the old one. */
-struct ScanImplGuard
-{
-    explicit ScanImplGuard(emu::ScanImpl impl)
-        : prev_(emu::arrivalScanImpl())
-    {
-        emu::setArrivalScanImpl(impl);
-    }
-    ~ScanImplGuard() { emu::setArrivalScanImpl(prev_); }
-
-    emu::ScanImpl prev_;
-};
-
 /**
- * Multi-core batched native windows across both arrival-scan
- * implementations.  Core counts 8 and 12 push the row length past
- * kVectorScanMinLanes so the minIndexU64() kernel (AVX2 where
- * available) runs inside the window loop; 12 is not a multiple of
- * four, so the vector kernel's scalar tail executes too.  The mode
+ * Multi-core batched native windows against the reference loop.
+ * Core counts 8 and 12 scan rows wider than any shipped domain (at
+ * most four cores), and 12 is not a multiple of four.  The mode
  * cases pick the window flavours apart: Baseline batches whole
  * traces, Emulation stalls cores in-window (resume starts), and the
  * CombinedFv/Hybrid strategies leave transitions pending across
  * windows (runUntil caps).
  */
-TEST(GoldenIdentity, MultiCoreBatchedWindowsAcrossScanImpls)
+TEST(GoldenIdentity, MultiCoreBatchedWindowsMatchReference)
 {
     const power::CpuModel cpu = power::cpuA_i9_9900k();
     const std::vector<trace::WorkloadProfile> profiles = {
@@ -200,22 +184,9 @@ TEST(GoldenIdentity, MultiCoreBatchedWindowsAcrossScanImpls)
                 cfg.referencePath = true;
                 const std::string ref = resultBytes(cfg, p, traces);
                 cfg.referencePath = false;
-                std::string scalar_bytes;
-                std::string vector_bytes;
-                {
-                    ScanImplGuard guard(emu::ScanImpl::Scalar);
-                    scalar_bytes = resultBytes(cfg, p, traces);
-                }
-                {
-                    ScanImplGuard guard(emu::ScanImpl::Vector);
-                    vector_bytes = resultBytes(cfg, p, traces);
-                }
-                ASSERT_EQ(scalar_bytes, ref)
-                    << "scalar scan, cores=" << cores << " "
-                    << mc.label << " " << p.name;
-                ASSERT_EQ(vector_bytes, ref)
-                    << "vector scan, cores=" << cores << " "
-                    << mc.label << " " << p.name;
+                ASSERT_EQ(resultBytes(cfg, p, traces), ref)
+                    << "cores=" << cores << " " << mc.label << " "
+                    << p.name;
                 ++checked;
             }
         }
@@ -274,7 +245,7 @@ TEST(GoldenIdentity, BatchedWindowCounterCoversSingleAndMultiCore)
  * extra or reordered event shifts every later entry), so it gets a
  * dedicated identity check with recordStateLog set — once on a
  * single-core domain (batched windows) and once on a shared
- * four-core domain (arrival cache under cross-core interleaving).
+ * four-core domain (cross-core event interleaving).
  */
 TEST(GoldenIdentity, StateLogBitIdenticalWithRecordStateLog)
 {
@@ -323,6 +294,50 @@ TEST(GoldenIdentity, StateLogBitIdenticalWithRecordStateLog)
         EXPECT_EQ(fast_bytes, ref_bytes)
             << "CPU " << dc.cpu->label() << " streams=" << dc.streams;
     }
+}
+
+/**
+ * Arrival ties.  Every core of the domain runs the same trace, so
+ * cores reach their events on the same tick and the fast loop's
+ * arrival scan must break each tie the way the reference loop does:
+ * to the lowest core index.  The other tests generate one stream per
+ * core, whose arrivals do not tie, so only this test pins the
+ * tie-break.
+ */
+TEST(GoldenIdentity, IdenticalStreamsTieBreakToLowestCore)
+{
+    const power::CpuModel cpu = power::cpuA_i9_9900k();
+    const trace::WorkloadProfile p = goldenProfile("golden-dense", true);
+    const trace::Trace shared = trace::TraceGenerator(11).generate(p, 0);
+
+    int checked = 0;
+    for (const int cores : {2, 4, 8}) {
+        const std::vector<sim::CoreWork> work(
+            static_cast<std::size_t>(cores), sim::CoreWork{&shared, &p});
+        for (const ModeCase &mc : modeCases()) {
+            sim::SimConfig cfg;
+            cfg.cpu = &cpu;
+            cfg.offsetMv = -97.0;
+            cfg.mode = mc.mode;
+            cfg.strategy = mc.strategy;
+            cfg.params = core::optimalParams(cpu);
+            cfg.seed = 23;
+            cfg.recordStateLog = true;
+
+            cfg.referencePath = false;
+            std::string fast_bytes;
+            sim::serializeResult(sim::DomainSimulator(cfg, work).run(),
+                                 fast_bytes);
+            cfg.referencePath = true;
+            std::string ref_bytes;
+            sim::serializeResult(sim::DomainSimulator(cfg, work).run(),
+                                 ref_bytes);
+            EXPECT_EQ(fast_bytes, ref_bytes)
+                << "cores=" << cores << " " << mc.label;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 3 * 7);
 }
 
 /**
