@@ -199,8 +199,7 @@ main(int argc, char **argv)
         return 0;
 
     std::printf("SUIT reproduction — ablation of design choices\n\n");
-    runtime::Session session(
-        {static_cast<int>(args.getInt("jobs")), 0});
+    runtime::Session session({.jobs = static_cast<int>(args.getInt("jobs"))});
     exec::SweepEngine engine(session);
     strategyAblation(engine);
     thrashAblation(engine);

@@ -59,8 +59,7 @@ main(int argc, char **argv)
         jobs.push_back({p.name, c97, &p});
     }
 
-    runtime::Session session(
-        {static_cast<int>(args.getInt("jobs")), 0});
+    runtime::Session session({.jobs = static_cast<int>(args.getInt("jobs"))});
     SweepEngine engine(session);
     const std::vector<sim::DomainResult> results = engine.run(jobs);
 

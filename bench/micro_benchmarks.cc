@@ -228,7 +228,10 @@ BENCHMARK(BM_O3ModelRate)->Unit(benchmark::kMillisecond);
 
 /**
  * Per-job dispatch overhead of the thread pool: parallelFor over
- * trivial bodies, so wall time / items is queue + wakeup cost.
+ * trivial bodies, so wall time / items is the cost of waking the
+ * workers, claiming indices from the shared cursor and joining.
+ * Timed in wall time: the calling thread sleeps while the workers
+ * run, so its CPU time would show next to nothing.
  */
 void
 BM_ThreadPoolDispatch(benchmark::State &state)
@@ -246,14 +249,19 @@ BM_ThreadPoolDispatch(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(kJobs));
 }
-BENCHMARK(BM_ThreadPoolDispatch)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ThreadPoolDispatch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime();
 
 /**
  * SweepEngine scaling on a small real grid (3 workloads x 2 offsets
  * on CPU C).  The engine is rebuilt per worker count, but one warm-up
  * run outside the timed loop fills its trace cache, so the timed
  * region measures simulation + scheduling only — the speedup over
- * Arg(1) is the parallel efficiency on this machine.
+ * Arg(1) is the parallel efficiency on this machine.  Timed in wall
+ * time, since the calling thread sleeps while the workers run.
  */
 void
 BM_SweepEngineScaling(benchmark::State &state)
@@ -273,7 +281,7 @@ BM_SweepEngineScaling(benchmark::State &state)
         }
     }
 
-    runtime::Session session({static_cast<int>(state.range(0)), 0});
+    runtime::Session session({.jobs = static_cast<int>(state.range(0))});
     exec::SweepEngine engine(session);
     benchmark::DoNotOptimize(engine.run(jobs).size()); // warm cache
     for (auto _ : state) {
@@ -287,6 +295,7 @@ BENCHMARK(BM_SweepEngineScaling)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

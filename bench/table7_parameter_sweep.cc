@@ -133,8 +133,7 @@ main(int argc, char **argv)
     for (const SweepPoint &point : points)
         appendPoint(jobs, point);
 
-    runtime::Session session(
-        {static_cast<int>(args.getInt("jobs")), 0});
+    runtime::Session session({.jobs = static_cast<int>(args.getInt("jobs"))});
     SweepEngine engine(session);
     const std::vector<DomainResult> results = engine.run(jobs);
 

@@ -101,8 +101,7 @@ main(int argc, char **argv)
         jobs.push_back({"namd nosimd", nosimd, &namd});
     }
 
-    runtime::Session session(
-        {static_cast<int>(args.getInt("jobs")), 0});
+    runtime::Session session({.jobs = static_cast<int>(args.getInt("jobs"))});
     SweepEngine engine(session);
     const std::vector<DomainResult> results = engine.run(jobs);
 

@@ -30,7 +30,7 @@ main()
     fleet::FleetSpec spec = fleet::FleetSpec::demo(1000);
     // Serial reference session; suit_fleet scales the same engine
     // out across worker threads.
-    runtime::Session session({1, 0});
+    runtime::Session session({.jobs = 1});
     fleet::FleetEngine engine(session, spec);
 
     const fleet::FleetOutcome outcome = engine.run();

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <exception>
-#include <memory>
-#include <mutex>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -24,8 +22,8 @@ using Clock = std::chrono::steady_clock;
 /**
  * The pool whose worker the current thread is (null on non-worker
  * threads).  Lets parallelFor() detect the nested-use deadlock: a
- * job that re-enters parallelFor() on its own pool both competes for
- * the bounded queue and waits on jobs only this pool can run.
+ * job that re-enters parallelFor() on its own pool waits for a batch
+ * that only this pool's workers, itself included, can finish.
  */
 thread_local const ThreadPool *tls_worker_pool = nullptr;
 
@@ -94,14 +92,8 @@ ThreadPool::pinCurrentThread(std::size_t index)
 #endif
 }
 
-ThreadPool::ThreadPool(int workers, std::size_t queue_capacity,
-                       bool pin_workers)
-    : queue_(queue_capacity != 0
-                 ? queue_capacity
-                 : 2 * static_cast<std::size_t>(
-                           workers > 0 ? workers
-                                       : hardwareConcurrency())),
-      pinWorkers_(pin_workers)
+ThreadPool::ThreadPool(int workers, bool pin_workers)
+    : pinWorkers_(pin_workers)
 {
     const int count = workers > 0 ? workers : hardwareConcurrency();
     cells_.reserve(static_cast<std::size_t>(count));
@@ -121,12 +113,54 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::shutdown()
 {
+    // Taking the caller lock waits out a batch in flight on another
+    // thread.
+    std::lock_guard caller(callerMu_);
     if (joined_)
         return;
     joined_ = true;
-    queue_.close();
+    {
+        std::lock_guard lock(mu_);
+        stopping_ = true;
+    }
+    wake_.notify_all();
     for (std::thread &t : threads_)
         t.join();
+}
+
+void
+ThreadPool::runBatch(WorkerCell &cell,
+                     const std::function<void(std::size_t)> &body,
+                     std::size_t n)
+{
+    const auto check_in = Clock::now();
+    std::uint64_t busy_ns = 0;
+    for (;;) {
+        const std::size_t i =
+            cursor_.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n)
+            break;
+        const auto job_start = Clock::now();
+        try {
+            body(i);
+        } catch (...) {
+            std::lock_guard lock(mu_);
+            if (!error_ || i < errorIndex_) {
+                errorIndex_ = i;
+                error_ = std::current_exception();
+            }
+        }
+        const std::uint64_t job_ns = elapsedNs(job_start, Clock::now());
+        busy_ns += job_ns;
+        cell.busyNs.fetch_add(job_ns, std::memory_order_relaxed);
+        cell.jobsRun.fetch_add(1, std::memory_order_relaxed);
+    }
+    // Queue wait is the batch time this worker spent not running a
+    // job (claiming indices and timing them); idle time between
+    // batches never counts.
+    cell.queueWaitNs.fetch_add(
+        elapsedNs(check_in, Clock::now()) - busy_ns,
+        std::memory_order_relaxed);
 }
 
 void
@@ -149,43 +183,32 @@ ThreadPool::workerMain(std::size_t index)
                      trace->hostNowUs(), "worker", "exec",
                      {{"index", static_cast<std::uint64_t>(index)}});
     }
-    obs::Registry &reg = obs::metrics();
-    static const std::vector<double> kWaitUsBounds{
-        1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6};
-    static const std::vector<double> kDepthBounds{
-        0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0};
 
+    std::uint64_t seen = 0; // last batch this worker checked into
     for (;;) {
-        const auto wait_start = Clock::now();
-        std::optional<Task> task = queue_.pop();
-        if (!task)
-            break;
-        // Only waits that yielded a task count: the final blocked
-        // pop() that observes shutdown is idle time, not queue wait,
-        // and used to inflate the footer's "queue wait" column.
-        const auto job_start = Clock::now();
-        const std::uint64_t wait_ns = elapsedNs(wait_start, job_start);
-        cell.queueWaitNs.fetch_add(wait_ns, std::memory_order_relaxed);
-        if (reg.enabled()) {
-            static const obs::MetricId wait_us =
-                reg.histogram("exec.job_wait_us", kWaitUsBounds);
-            static const obs::MetricId depth =
-                reg.histogram("exec.queue_depth", kDepthBounds);
-            reg.observe(wait_us,
-                        static_cast<double>(wait_ns) * 1e-3);
-            reg.observe(depth,
-                        static_cast<double>(queue_.size()));
+        const std::function<void(std::size_t)> *body = nullptr;
+        std::size_t n = 0;
+        {
+            std::unique_lock lock(mu_);
+            wake_.wait(lock, [&] {
+                return stopping_ || (body_ && generation_ != seen);
+            });
+            if (!body_ || generation_ == seen)
+                break; // stopping, and no batch left to join
+            seen = generation_;
+            body = body_;
+            n = n_;
+            ++active_;
         }
-        task->body();
-        cell.busyNs.fetch_add(elapsedNs(job_start, Clock::now()),
-                              std::memory_order_relaxed);
-        cell.jobsRun.fetch_add(1, std::memory_order_relaxed);
-        if (task->notify)
-            task->notify();
+        runBatch(cell, *body, n);
+        std::lock_guard lock(mu_);
+        if (--active_ == 0)
+            done_.notify_one();
     }
 
     // Fold this worker's lifetime counters into the registry on the
     // way out, so a CLI's --metrics dump aggregates the whole pool.
+    obs::Registry &reg = obs::metrics();
     if (reg.enabled()) {
         reg.add(reg.counter("exec.workers"));
         reg.add(reg.counter("exec.jobs"),
@@ -201,26 +224,13 @@ ThreadPool::workerMain(std::size_t index)
                    trace->hostNowUs());
 }
 
-std::future<void>
-ThreadPool::submit(std::function<void()> job)
-{
-    auto task = std::make_shared<std::packaged_task<void()>>(
-        std::move(job));
-    std::future<void> future = task->get_future();
-    const bool accepted =
-        queue_.push({[task] { (*task)(); }, nullptr});
-    SUIT_ASSERT(accepted, "submit() on a destroyed thread pool");
-    return future;
-}
-
 void
 ThreadPool::parallelFor(std::size_t n,
                         const std::function<void(std::size_t)> &body)
 {
     // A worker of this pool calling back into parallelFor() would
-    // block on the bounded queue / completion latch while occupying
-    // the only threads that could make progress — a silent deadlock.
-    // Workers of *other* pools are fine.
+    // wait on a batch while occupying a thread the batch needs — a
+    // silent deadlock.  Workers of *other* pools are fine.
     SUIT_ASSERT(tls_worker_pool != this,
                 "nested parallelFor() from inside a worker of the "
                 "same pool would deadlock; run the inner loop inline "
@@ -229,39 +239,29 @@ ThreadPool::parallelFor(std::size_t n,
     if (n == 0)
         return;
 
-    // Exceptions land in index-addressed slots so the rethrow below
-    // picks the lowest failing index no matter how the workers were
-    // scheduled.
-    std::vector<std::exception_ptr> errors(n);
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::size_t done = 0;
+    std::lock_guard caller(callerMu_);
+    SUIT_ASSERT(!joined_, "parallelFor() on a shut-down thread pool");
 
-    for (std::size_t i = 0; i < n; ++i) {
-        const bool accepted = queue_.push(
-            {[&, i] {
-                 try {
-                     body(i);
-                 } catch (...) {
-                     errors[i] = std::current_exception();
-                 }
-             },
-             [&] {
-                 std::lock_guard lock(done_mu);
-                 ++done;
-                 done_cv.notify_one();
-             }});
-        SUIT_ASSERT(accepted,
-                    "parallelFor() on a destroyed thread pool");
-    }
+    std::unique_lock lock(mu_);
+    body_ = &body;
+    n_ = n;
+    cursor_.store(0, std::memory_order_relaxed);
+    ++generation_;
+    wake_.notify_all();
+    // Every claim past n was made by a checked-in worker, and a
+    // worker checks out only after its last claim ran: once the
+    // cursor passed n with nobody checked in, every body finished.
+    done_.wait(lock, [&] {
+        return active_ == 0 &&
+               cursor_.load(std::memory_order_relaxed) >= n;
+    });
+    body_ = nullptr;
 
-    std::unique_lock lock(done_mu);
-    done_cv.wait(lock, [&] { return done == n; });
-
-    for (std::exception_ptr &err : errors) {
-        if (err)
-            std::rethrow_exception(err);
-    }
+    std::exception_ptr error = std::move(error_);
+    error_ = nullptr;
+    lock.unlock();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 std::vector<WorkerStats>

@@ -1,39 +1,42 @@
 /**
  * @file
- * Fixed-size worker thread pool for experiment execution.
+ * Fixed-size fork-join worker pool for experiment execution.
  *
  * Design points:
- *  - a bounded MPMC queue (BoundedQueue) between submitters and
- *    workers, so grid enumeration is backpressured rather than
- *    buffered without limit;
- *  - exceptions thrown by a job are captured and rethrown to the
- *    caller (from the job's future, or from parallelFor() — lowest
- *    job index first, so failure reporting is deterministic too);
+ *  - one batch at a time: parallelFor() publishes {body, n} and the
+ *    persistent workers claim indices from one shared atomic cursor
+ *    (fetch_add, so positions are claimed in increasing order) until
+ *    it passes n; the caller sleeps until the last worker checks
+ *    out.  Concurrent callers on one pool take turns;
+ *  - exceptions thrown by a body are captured and the lowest failing
+ *    index is rethrown to the caller, so failure reporting is
+ *    deterministic too;
  *  - per-worker counters (jobs run, queue wait, busy time) as the
  *    first observability hook into experiment execution.
  *
+ * Workers are persistent rather than spawned per call: flight-
+ * recorder span slots and registry shards are claimed per thread and
+ * never released, so a long-lived Session must reuse its threads.
+ *
  * Determinism contract: the pool itself never reorders *results* —
- * parallelFor()/mapReduce() write into index-addressed slots and
- * reduce in index order, so a pool of any size produces bit-identical
- * output to a serial loop as long as each job is a pure function of
- * its index.
+ * bodies write into index-addressed slots, so a pool of any size
+ * produces bit-identical output to a serial loop as long as each
+ * body is a pure function of its index.
  */
 
 #ifndef SUIT_EXEC_THREAD_POOL_HH
 #define SUIT_EXEC_THREAD_POOL_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
-#include <optional>
+#include <memory>
+#include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
-
-#include "exec/bounded_queue.hh"
 
 namespace suit::exec {
 
@@ -42,36 +45,33 @@ struct WorkerStats
 {
     /** Jobs executed by this worker. */
     std::uint64_t jobsRun = 0;
-    /** Seconds spent blocked on the queue waiting for work. */
+    /** Seconds spent inside a batch without running a job. */
     double queueWaitS = 0.0;
     /** Seconds spent executing jobs. */
     double busyS = 0.0;
 };
 
-/** Fixed-size thread pool over a bounded task queue. */
+/** Fixed-size fork-join pool: one parallelFor() batch at a time. */
 class ThreadPool
 {
   public:
     /**
      * @param workers worker thread count; 0 selects
      *        hardwareConcurrency().
-     * @param queue_capacity task queue bound; 0 selects
-     *        2 x workers.
      * @param pin_workers pin worker i to CPU i mod
      *        hardwareConcurrency() (opt-in; see pinnedWorkers()).
      */
-    explicit ThreadPool(int workers = 0, std::size_t queue_capacity = 0,
-                        bool pin_workers = false);
+    explicit ThreadPool(int workers = 0, bool pin_workers = false);
 
-    /** Joins all workers; queued jobs are drained first. */
+    /** Joins all workers. */
     ~ThreadPool();
 
     /**
-     * Close the queue and join every worker (idempotent; the
-     * destructor calls it too).  After shutdown() the pool accepts
-     * no new work, but stats() still reads the final counters —
-     * which is what the footer rendering and the shutdown-accounting
-     * tests rely on.
+     * Join every worker once the running batch (if any) finished
+     * (idempotent; the destructor calls it too).  After shutdown()
+     * the pool accepts no new work, but stats() still reads the
+     * final counters — which is what the footer rendering and the
+     * shutdown-accounting tests rely on.
      */
     void shutdown();
 
@@ -104,13 +104,6 @@ class ThreadPool
     static int currentWorkerIndex();
 
     /**
-     * Enqueue @p job; blocks while the queue is full.  The returned
-     * future completes when the job ran and rethrows anything the job
-     * threw.
-     */
-    std::future<void> submit(std::function<void()> job);
-
-    /**
      * Run body(0) .. body(n-1) across the workers and wait.
      *
      * If any bodies throw, the exception of the lowest-index failing
@@ -118,30 +111,12 @@ class ThreadPool
      * regardless of scheduling).
      *
      * Must not be called from a worker of this same pool: that
-     * deadlocks on the bounded queue, and is detected with a panic
-     * instead of a hang.  Calling it from a worker of a *different*
-     * pool is allowed.
+     * worker would wait on a batch only it could finish, so it is
+     * detected with a panic instead of a hang.  Calling it from a
+     * worker of a *different* pool is allowed.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
-
-    /**
-     * Map every index through @p map on the pool, then fold the
-     * results serially in index order: the reduction is bit-identical
-     * to `for (i) acc = reduce(acc, map(i))` for any worker count.
-     */
-    template <typename Result, typename MapFn, typename ReduceFn>
-    Result mapReduce(std::size_t n, Result init, MapFn map,
-                     ReduceFn reduce)
-    {
-        using Value = std::invoke_result_t<MapFn, std::size_t>;
-        std::vector<std::optional<Value>> slots(n);
-        parallelFor(n, [&](std::size_t i) { slots[i].emplace(map(i)); });
-        Result acc = std::move(init);
-        for (std::optional<Value> &slot : slots)
-            acc = reduce(std::move(acc), std::move(*slot));
-        return acc;
-    }
 
     /** Snapshot of the per-worker counters. */
     std::vector<WorkerStats> stats() const;
@@ -159,21 +134,38 @@ class ThreadPool
         std::atomic<std::uint64_t> busyNs{0};
     };
 
-    /** A queued job plus a completion hook that fires *after* the
-     *  worker's counters were updated, so a caller woken by it sees
-     *  consistent stats. */
-    struct Task
-    {
-        std::function<void()> body;
-        std::function<void()> notify;
-    };
-
     void workerMain(std::size_t index);
+
+    /** Claim and run indices of the current batch until the cursor
+     *  passes its end. */
+    void runBatch(WorkerCell &cell,
+                  const std::function<void(std::size_t)> &body,
+                  std::size_t n);
 
     /** Pin the calling worker to a CPU; true on success. */
     static bool pinCurrentThread(std::size_t index);
 
-    BoundedQueue<Task> queue_;
+    /** Serialises parallelFor() callers and shutdown(). */
+    std::mutex callerMu_;
+
+    /** Guards the batch fields below and the two condvars. */
+    std::mutex mu_;
+    std::condition_variable wake_; //!< workers: new batch or stop
+    std::condition_variable done_; //!< caller: last worker out
+    /** The published batch; null between batches. */
+    const std::function<void(std::size_t)> *body_ = nullptr;
+    std::size_t n_ = 0;
+    std::uint64_t generation_ = 0; //!< bumped per published batch
+    int active_ = 0; //!< workers checked into the current batch
+    bool stopping_ = false;
+    /** Lowest failing index of the current batch and its error. */
+    std::size_t errorIndex_ = 0;
+    std::exception_ptr error_;
+
+    /** Next unclaimed index of the current batch (own cache line:
+     *  every claim writes it). */
+    alignas(64) std::atomic<std::size_t> cursor_{0};
+
     std::vector<std::unique_ptr<WorkerCell>> cells_;
     std::vector<std::thread> threads_;
     bool pinWorkers_ = false; //!< pin workers to CPUs at startup

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "exec/checkpoint.hh"
+#include "sim/trace_cache.hh"
 #include "trace/profile.hh"
 #include "util/args.hh"
 #include "util/format.hh"
@@ -143,12 +144,12 @@ parseRack(const std::vector<std::string> &tokens, int line)
         } else if (key == "cores") {
             const std::uint64_t cores =
                 parseCountOr(value, line, "cores");
-            if (cores > 64)
+            if (cores > suit::sim::TraceCache::kMaxStreams)
                 throw SpecError(suit::util::sformat(
                     "line %d: cores=%llu is not a plausible "
-                    "per-domain core count",
-                    line,
-                    static_cast<unsigned long long>(cores)));
+                    "per-domain core count (cap %d)",
+                    line, static_cast<unsigned long long>(cores),
+                    suit::sim::TraceCache::kMaxStreams));
             rack.cores = static_cast<int>(cores);
         } else if (key == "workloads") {
             rack.workloads.clear();

@@ -8,6 +8,9 @@ namespace suit::runtime {
 
 namespace {
 
+/** Largest --jobs accepted: each worker is an OS thread. */
+constexpr long kMaxJobs = 1024;
+
 /** Validate the run flags and build the Session's configuration. */
 SessionConfig
 sessionConfig(const suit::util::ArgParser &args)
@@ -23,7 +26,7 @@ sessionConfig(const suit::util::ArgParser &args)
 
     SessionConfig config;
     config.jobs =
-        static_cast<int>(args.getIntInRange("jobs", 0, INT_MAX));
+        static_cast<int>(args.getIntInRange("jobs", 0, kMaxJobs));
     config.traceCacheBytes = static_cast<std::size_t>(cache_mb) << 20;
     config.pinWorkers = args.getFlag("pin");
     return config;

@@ -19,7 +19,6 @@ Session::Session(SessionConfig config)
                 requested);
     if (requested > 1) {
         pool_ = std::make_unique<ThreadPool>(requested,
-                                             cfg_.queueCapacity,
                                              cfg_.pinWorkers);
     }
     // One workspace per pool worker plus one for the session thread

@@ -43,8 +43,6 @@ struct SessionConfig {
      * n workers.
      */
     int jobs = 0;
-    /** Task queue bound; 0 = 2 x workers. */
-    std::size_t queueCapacity = 0;
     /** Trace cache capacity in bytes (LRU eviction above it). */
     std::size_t traceCacheBytes =
         suit::sim::TraceCache::kDefaultCapacityBytes;

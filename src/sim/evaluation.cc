@@ -14,37 +14,8 @@ DomainResult
 runWorkload(const EvalConfig &config, const WorkloadProfile &profile,
             TraceCache &traces)
 {
-    SUIT_ASSERT(config.cpu != nullptr, "evaluation needs a CPU model");
-    SUIT_ASSERT(config.cores >= 1, "need at least one core");
-
-    const bool shared =
-        config.cpu->domains() == DomainLayout::SharedAll;
-    const int streams = shared ? config.cores : 1;
-
-    // Pin the traces for the duration of the run: the cache may
-    // evict them concurrently, but the shared_ptrs keep the bytes
-    // alive until the simulator is done.
-    std::vector<std::shared_ptr<const suit::trace::Trace>> pinned;
-    std::vector<CoreWork> work;
-    pinned.reserve(static_cast<std::size_t>(streams));
-    work.reserve(static_cast<std::size_t>(streams));
-    for (int s = 0; s < streams; ++s) {
-        pinned.push_back(traces.get(profile, config.seed, s));
-        work.push_back({pinned.back().get(), &profile});
-    }
-
-    SimConfig sim_cfg;
-    sim_cfg.cpu = config.cpu;
-    sim_cfg.offsetMv = config.offsetMv;
-    sim_cfg.mode = config.mode;
-    sim_cfg.strategy = config.strategy;
-    sim_cfg.params = config.params;
-    sim_cfg.seed = config.seed * 7919 + 17;
-    sim_cfg.referencePath = config.referencePath;
-    sim_cfg.cancel = config.cancel;
-
-    DomainSimulator sim(sim_cfg, std::move(work));
-    return sim.run();
+    SimWorkspace ws;
+    return runWorkload(config, profile, traces, ws);
 }
 
 DomainResult

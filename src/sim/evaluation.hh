@@ -73,6 +73,9 @@ struct WorkloadRow
  *
  * Trace generation is memoised in @p traces (thread-safe); the
  * two-argument overload uses the process-wide globalTraceCache().
+ * Evaluates through a fresh SimWorkspace and returns a copy of its
+ * result; @p config.cores must not exceed TraceCache::kMaxStreams
+ * on a shared-domain CPU.
  * runWorkload itself is a pure function of (config, profile) — safe
  * to call from multiple threads, which is what the suit::exec sweep
  * engine does.
@@ -89,8 +92,9 @@ DomainResult runWorkload(const EvalConfig &config,
  * Allocation-free variant: evaluates into @p ws, reusing its
  * simulator, pin/work vectors and result scratch.  Returns a
  * reference to ws.result, valid until the workspace's next use.
- * Bit-identical to the allocating overloads (workspace reuse only
- * rebinds buffers; the golden suite compares the serialized bytes).
+ * The allocating overloads are this one on a fresh workspace; reuse
+ * only rebinds buffers, so a warmed workspace is bit-identical to a
+ * fresh one (the golden suite compares the serialized bytes).
  */
 const DomainResult &
 runWorkload(const EvalConfig &config,

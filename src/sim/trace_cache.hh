@@ -71,7 +71,8 @@ class TraceCache
 
     /**
      * Streams a domain can hold; bounds getMany()'s stack scratch.
-     * Matches the fleet spec's per-domain core cap.
+     * The one per-domain core cap: suit_sim and suit_sweep --cores
+     * and the fleet spec's cores= all reject anything above it.
      */
     static constexpr int kMaxStreams = 64;
 

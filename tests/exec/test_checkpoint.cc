@@ -502,14 +502,14 @@ TEST(SweepEngine, BatchedCheckpointResumeBitIdenticalToSerialRun)
     const std::vector<SweepJob> jobs = smallGrid(cpu);
     ScratchFile file("batched_resume.bin");
 
-    runtime::Session ref_session({1, 0});
+    runtime::Session ref_session({.jobs = 1});
     SweepEngine reference(ref_session);
     const std::vector<DomainResult> expected = reference.run(jobs);
 
     // Interrupt after two cells with a flush interval larger than the
     // run: the engine's end-of-run flush must still land every
     // completed cell, so the resume runs exactly the missing ones.
-    runtime::Session first_session({1, 0});
+    runtime::Session first_session({.jobs = 1});
     runtime::RunContext first_ctx;
     first_ctx.checkpoint.path = file.path();
     first_ctx.checkpoint.flushInterval = 64;
@@ -527,7 +527,7 @@ TEST(SweepEngine, BatchedCheckpointResumeBitIdenticalToSerialRun)
     EXPECT_EQ(
         CheckpointJournal::load(file.path()).records.size(), 2u);
 
-    runtime::Session resumed_session({2, 0});
+    runtime::Session resumed_session({.jobs = 2});
     runtime::RunContext second_ctx;
     second_ctx.checkpoint.path = file.path();
     second_ctx.checkpoint.resume = true;
@@ -548,13 +548,13 @@ TEST(SweepEngine, KillAndResumeBitIdenticalToSerialRun)
     ScratchFile file("resume.bin");
 
     // Uninterrupted serial reference.
-    runtime::Session ref_session({1, 0});
+    runtime::Session ref_session({.jobs = 1});
     SweepEngine reference(ref_session);
     const std::vector<DomainResult> expected = reference.run(jobs);
 
     // First run: interrupted after two completed cells (the
     // cooperative-stop path SIGINT uses in suit_sweep).
-    runtime::Session first_session({1, 0});
+    runtime::Session first_session({.jobs = 1});
     runtime::RunContext first_ctx;
     first_ctx.checkpoint.path = file.path();
     std::atomic<int> completed{0};
@@ -573,7 +573,7 @@ TEST(SweepEngine, KillAndResumeBitIdenticalToSerialRun)
     // Resume on a fresh session with a different worker count: only
     // the missing cells run, and every slot matches the serial
     // reference bit for bit.
-    runtime::Session resumed_session({4, 0});
+    runtime::Session resumed_session({.jobs = 4});
     runtime::RunContext second_ctx;
     second_ctx.checkpoint.path = file.path();
     second_ctx.checkpoint.resume = true;
@@ -589,7 +589,7 @@ TEST(SweepEngine, KillAndResumeBitIdenticalToSerialRun)
     }
 
     // A second resume restores everything and runs nothing.
-    runtime::Session idle_session({2, 0});
+    runtime::Session idle_session({.jobs = 2});
     runtime::RunContext idle_ctx;
     idle_ctx.checkpoint.path = file.path();
     idle_ctx.checkpoint.resume = true;
@@ -609,8 +609,8 @@ TEST(SweepEngine, ResumeAtEveryRecordBoundaryBitIdenticalToSerialRun)
 
     // One session for every run: its trace cache keeps the resumes
     // cheap without touching their results.
-    runtime::Session session({2, 0});
-    runtime::Session serial({1, 0});
+    runtime::Session session({.jobs = 2});
+    runtime::Session serial({.jobs = 1});
     const std::vector<DomainResult> expected =
         SweepEngine(serial).run(jobs);
     runtime::RunContext first;
@@ -653,7 +653,7 @@ TEST(SweepEngine, ResumeRefusesMismatchedFingerprint)
     std::vector<SweepJob> jobs = smallGrid(cpu);
     ScratchFile file("mismatch.bin");
 
-    runtime::Session session({1, 0});
+    runtime::Session session({.jobs = 1});
     runtime::RunContext checkpointed;
     checkpointed.checkpoint.path = file.path();
     SweepEngine engine(session);
@@ -679,7 +679,7 @@ TEST(SweepEngine, ResumeRefusesMismatchedFingerprint)
 
 TEST(SweepEngine, ResumeWithoutPathIsAnError)
 {
-    runtime::Session session({1, 0});
+    runtime::Session session({.jobs = 1});
     SweepEngine engine(session);
     runtime::RunContext ctx;
     ctx.checkpoint.resume = true;
@@ -691,7 +691,7 @@ TEST(SweepEngine, ResumeWithoutPathIsAnError)
 
 TEST(SweepEngine, RetriesEventuallySucceed)
 {
-    runtime::Session session({1, 0});
+    runtime::Session session({.jobs = 1});
     SweepEngine engine(session);
     std::atomic<int> attempts{0};
     runtime::RunContext ctx;
@@ -714,7 +714,7 @@ TEST(SweepEngine, RetriesEventuallySucceed)
 TEST(SweepEngine, FailedCellIsRecordedNotFatal)
 {
     ScratchFile file("failed.bin");
-    runtime::Session session({1, 0});
+    runtime::Session session({.jobs = 1});
     SweepEngine engine(session);
     runtime::RunContext ctx;
     ctx.checkpoint.path = file.path();
@@ -760,7 +760,7 @@ TEST(SweepEngine, FailedCellIsRecordedNotFatal)
 
 TEST(SweepEngine, StrictModeRethrowsLowestIndex)
 {
-    runtime::Session session({4, 0});
+    runtime::Session session({.jobs = 4});
     SweepEngine engine(session);
     runtime::RunContext ctx;
     RunPolicy policy;
@@ -784,7 +784,7 @@ TEST(SweepEngine, StrictModeRethrowsLowestIndex)
 TEST(SweepEngine, PreTrippedTokenSkipsEverything)
 {
     ScratchFile file("stopped.bin");
-    runtime::Session session({2, 0});
+    runtime::Session session({.jobs = 2});
     runtime::RunContext ctx;
     ctx.checkpoint.path = file.path();
     ctx.token().cancel();

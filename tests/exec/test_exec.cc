@@ -1,14 +1,12 @@
 /**
  * @file
- * Unit tests of the suit_exec primitives: bounded queue semantics
- * (FIFO, backpressure, close), thread-pool lifecycle, exception
- * propagation out of jobs, parallelFor edge cases and deterministic
- * mapReduce reduction order.
+ * Unit tests of the suit_exec thread pool: lifecycle, exception
+ * propagation out of jobs, parallelFor edge cases, concurrent
+ * callers on one pool and the per-worker counters.
  */
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -16,71 +14,12 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/bounded_queue.hh"
 #include "exec/thread_pool.hh"
 
 namespace {
 
-using suit::exec::BoundedQueue;
 using suit::exec::ThreadPool;
 using suit::exec::WorkerStats;
-
-TEST(BoundedQueue, FifoOrder)
-{
-    BoundedQueue<int> q(8);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_TRUE(q.push(i));
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(q.pop(), i);
-}
-
-TEST(BoundedQueue, CapacityFloorIsOne)
-{
-    BoundedQueue<int> q(0);
-    EXPECT_EQ(q.capacity(), 1u);
-}
-
-TEST(BoundedQueue, PushBlocksWhenFullUntilPop)
-{
-    BoundedQueue<int> q(2);
-    EXPECT_TRUE(q.push(1));
-    EXPECT_TRUE(q.push(2));
-
-    std::atomic<bool> third_pushed{false};
-    std::thread producer([&] {
-        EXPECT_TRUE(q.push(3));
-        third_pushed = true;
-    });
-
-    // The producer must be stuck: the queue is at capacity.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(third_pushed);
-
-    EXPECT_EQ(q.pop(), 1);
-    producer.join();
-    EXPECT_TRUE(third_pushed);
-    EXPECT_EQ(q.pop(), 2);
-    EXPECT_EQ(q.pop(), 3);
-}
-
-TEST(BoundedQueue, CloseDrainsThenReturnsNullopt)
-{
-    BoundedQueue<int> q(4);
-    EXPECT_TRUE(q.push(7));
-    q.close();
-    EXPECT_FALSE(q.push(8)); // rejected after close
-    EXPECT_EQ(q.pop(), 7);   // queued item still drained
-    EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, CloseUnblocksWaitingConsumer)
-{
-    BoundedQueue<int> q(1);
-    std::thread consumer([&] { EXPECT_EQ(q.pop(), std::nullopt); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.close();
-    consumer.join();
-}
 
 TEST(ThreadPool, StartupShutdownIdle)
 {
@@ -96,23 +35,6 @@ TEST(ThreadPool, DefaultsToHardwareConcurrency)
 {
     ThreadPool pool;
     EXPECT_EQ(pool.workers(), ThreadPool::hardwareConcurrency());
-}
-
-TEST(ThreadPool, SubmitRunsJobAndFutureCompletes)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    auto f = pool.submit([&] { ++ran; });
-    f.get();
-    EXPECT_EQ(ran, 1);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit(
-        [] { throw std::runtime_error("job failed"); });
-    EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, ExceptionPropagatesOutOfParallelFor)
@@ -158,35 +80,46 @@ TEST(ThreadPool, ParallelForOddSizedRange)
         EXPECT_EQ(h, 1);
 }
 
-TEST(ThreadPool, ParallelForBackpressuredByQueueBound)
+TEST(ThreadPool, ConcurrentCallersEachGetTheirOwnBatch)
 {
-    // Queue bound of 2 with many more jobs than capacity: all jobs
-    // still run (submit blocks instead of dropping).
-    ThreadPool pool(2, 2);
-    std::atomic<int> ran{0};
-    pool.parallelFor(64, [&](std::size_t) { ++ran; });
-    EXPECT_EQ(ran, 64);
-}
-
-TEST(ThreadPool, MapReduceSum)
-{
+    // Two threads share one pool: each batch runs every one of its
+    // own indices exactly once, and each caller gets the lowest
+    // failing index of its own batch, never the other's.
     ThreadPool pool(3);
-    const long total = pool.mapReduce(
-        100, 0L, [](std::size_t i) { return static_cast<long>(i); },
-        [](long acc, long v) { return acc + v; });
-    EXPECT_EQ(total, 99L * 100L / 2L);
-}
+    constexpr std::size_t kN = 257;
+    std::vector<std::atomic<int>> hits_a(kN);
+    std::vector<std::atomic<int>> hits_b(kN);
+    std::string error_a;
+    std::string error_b;
+    const auto caller = [&](std::vector<std::atomic<int>> &hits,
+                            std::size_t first_bad, std::string &error) {
+        try {
+            pool.parallelFor(kN, [&](std::size_t i) {
+                ++hits[i];
+                if (i >= first_bad && i % 7 == first_bad % 7)
+                    throw std::runtime_error("index " +
+                                             std::to_string(i));
+            });
+        } catch (const std::runtime_error &e) {
+            error = e.what();
+        }
+    };
+    std::thread a([&] { caller(hits_a, 40, error_a); });
+    std::thread b([&] { caller(hits_b, 101, error_b); });
+    a.join();
+    b.join();
 
-TEST(ThreadPool, MapReduceReducesInIndexOrder)
-{
-    // String concatenation is non-commutative: any reduction order
-    // other than 0..n-1 produces a different value.
-    ThreadPool pool(4);
-    const std::string joined = pool.mapReduce(
-        10, std::string(),
-        [](std::size_t i) { return std::to_string(i); },
-        [](std::string acc, std::string v) { return acc + v; });
-    EXPECT_EQ(joined, "0123456789");
+    for (std::size_t i = 0; i < kN; ++i) {
+        EXPECT_EQ(hits_a[i], 1) << "batch a, index " << i;
+        EXPECT_EQ(hits_b[i], 1) << "batch b, index " << i;
+    }
+    EXPECT_EQ(error_a, "index 40");
+    EXPECT_EQ(error_b, "index 101");
+
+    std::uint64_t total = 0;
+    for (const WorkerStats &s : pool.stats())
+        total += s.jobsRun;
+    EXPECT_EQ(total, 2 * kN);
 }
 
 TEST(ThreadPool, ShutdownIsIdempotentAndKeepsStatsReadable)
@@ -204,13 +137,13 @@ TEST(ThreadPool, ShutdownIsIdempotentAndKeepsStatsReadable)
 
 TEST(ThreadPool, ShutdownWaitDoesNotCountAsQueueWait)
 {
-    // Regression: the final pop() that returns nullopt at shutdown
-    // used to add its entire blocked time to queueWaitNs, inflating
-    // the "queue wait" footer column by however long the pool sat
-    // idle before destruction.
+    // Regression: the wait that observed shutdown used to add its
+    // entire blocked time to queueWaitNs, inflating the "queue wait"
+    // footer column by however long the pool sat idle before
+    // destruction.  Idle time between batches must never count.
     ThreadPool pool(2);
     std::atomic<int> ran{0};
-    pool.submit([&] { ++ran; }).get();
+    pool.parallelFor(1, [&](std::size_t) { ++ran; });
 
     // Let the workers idle well past any legitimate queue wait.
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -225,16 +158,15 @@ TEST(ThreadPool, ShutdownWaitDoesNotCountAsQueueWait)
 TEST(ThreadPoolDeathTest, NestedParallelForPanicsInsteadOfHanging)
 {
     // Regression: a job calling parallelFor() on its own pool used
-    // to deadlock on the bounded queue.  It must abort with a clear
-    // message instead.
+    // to deadlock, waiting on work only its own pool could run.  It
+    // must abort with a clear message instead.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH(
         {
             ThreadPool pool(2);
-            pool.submit([&] {
-                    pool.parallelFor(4, [](std::size_t) {});
-                })
-                .get();
+            pool.parallelFor(1, [&](std::size_t) {
+                pool.parallelFor(4, [](std::size_t) {});
+            });
         },
         "nested parallelFor");
 }

@@ -96,7 +96,7 @@ TEST(SweepEngine, ParallelSuiteBitIdenticalToSerialRunSuite)
         const std::vector<WorkloadRow> serial =
             sim::runSuite(cfg, profiles);
         const std::vector<SweepJob> jobs = suiteJobs(cfg, profiles);
-        runtime::Session session({4, 0});
+        runtime::Session session({.jobs = 4});
         SweepEngine engine(session);
         const std::vector<DomainResult> parallel = engine.run(jobs);
 
@@ -117,7 +117,7 @@ TEST(SweepEngine, SerialModeMatchesRunSuiteToo)
     cfg.cpu = &cpu;
     cfg.params = core::optimalParams(cpu);
 
-    runtime::Session session({1, 0});
+    runtime::Session session({.jobs = 1});
     exec::SweepEngine engine(session);
     EXPECT_EQ(engine.jobs(), 1);
     const auto serial = sim::runSuite(cfg, profiles);
@@ -148,7 +148,7 @@ TEST(SweepEngine, ResultsArriveInJobOrder)
                                   {"heavy2", heavy, &omnetpp},
                                   {"light2", light, &xz}};
 
-    runtime::Session session({4, 0});
+    runtime::Session session({.jobs = 4});
     SweepEngine engine(session);
     const std::vector<DomainResult> results = engine.run(jobs);
     ASSERT_EQ(results.size(), 4u);
@@ -176,7 +176,7 @@ TEST(SweepEngine, TraceCacheReusedAcrossRepeatedCells)
     EvalConfig off70 = fv;
     off70.offsetMv = -70.0;
 
-    runtime::Session session({2, 0});
+    runtime::Session session({.jobs = 2});
     SweepEngine engine(session);
     engine.run({{"fv", fv, &gcc},
                 {"e", emu, &gcc},
@@ -187,14 +187,14 @@ TEST(SweepEngine, TraceCacheReusedAcrossRepeatedCells)
 
 TEST(SweepEngine, WorkerFooterListsEveryWorker)
 {
-    runtime::Session session({3, 0});
+    runtime::Session session({.jobs = 3});
     SweepEngine engine(session);
     const std::string footer = engine.workerFooter();
     EXPECT_NE(footer.find("#0"), std::string::npos);
     EXPECT_NE(footer.find("#2"), std::string::npos);
     EXPECT_NE(footer.find("queue wait"), std::string::npos);
 
-    runtime::Session serial_session({1, 0});
+    runtime::Session serial_session({.jobs = 1});
     SweepEngine serial(serial_session);
     EXPECT_NE(serial.workerFooter().find("serial"),
               std::string::npos);

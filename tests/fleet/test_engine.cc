@@ -97,7 +97,7 @@ testSpec()
 std::string
 reportOf(const FleetSpec &spec, int jobs, std::uint64_t shard_size)
 {
-    runtime::Session session({jobs, 0});
+    runtime::Session session({.jobs = jobs});
     FleetEngine engine(session, spec);
     FleetOptions options;
     options.shardSize = shard_size;
@@ -159,7 +159,7 @@ TEST(FleetEngine, ShardFetchesEachTraceOncePerKeyRun)
             }
         }
 
-        runtime::Session session({1, 0});
+        runtime::Session session({.jobs = 1});
         FleetEngine engine(session, spec);
         FleetOptions options;
         options.shardSize = shard_size;
@@ -194,7 +194,7 @@ TEST(FleetEngine, KillAndResumeMatchesUninterruptedRun)
     ScratchFile journal("resume.ckpt");
 
     // First run: cancel after 4 completed shards.
-    runtime::Session session_a({2, 0});
+    runtime::Session session_a({.jobs = 2});
     runtime::RunContext ctx_a;
     ctx_a.checkpoint.path = journal.path();
     std::atomic<int> done{0};
@@ -211,7 +211,7 @@ TEST(FleetEngine, KillAndResumeMatchesUninterruptedRun)
     ASSERT_GE(interrupted.shardsRun, 4u);
 
     // Second run: resume and finish.
-    runtime::Session session_b({2, 0});
+    runtime::Session session_b({.jobs = 2});
     runtime::RunContext ctx_b;
     ctx_b.checkpoint.path = journal.path();
     ctx_b.checkpoint.resume = true;
@@ -253,7 +253,7 @@ TEST(FleetEngine, BatchedCheckpointResumeMatchesUninterruptedRun)
     // Interrupt after 4 shards under a flush interval that leaves a
     // partial batch pending: the engine's end-of-run flush lands it,
     // so the resume completes to the byte-identical report.
-    runtime::Session session_a({2, 0});
+    runtime::Session session_a({.jobs = 2});
     runtime::RunContext ctx_a;
     ctx_a.checkpoint.path = journal.path();
     ctx_a.checkpoint.flushInterval = 3;
@@ -272,7 +272,7 @@ TEST(FleetEngine, BatchedCheckpointResumeMatchesUninterruptedRun)
         exec::CheckpointJournal::load(journal.path()).records.size(),
         interrupted.shardsRun);
 
-    runtime::Session session_b({2, 0});
+    runtime::Session session_b({.jobs = 2});
     runtime::RunContext ctx_b;
     ctx_b.checkpoint.path = journal.path();
     ctx_b.checkpoint.resume = true;
@@ -300,7 +300,7 @@ TEST(FleetEngine, TruncatedJournalBlobResumesFromValidPrefix)
     const std::string reference = reportOf(testSpec(), 1, 32);
 
     ScratchFile journal("trunc_blob.ckpt");
-    runtime::Session session_a({1, 0});
+    runtime::Session session_a({.jobs = 1});
     runtime::RunContext ctx_a;
     ctx_a.checkpoint.path = journal.path();
     FleetOptions checkpointed;
@@ -320,7 +320,7 @@ TEST(FleetEngine, TruncatedJournalBlobResumesFromValidPrefix)
     ASSERT_EQ(loaded.records.size(), full.shardsRun - 1);
     EXPECT_TRUE(loaded.records.back().isBlob);
 
-    runtime::Session session_b({1, 0});
+    runtime::Session session_b({.jobs = 1});
     runtime::RunContext ctx_b;
     ctx_b.checkpoint.path = journal.path();
     ctx_b.checkpoint.resume = true;
@@ -339,7 +339,7 @@ TEST(FleetEngine, ChecksumFlippedBlobResumesFromValidPrefix)
     const std::string reference = reportOf(testSpec(), 1, 32);
 
     ScratchFile journal("flip_blob.ckpt");
-    runtime::Session session_a({1, 0});
+    runtime::Session session_a({.jobs = 1});
     runtime::RunContext ctx_a;
     ctx_a.checkpoint.path = journal.path();
     FleetOptions checkpointed;
@@ -360,7 +360,7 @@ TEST(FleetEngine, ChecksumFlippedBlobResumesFromValidPrefix)
     EXPECT_GT(loaded.droppedBytes, 0u);
     ASSERT_EQ(loaded.records.size(), full.shardsRun - 1);
 
-    runtime::Session session_b({1, 0});
+    runtime::Session session_b({.jobs = 1});
     runtime::RunContext ctx_b;
     ctx_b.checkpoint.path = journal.path();
     ctx_b.checkpoint.resume = true;
@@ -421,7 +421,7 @@ TEST(FleetEngine, JournalCutOrDamagedAtAnyByteResumesToTheSameReport)
     ScratchFile copy("every_byte_copy.ckpt");
     FleetOptions checkpointed;
     checkpointed.shardSize = kShard;
-    runtime::Session session({2, 0});
+    runtime::Session session({.jobs = 2});
     {
         runtime::RunContext ctx;
         ctx.checkpoint.path = journal.path();
@@ -502,7 +502,7 @@ TEST(FleetEngine, MalformedShardBlobIsReRun)
     ScratchFile journal("malformed_blob.ckpt");
     FleetOptions checkpointed;
     checkpointed.shardSize = 32;
-    runtime::Session session_a({1, 0});
+    runtime::Session session_a({.jobs = 1});
     FleetEngine engine_a(session_a, testSpec());
     {
         runtime::RunContext ctx_a;
@@ -530,7 +530,7 @@ TEST(FleetEngine, MalformedShardBlobIsReRun)
                         std::move(records));
     }
 
-    runtime::Session session_b({1, 0});
+    runtime::Session session_b({.jobs = 1});
     runtime::RunContext ctx_b;
     ctx_b.checkpoint.path = journal.path();
     ctx_b.checkpoint.resume = true;
@@ -547,7 +547,7 @@ TEST(FleetEngine, MalformedShardBlobIsReRun)
 TEST(FleetEngine, RefusesAForeignJournal)
 {
     ScratchFile journal("foreign.ckpt");
-    runtime::Session session({1, 0});
+    runtime::Session session({.jobs = 1});
     runtime::RunContext ctx;
     ctx.checkpoint.path = journal.path();
     FleetOptions checkpointed;
@@ -578,7 +578,7 @@ TEST(FleetEngine, RefusesAForeignJournal)
 
 TEST(FleetEngine, PreTrippedTokenSkipsEverything)
 {
-    runtime::Session session({2, 0});
+    runtime::Session session({.jobs = 2});
     runtime::RunContext ctx;
     ctx.token().cancel();
     FleetOptions options;
@@ -593,7 +593,7 @@ TEST(FleetEngine, PreTrippedTokenSkipsEverything)
 
 TEST(FleetEngine, ReportJsonValidates)
 {
-    runtime::Session session({2, 0});
+    runtime::Session session({.jobs = 2});
     FleetEngine engine(session, testSpec());
     const FleetOutcome outcome = engine.run();
     const std::string doc =
@@ -608,7 +608,7 @@ TEST(FleetEngine, ReportJsonValidates)
 
 TEST(FleetEngine, DomainBasePowerSplitsPerCoreDomains)
 {
-    runtime::Session session({1, 0});
+    runtime::Session session({.jobs = 1});
     FleetEngine engine(session, testSpec());
     // Rack 0 (CPU C, per-core domains): one core's share.  Rack 1
     // (CPU A, shared domain): the whole package.
@@ -623,7 +623,7 @@ TEST(FleetEngine, TracedRunEmitsPerRackCounterTracks)
     obs::TraceSession trace;
     obs::setActiveTrace(&trace);
     {
-        runtime::Session session({2, 0});
+        runtime::Session session({.jobs = 2});
         runtime::RunContext ctx; // latches the active trace
         FleetOptions options;
         options.shardSize = 32;

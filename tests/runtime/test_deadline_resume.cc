@@ -89,7 +89,7 @@ TEST(DeadlineResume, SweepJournalResumesByteIdentical)
     ScratchFile journal("sweep.ckpt");
 
     // Uninterrupted serial reference.
-    runtime::Session ref_session({1, 0});
+    runtime::Session ref_session({.jobs = 1});
     exec::SweepEngine reference(ref_session);
     const std::string expected = bytesOf(reference.run(jobs));
 
@@ -97,7 +97,7 @@ TEST(DeadlineResume, SweepJournalResumesByteIdentical)
     // (setDeadlineAfter(0.0) is an already-expired deadline, so the
     // next token poll latches it — the exact path --deadline-s takes,
     // made deterministic).
-    runtime::Session session_a({1, 0});
+    runtime::Session session_a({.jobs = 1});
     runtime::RunContext ctx_a;
     ctx_a.checkpoint.path = journal.path();
     std::atomic<int> completed{0};
@@ -120,7 +120,7 @@ TEST(DeadlineResume, SweepJournalResumesByteIdentical)
     EXPECT_EQ(loaded.records.size(), 2u);
 
     // Fresh-context resume (no deadline): byte-identical output.
-    runtime::Session session_b({2, 0});
+    runtime::Session session_b({.jobs = 2});
     runtime::RunContext ctx_b;
     ctx_b.checkpoint.path = journal.path();
     ctx_b.checkpoint.resume = true;
@@ -153,7 +153,7 @@ TEST(DeadlineResume, FleetJournalResumesByteIdentical)
     ScratchFile journal("fleet.ckpt");
 
     // Uninterrupted serial reference.
-    runtime::Session ref_session({1, 0});
+    runtime::Session ref_session({.jobs = 1});
     fleet::FleetEngine reference(ref_session, testSpec());
     fleet::FleetOptions options;
     options.shardSize = 32;
@@ -164,7 +164,7 @@ TEST(DeadlineResume, FleetJournalResumesByteIdentical)
 
     // Interrupted run: the deadline trips after two completed
     // shards.
-    runtime::Session session_a({1, 0});
+    runtime::Session session_a({.jobs = 1});
     runtime::RunContext ctx_a;
     ctx_a.checkpoint.path = journal.path();
     std::atomic<int> done{0};
@@ -188,7 +188,7 @@ TEST(DeadlineResume, FleetJournalResumesByteIdentical)
     EXPECT_EQ(loaded.records.size(), interrupted.shardsRun);
 
     // Fresh-context resume: byte-identical report.
-    runtime::Session session_b({2, 0});
+    runtime::Session session_b({.jobs = 2});
     runtime::RunContext ctx_b;
     ctx_b.checkpoint.path = journal.path();
     ctx_b.checkpoint.resume = true;

@@ -1,11 +1,10 @@
 /**
  * @file
  * Property tests of the session-owned exec::ThreadPool: randomized
- * task graphs through parallelFor and mapReduce must reproduce the
- * serial fold bit for bit (index-ordered reduction), and exception
- * propagation must deterministically surface the lowest failing
- * index.  The generators are seeded, so every run checks the same
- * graphs.
+ * task graphs through parallelFor must reproduce the serial loop bit
+ * for bit (index-addressed results), and exception propagation must
+ * deterministically surface the lowest failing index.  The
+ * generators are seeded, so every run checks the same graphs.
  */
 
 #include <atomic>
@@ -42,7 +41,7 @@ mix(std::uint64_t seed, std::uint64_t i)
 
 TEST(PoolProperties, ParallelForMatchesSerialLoopOnRandomGraphs)
 {
-    Session session({4, 0});
+    Session session({.jobs = 4});
     exec::ThreadPool *pool = session.pool();
     ASSERT_NE(pool, nullptr);
 
@@ -63,39 +62,9 @@ TEST(PoolProperties, ParallelForMatchesSerialLoopOnRandomGraphs)
     }
 }
 
-TEST(PoolProperties, MapReduceFoldsInIndexOrder)
-{
-    Session session({3, 0});
-    exec::ThreadPool *pool = session.pool();
-    ASSERT_NE(pool, nullptr);
-
-    util::Rng sizes(7);
-    for (int round = 0; round < 8; ++round) {
-        const std::size_t n =
-            1 + static_cast<std::size_t>(sizes.nextBelow(64));
-        const std::uint64_t seed = sizes.next();
-
-        // Non-commutative reduction (string concatenation): any
-        // completion-ordered fold would scramble it.
-        std::string serial;
-        for (std::size_t i = 0; i < n; ++i)
-            serial += std::to_string(mix(seed, i) % 1000) + ",";
-
-        const std::string parallel = pool->mapReduce(
-            n, std::string{},
-            [&](std::size_t i) {
-                return std::to_string(mix(seed, i) % 1000) + ",";
-            },
-            [](std::string acc, std::string part) {
-                return std::move(acc) + part;
-            });
-        EXPECT_EQ(parallel, serial) << "round " << round;
-    }
-}
-
 TEST(PoolProperties, LowestIndexExceptionWinsDeterministically)
 {
-    Session session({4, 0});
+    Session session({.jobs = 4});
     exec::ThreadPool *pool = session.pool();
     ASSERT_NE(pool, nullptr);
 
@@ -136,7 +105,7 @@ TEST(PoolProperties, SessionPoolIsReusedAcrossRuns)
 {
     // The counters accumulate across parallelFor calls: the pool is
     // one process-lifetime object, not rebuilt per run.
-    Session session({2, 0});
+    Session session({.jobs = 2});
     exec::ThreadPool *pool = session.pool();
     ASSERT_NE(pool, nullptr);
 

@@ -27,7 +27,7 @@ using runtime::Session;
 
 TEST(Session, SerialModeHasNoPool)
 {
-    Session session({1, 0});
+    Session session({.jobs = 1});
     EXPECT_EQ(session.jobs(), 1);
     EXPECT_EQ(session.pool(), nullptr);
     EXPECT_TRUE(session.workerStats().empty());
@@ -37,7 +37,7 @@ TEST(Session, SerialModeHasNoPool)
 
 TEST(Session, ExplicitWorkerCountBuildsAPool)
 {
-    Session session({3, 0});
+    Session session({.jobs = 3});
     EXPECT_EQ(session.jobs(), 3);
     ASSERT_NE(session.pool(), nullptr);
     EXPECT_EQ(session.pool()->workers(), 3);
@@ -56,7 +56,8 @@ TEST(Session, ZeroJobsResolvesToHardwareConcurrency)
 
 TEST(Session, TraceCacheCapacityComesFromTheConfig)
 {
-    Session session({1, 0, std::size_t{8} << 20});
+    Session session(
+        {.jobs = 1, .traceCacheBytes = std::size_t{8} << 20});
     EXPECT_EQ(session.traceCache().capacityBytes(),
               std::size_t{8} << 20);
 }
@@ -81,7 +82,7 @@ TEST(Session, TinyCacheEvictsButPinnedTracesStayValid)
     // A capacity far below one trace: every insertion evicts the
     // previous resident, so the cache cycles while the shared_ptr
     // pins keep every returned trace alive and intact.
-    Session session({1, 0, 4096});
+    Session session({.jobs = 1, .traceCacheBytes = 4096});
     sim::TraceCache &cache = session.traceCache();
 
     const auto &gcc = trace::profileByName("502.gcc");
@@ -112,14 +113,14 @@ TEST(Session, WorkspaceIsStablePerThread)
 {
     // The session thread always gets slot 0; repeated calls hand back
     // the same object so warmed buffers survive across domains.
-    Session session({1, 0});
+    Session session({.jobs = 1});
     sim::SimWorkspace &first = session.workspace();
     EXPECT_EQ(&first, &session.workspace());
 }
 
 TEST(Session, EachPoolWorkerGetsItsOwnWorkspace)
 {
-    Session session({3, 0});
+    Session session({.jobs = 3});
     ASSERT_NE(session.pool(), nullptr);
 
     // One slot per worker plus the session thread's; parallelFor
@@ -172,14 +173,14 @@ TEST(Session, PinWorkersOptionIsAcceptedAndCounted)
     EXPECT_LE(pinned, 2);
 
     // And off by default.
-    Session plain({2, 0});
+    Session plain({.jobs = 2});
     EXPECT_FALSE(plain.config().pinWorkers);
     EXPECT_EQ(plain.pool()->pinnedWorkers(), 0);
 }
 
 TEST(Session, LargeCacheNeverEvictsAndCountsHits)
 {
-    Session session({1, 0});
+    Session session({.jobs = 1});
     sim::TraceCache &cache = session.traceCache();
     const auto &nginx = trace::profileByName("Nginx");
 

@@ -369,7 +369,7 @@ TEST(GoldenIdentity, ParallelFastMatchesSerialReference)
     std::vector<exec::SweepJob> jobs;
     for (const trace::WorkloadProfile &p : profiles)
         jobs.push_back({p.name, cfg, &p});
-    runtime::Session session({4, 0});
+    runtime::Session session({.jobs = 4});
     exec::SweepEngine engine(session);
     const std::vector<sim::DomainResult> parallel = engine.run(jobs);
 

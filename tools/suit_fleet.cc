@@ -96,14 +96,15 @@ main(int argc, char **argv)
         spec.seed = static_cast<std::uint64_t>(
             args.getIntInRange("seed", 0, LONG_MAX));
 
+    runtime::CliRun run(args, obs_scope, "shard");
+
     util::inform("suit_fleet: '%s', %llu domains in %zu racks on %s",
                  spec.name.c_str(),
                  static_cast<unsigned long long>(spec.totalDomains()),
                  spec.racks.size(),
-                 args.get("jobs") == "1" ? "1 worker (serial)"
-                                         : "parallel workers");
+                 run.session().jobs() == 1 ? "1 worker (serial)"
+                                           : "parallel workers");
 
-    runtime::CliRun run(args, obs_scope, "shard");
     fleet::FleetOptions options;
     options.shardSize = static_cast<std::uint64_t>(shard);
     options.onShardDone = run.stopAfterHook();

@@ -23,6 +23,7 @@
 #include "obs/setup.hh"
 #include "runtime/cli_run.hh"
 #include "sim/evaluation.hh"
+#include "sim/trace_cache.hh"
 #include "trace/generator.hh"
 #include "trace/io.hh"
 #include "trace/profile.hh"
@@ -146,7 +147,8 @@ main(int argc, char **argv)
 
     sim::EvalConfig cfg;
     cfg.cpu = &cpu;
-    cfg.cores = static_cast<int>(args.getIntInRange("cores", 1, 1024));
+    cfg.cores = static_cast<int>(
+        args.getIntInRange("cores", 1, sim::TraceCache::kMaxStreams));
     cfg.offsetMv = args.getDouble("offset");
     cfg.params = core::optimalParams(cpu);
     cfg.seed = static_cast<std::uint64_t>(

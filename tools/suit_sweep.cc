@@ -47,6 +47,7 @@
 #include "power/cpu_model.hh"
 #include "runtime/cli_run.hh"
 #include "sim/evaluation.hh"
+#include "sim/trace_cache.hh"
 #include "trace/profile.hh"
 #include "util/args.hh"
 #include "util/format.hh"
@@ -58,7 +59,7 @@ using namespace suit;
 using exec::SweepEngine;
 using exec::SweepJob;
 
-/** Checked parse of one --cores list item (must be >= 1). */
+/** Checked parse of one --cores list item (1..kMaxStreams). */
 int
 coreCountByName(const std::string &value)
 {
@@ -68,10 +69,10 @@ coreCountByName(const std::string &value)
                     value.c_str());
     if (cores < 1)
         util::fatal("--cores values must be >= 1, got %ld", cores);
-    if (cores > 1024)
-        util::fatal("--cores value %ld is not a plausible core "
-                    "count",
-                    cores);
+    if (cores > sim::TraceCache::kMaxStreams)
+        util::fatal("--cores value %ld exceeds the per-domain core "
+                    "cap of %d",
+                    cores, sim::TraceCache::kMaxStreams);
     return static_cast<int>(cores);
 }
 
@@ -197,11 +198,12 @@ main(int argc, char **argv)
         }
     }
 
-    util::inform("suit_sweep: %zu cells on %s", jobs.size(),
-                 args.get("jobs") == "1" ? "1 worker (serial)"
-                                         : "parallel workers");
-
     runtime::CliRun run(args, obs_scope, "cell");
+
+    util::inform("suit_sweep: %zu cells on %s", jobs.size(),
+                 run.session().jobs() == 1 ? "1 worker (serial)"
+                                           : "parallel workers");
+
     exec::RunPolicy policy;
     policy.retries = static_cast<int>(retries);
     policy.strict = args.getFlag("strict");
