@@ -142,7 +142,7 @@ main(int argc, char **argv)
         core::placeRoundRobin(tasks.size(), 2, 4);
     const core::Placement aware = core::placeSuitAware(tasks, 2, 4);
 
-    const int jobs = static_cast<int>(args.getInt("jobs"));
+    const int jobs = static_cast<int>(args.getIntInRange("jobs", 0, 1024));
     exec::ThreadPool pool(jobs == 0
                               ? exec::ThreadPool::hardwareConcurrency()
                               : jobs);

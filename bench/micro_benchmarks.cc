@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the library's hot paths: the
  * software emulation payloads (what the OS runs on every trapped
- * instruction), trace generation, the two simulators and the
- * suit::exec parallel experiment engine.
+ * instruction), trace generation, the O3 model and the suit::exec
+ * parallel experiment engine.  The domain simulator's scenarios are
+ * timed by tools/suit_bench_json, whose record is BENCH_simcore.json.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,7 +19,6 @@
 #include "exec/sweep.hh"
 #include "runtime/session.hh"
 #include "exec/thread_pool.hh"
-#include "sim/domain_sim.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
 #include "uarch/o3_model.hh"
@@ -103,113 +103,6 @@ BM_TraceGeneration(benchmark::State &state)
         static_cast<std::int64_t>(profile.totalInstructions));
 }
 BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
-
-void
-BM_DomainSimulation(benchmark::State &state)
-{
-    const power::CpuModel cpu = power::cpuC_xeon4208();
-    const auto &profile = trace::profileByName("502.gcc");
-    const trace::Trace t = trace::TraceGenerator(3).generate(profile);
-
-    sim::SimConfig cfg;
-    cfg.cpu = &cpu;
-    cfg.params = core::optimalParams(cpu);
-    for (auto _ : state) {
-        sim::DomainSimulator sim(cfg, {{&t, &profile}});
-        benchmark::DoNotOptimize(sim.run().traps);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(t.eventCount()));
-}
-BENCHMARK(BM_DomainSimulation)->Unit(benchmark::kMillisecond);
-
-/**
- * Same single-core SUIT simulation on the pre-optimization reference
- * event loop; BM_DomainSimulation / BM_DomainSimulationReference is
- * the fast path's speedup (tracked in BENCH_simcore.json).
- */
-void
-BM_DomainSimulationReference(benchmark::State &state)
-{
-    const power::CpuModel cpu = power::cpuC_xeon4208();
-    const auto &profile = trace::profileByName("502.gcc");
-    const trace::Trace t = trace::TraceGenerator(3).generate(profile);
-
-    sim::SimConfig cfg;
-    cfg.cpu = &cpu;
-    cfg.params = core::optimalParams(cpu);
-    cfg.referencePath = true;
-    for (auto _ : state) {
-        sim::DomainSimulator sim(cfg, {{&t, &profile}});
-        benchmark::DoNotOptimize(sim.run().traps);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(t.eventCount()));
-}
-BENCHMARK(BM_DomainSimulationReference)->Unit(benchmark::kMillisecond);
-
-/**
- * Event-dense workload (525.x264: the highest IMUL density in the
- * suite and a heavy faultable stream): long runs of consecutive
- * native events, i.e. the batched-window sweet spot.
- */
-void
-BM_DomainSimulationDense(benchmark::State &state)
-{
-    const power::CpuModel cpu = power::cpuC_xeon4208();
-    const auto &profile = trace::profileByName("525.x264");
-    const trace::Trace t = trace::TraceGenerator(5).generate(profile);
-
-    sim::SimConfig cfg;
-    cfg.cpu = &cpu;
-    cfg.params = core::optimalParams(cpu);
-    for (auto _ : state) {
-        sim::DomainSimulator sim(cfg, {{&t, &profile}});
-        benchmark::DoNotOptimize(sim.run().traps);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(t.eventCount()));
-}
-BENCHMARK(BM_DomainSimulationDense)->Unit(benchmark::kMillisecond);
-
-/**
- * CPU A's shared four-core domain: the multi-core batched window
- * (SoA hot state, per-event accumulator replay, vectorizable
- * arrival scan).  Chain-bound rather than throughput-bound — each
- * event's time feeds the next through the reference FP sequence —
- * so expect a lower rate than the single-core scenarios.
- */
-void
-BM_DomainSimulationShared(benchmark::State &state)
-{
-    const power::CpuModel cpu = power::cpuA_i9_9900k();
-    const auto &profile = trace::profileByName("502.gcc");
-    constexpr int kStreams = 4;
-    std::vector<trace::Trace> traces;
-    std::uint64_t events = 0;
-    for (int s = 0; s < kStreams; ++s) {
-        traces.push_back(trace::TraceGenerator(3).generate(profile, s));
-        events += traces.back().eventCount();
-    }
-    std::vector<sim::CoreWork> work;
-    for (const trace::Trace &t : traces)
-        work.push_back({&t, &profile});
-
-    sim::SimConfig cfg;
-    cfg.cpu = &cpu;
-    cfg.params = core::optimalParams(cpu);
-    for (auto _ : state) {
-        sim::DomainSimulator sim(cfg, work);
-        benchmark::DoNotOptimize(sim.run().traps);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_DomainSimulationShared)->Unit(benchmark::kMillisecond);
 
 void
 BM_O3ModelRate(benchmark::State &state)

@@ -13,7 +13,9 @@
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "sim/result_io.hh"
+#include "util/bytes.hh"
 #include "util/format.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace suit::exec {
@@ -24,41 +26,13 @@ constexpr char kMagic[8] = {'S', 'U', 'I', 'T', 'J', 'R', 'N', 'L'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8;
 
-void
-putU32(std::uint32_t v, std::string &out)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void
-putU64(std::uint64_t v, std::string &out)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint32_t
-getU32(const char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(p[i]))
-             << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(const char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(p[i]))
-             << (8 * i);
-    return v;
-}
+using suit::util::fnv1a64;
+using suit::util::getU32;
+using suit::util::getU64;
+using suit::util::putString;
+using suit::util::putU32;
+using suit::util::putU64;
+using suit::util::putU8;
 
 /** Record payload for one cell outcome. */
 std::string
@@ -67,17 +41,13 @@ encodePayload(const CellRecord &record)
     std::string payload;
     putU64(record.index, payload);
     if (record.isBlob) {
-        payload.push_back(2);
-        putU32(static_cast<std::uint32_t>(record.blob.size()),
-               payload);
-        payload.append(record.blob);
+        putU8(2, payload);
+        putString(record.blob, payload);
     } else if (record.failed) {
-        payload.push_back(1);
-        putU32(static_cast<std::uint32_t>(record.error.size()),
-               payload);
-        payload.append(record.error);
+        putU8(1, payload);
+        putString(record.error, payload);
     } else {
-        payload.push_back(0);
+        putU8(0, payload);
         suit::sim::serializeResult(record.result, payload);
     }
     return payload;
@@ -101,30 +71,22 @@ encodeRecord(const std::string &payload, std::string &out)
 bool
 decodePayload(const char *data, std::size_t size, CellRecord &out)
 {
-    if (size < 9)
-        return false;
-    out.index = getU64(data);
-    const std::uint8_t status =
-        static_cast<std::uint8_t>(data[8]);
-    if (status > 2)
+    suit::util::ByteReader r(data, size, 0);
+    out.index = r.u64();
+    const std::uint8_t status = r.u8();
+    if (!r.ok() || status > 2)
         return false;
     out.failed = status == 1;
     out.isBlob = status == 2;
-    std::size_t offset = 9;
+    std::size_t offset = r.pos();
     if (out.failed || out.isBlob) {
-        if (size - offset < 4)
+        (out.isBlob ? out.blob : out.error) = r.str();
+        if (!r.ok())
             return false;
-        const std::uint32_t len = getU32(data + offset);
-        offset += 4;
-        if (size - offset < len)
-            return false;
-        (out.isBlob ? out.blob : out.error)
-            .assign(data + offset, len);
-        offset += len;
-    } else {
-        if (!suit::sim::deserializeResult(data, size, offset,
-                                          out.result))
-            return false;
+        offset = r.pos();
+    } else if (!suit::sim::deserializeResult(data, size, offset,
+                                             out.result)) {
+        return false;
     }
     return offset == size;
 }
@@ -233,18 +195,6 @@ class WriteTimer
 };
 
 } // namespace
-
-std::uint64_t
-fnv1a64(const void *data, std::size_t size, std::uint64_t seed)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    std::uint64_t hash = seed;
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001B3ULL;
-    }
-    return hash;
-}
 
 CheckpointJournal::~CheckpointJournal()
 {

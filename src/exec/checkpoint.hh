@@ -58,10 +58,6 @@
 
 namespace suit::exec {
 
-/** FNV-1a over a byte range; chainable via @p seed. */
-std::uint64_t fnv1a64(const void *data, std::size_t size,
-                      std::uint64_t seed = 0xCBF29CE484222325ULL);
-
 /** Identity of a sweep grid: cell count + hash over every axis. */
 struct GridFingerprint
 {

@@ -12,6 +12,7 @@
 
 #include "obs/registry.hh"
 #include "runtime/journaled.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -19,6 +20,7 @@ namespace suit::exec {
 
 using suit::sim::DomainResult;
 using suit::sim::EvalConfig;
+using suit::util::fnv1a64;
 
 namespace {
 
@@ -43,8 +45,9 @@ describeException(const std::exception_ptr &err)
  * generated once and stay resident while it runs, however many
  * groups the whole grid holds.  The sorted list is cut into one
  * contiguous lane per worker and the lanes are dealt round-robin, so
- * the pool's FIFO queue hands concurrent workers cells of different
- * groups instead of queueing them on one trace's generation.
+ * the pool's shared cursor hands concurrent workers cells of
+ * different groups instead of lining them up behind one trace's
+ * generation.
  */
 std::vector<std::size_t>
 traceLocalOrder(const std::vector<SweepJob> &jobs, int workers)

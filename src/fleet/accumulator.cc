@@ -1,92 +1,41 @@
 #include "fleet/accumulator.hh"
 
 #include <algorithm>
-#include <bit>
 
+#include "util/bytes.hh"
 #include "util/logging.hh"
 
 namespace suit::fleet {
 
 namespace {
 
-void
-putU64(std::uint64_t v, std::string &out)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void
-putDouble(double v, std::string &out)
-{
-    putU64(std::bit_cast<std::uint64_t>(v), out);
-}
+using suit::util::ByteReader;
+using suit::util::putF64;
+using suit::util::putU64;
 
 void
 putSum(const suit::util::ExactSum &sum, std::string &out)
 {
     putU64(sum.parts().size(), out);
     for (const double part : sum.parts())
-        putDouble(part, out);
+        putF64(part, out);
 }
 
-/** Bounds-checked little-endian reader (result_io style). */
-class Reader
+bool
+readSum(ByteReader &r, suit::util::ExactSum &out)
 {
-  public:
-    Reader(const char *data, std::size_t size, std::size_t offset)
-        : data_(data), size_(size), pos_(offset)
-    {
-    }
-
-    bool ok() const { return ok_; }
-    std::size_t pos() const { return pos_; }
-
-    std::uint64_t u64()
-    {
-        if (!take(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(data_[pos_ - 8 + i]))
-                 << (8 * i);
-        return v;
-    }
-
-    double f64() { return std::bit_cast<double>(u64()); }
-
-    bool sum(suit::util::ExactSum &out)
-    {
-        const std::uint64_t parts = u64();
-        if (!ok_ || parts > (size_ - pos_) / 8)
-            return false;
-        std::vector<double> values;
-        values.reserve(parts);
-        for (std::uint64_t i = 0; i < parts; ++i)
-            values.push_back(f64());
-        if (!ok_)
-            return false;
-        out = suit::util::ExactSum::fromParts(std::move(values));
-        return true;
-    }
-
-  private:
-    bool take(std::size_t n)
-    {
-        if (!ok_ || n > size_ - pos_) {
-            ok_ = false;
-            return false;
-        }
-        pos_ += n;
-        return true;
-    }
-
-    const char *data_;
-    std::size_t size_;
-    std::size_t pos_;
-    bool ok_ = true;
-};
+    const std::uint64_t parts = r.u64();
+    if (!r.ok() || parts > r.remaining() / 8)
+        return false;
+    std::vector<double> values;
+    values.reserve(parts);
+    for (std::uint64_t i = 0; i < parts; ++i)
+        values.push_back(r.f64());
+    if (!r.ok())
+        return false;
+    out = suit::util::ExactSum::fromParts(std::move(values));
+    return true;
+}
 
 constexpr std::uint64_t kFormatVersion = 1;
 
@@ -206,22 +155,23 @@ bool
 FleetAccumulator::deserialize(const char *data, std::size_t size,
                               std::size_t &offset)
 {
-    Reader r(data, size, offset);
+    ByteReader r(data, size, offset);
     if (r.u64() != kFormatVersion)
         return false;
 
     const std::uint64_t racks = r.u64();
     // Element floor: 10 u64 fields per rack minimum.
-    if (!r.ok() || racks > (size - r.pos()) / 80)
+    if (!r.ok() || racks > r.remaining() / 80)
         return false;
     racks_.assign(racks, RackTotals{});
     for (std::uint64_t i = 0; i < racks; ++i) {
         RackTotals &totals = racks_[i];
         totals.domains = r.u64();
-        if (!r.sum(totals.wattsBefore) || !r.sum(totals.wattsAfter) ||
-            !r.sum(totals.perfDeltaSum) ||
-            !r.sum(totals.efficientShareSum) ||
-            !r.sum(totals.durationSum))
+        if (!readSum(r, totals.wattsBefore) ||
+            !readSum(r, totals.wattsAfter) ||
+            !readSum(r, totals.perfDeltaSum) ||
+            !readSum(r, totals.efficientShareSum) ||
+            !readSum(r, totals.durationSum))
             return false;
         totals.traps = r.u64();
         totals.emulations = r.u64();

@@ -10,12 +10,12 @@
 #include <tuple>
 
 #include "core/params.hh"
-#include "exec/checkpoint.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "power/cpu_model.hh"
 #include "runtime/journaled.hh"
 #include "sim/domain_sim.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace suit::fleet {
@@ -80,7 +80,7 @@ FleetEngine::journalFingerprint(std::uint64_t shard_size) const
         bytes[8 + i] = static_cast<unsigned char>(
             (shard_size >> (8 * i)) & 0xFF);
     }
-    return suit::exec::fnv1a64(bytes, sizeof(bytes));
+    return suit::util::fnv1a64(bytes, sizeof(bytes));
 }
 
 namespace {

@@ -4,11 +4,11 @@
 #include <cstdio>
 #include <set>
 
-#include "exec/checkpoint.hh"
 #include "sim/trace_cache.hh"
 #include "trace/profile.hh"
 #include "util/args.hh"
 #include "util/format.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -300,11 +300,11 @@ FleetSpec::domainAt(std::uint64_t index) const
     // are identical), so the cache holds workloads x variants traces.
     const std::string &workload_name =
         rack.workloads[cfg.workload].workload;
-    std::uint64_t h = suit::exec::fnv1a64(workload_name.data(),
+    std::uint64_t h = suit::util::fnv1a64(workload_name.data(),
                                           workload_name.size(), seed);
     const unsigned char variant_byte =
         static_cast<unsigned char>(cfg.variant);
-    cfg.traceSeed = suit::exec::fnv1a64(&variant_byte, 1, h);
+    cfg.traceSeed = suit::util::fnv1a64(&variant_byte, 1, h);
     return cfg;
 }
 
@@ -349,7 +349,7 @@ FleetSpec::scaleDomains(std::uint64_t domains)
 std::uint64_t
 FleetSpec::fingerprint() const
 {
-    using suit::exec::fnv1a64;
+    using suit::util::fnv1a64;
     std::uint64_t h = fnv1a64(nullptr, 0);
     const auto mix_u64 = [&](std::uint64_t v) {
         unsigned char bytes[8];

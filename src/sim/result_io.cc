@@ -1,118 +1,14 @@
 #include "sim/result_io.hh"
 
-#include <bit>
-#include <cstdint>
-#include <cstring>
-#include <limits>
+#include "util/bytes.hh"
 
 namespace suit::sim {
 
-namespace {
-
-void
-putU8(std::uint8_t v, std::string &out)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-putU32(std::uint32_t v, std::string &out)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void
-putU64(std::uint64_t v, std::string &out)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void
-putDouble(double v, std::string &out)
-{
-    putU64(std::bit_cast<std::uint64_t>(v), out);
-}
-
-void
-putString(const std::string &s, std::string &out)
-{
-    putU32(static_cast<std::uint32_t>(s.size()), out);
-    out.append(s);
-}
-
-/** Bounds-checked little-endian reader over a byte range. */
-class Reader
-{
-  public:
-    Reader(const char *data, std::size_t size, std::size_t offset)
-        : data_(data), size_(size), pos_(offset)
-    {
-    }
-
-    bool ok() const { return ok_; }
-    std::size_t pos() const { return pos_; }
-
-    std::uint8_t u8()
-    {
-        if (!take(1))
-            return 0;
-        return static_cast<std::uint8_t>(data_[pos_ - 1]);
-    }
-
-    std::uint32_t u32()
-    {
-        if (!take(4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(data_[pos_ - 4 + i]))
-                 << (8 * i);
-        return v;
-    }
-
-    std::uint64_t u64()
-    {
-        if (!take(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(data_[pos_ - 8 + i]))
-                 << (8 * i);
-        return v;
-    }
-
-    double f64() { return std::bit_cast<double>(u64()); }
-
-    std::string str()
-    {
-        const std::uint32_t len = u32();
-        if (!take(len))
-            return {};
-        return std::string(data_ + pos_ - len, len);
-    }
-
-  private:
-    bool take(std::size_t n)
-    {
-        if (!ok_ || n > size_ - pos_) {
-            ok_ = false;
-            return false;
-        }
-        pos_ += n;
-        return true;
-    }
-
-    const char *data_;
-    std::size_t size_;
-    std::size_t pos_;
-    bool ok_ = true;
-};
-
-} // namespace
+using suit::util::ByteReader;
+using suit::util::putF64;
+using suit::util::putString;
+using suit::util::putU64;
+using suit::util::putU8;
 
 void
 serializeResult(const DomainResult &result, std::string &out)
@@ -120,8 +16,8 @@ serializeResult(const DomainResult &result, std::string &out)
     putU64(result.cores.size(), out);
     for (const CoreResult &core : result.cores) {
         putString(core.workload, out);
-        putDouble(core.durationS, out);
-        putDouble(core.baselineDurationS, out);
+        putF64(core.durationS, out);
+        putF64(core.baselineDurationS, out);
     }
     putU64(result.stateLog.size(), out);
     for (const PStateChange &change : result.stateLog) {
@@ -129,10 +25,10 @@ serializeResult(const DomainResult &result, std::string &out)
         putU8(static_cast<std::uint8_t>(change.to), out);
         putU8(change.trap ? 1 : 0, out);
     }
-    putDouble(result.powerFactor, out);
-    putDouble(result.efficientShare, out);
-    putDouble(result.cfShare, out);
-    putDouble(result.cvShare, out);
+    putF64(result.powerFactor, out);
+    putF64(result.efficientShare, out);
+    putF64(result.cfShare, out);
+    putF64(result.cvShare, out);
     putU64(result.traps, out);
     putU64(result.emulations, out);
     putU64(result.pstateSwitches, out);
@@ -143,13 +39,13 @@ bool
 deserializeResult(const char *data, std::size_t size,
                   std::size_t &offset, DomainResult &out)
 {
-    Reader r(data, size, offset);
+    ByteReader r(data, size, offset);
 
     const std::uint64_t cores = r.u64();
     // An element floor of 17 bytes per core bounds the allocation
     // before trusting the count, so a corrupt length can't trigger a
     // multi-gigabyte reserve.
-    if (!r.ok() || cores > (size - r.pos()) / 17)
+    if (!r.ok() || cores > r.remaining() / 17)
         return false;
     out.cores.clear();
     out.cores.reserve(cores);
@@ -164,7 +60,7 @@ deserializeResult(const char *data, std::size_t size,
     }
 
     const std::uint64_t changes = r.u64();
-    if (!r.ok() || changes > (size - r.pos()) / 10)
+    if (!r.ok() || changes > r.remaining() / 10)
         return false;
     out.stateLog.clear();
     out.stateLog.reserve(changes);

@@ -42,6 +42,7 @@
 
 #include "trace/profile.hh"
 #include "trace/trace.hh"
+#include "util/hash.hh"
 
 namespace suit::sim {
 
@@ -144,19 +145,16 @@ class TraceCache
 
         std::size_t operator()(const KeyView &k) const
         {
-            std::uint64_t h = 1469598103934665603ULL;
-            const auto mix = [&h](unsigned char byte) {
-                h ^= byte;
-                h *= 1099511628211ULL;
-            };
-            for (const char c : k.name)
-                mix(static_cast<unsigned char>(c));
+            unsigned char tail[12];
             for (int i = 0; i < 8; ++i)
-                mix(static_cast<unsigned char>(k.seed >> (8 * i)));
+                tail[i] = static_cast<unsigned char>(k.seed >> (8 * i));
             const auto stream = static_cast<std::uint32_t>(k.stream);
             for (int i = 0; i < 4; ++i)
-                mix(static_cast<unsigned char>(stream >> (8 * i)));
-            return static_cast<std::size_t>(h);
+                tail[8 + i] =
+                    static_cast<unsigned char>(stream >> (8 * i));
+            return static_cast<std::size_t>(suit::util::fnv1a64(
+                tail, sizeof(tail),
+                suit::util::fnv1a64(k.name.data(), k.name.size())));
         }
 
         std::size_t operator()(const Key &k) const

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -13,18 +14,6 @@ using suit::isa::kNumFaultableKinds;
 using suit::util::Rng;
 
 namespace {
-
-/** FNV-1a, to fold the profile name into the seed. */
-std::uint64_t
-hashName(const std::string &name)
-{
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (char c : name) {
-        h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
 
 FaultableKind
 sampleKind(const std::array<double, kNumFaultableKinds> &mix, Rng &rng)
@@ -51,7 +40,9 @@ Trace
 TraceGenerator::generate(const WorkloadProfile &profile,
                          int stream_id) const
 {
-    Rng rng(seed_ ^ hashName(profile.name) ^
+    // FNV-1a folds the profile name into the seed.
+    Rng rng(seed_ ^
+            suit::util::fnv1a64(profile.name.data(), profile.name.size()) ^
             (static_cast<std::uint64_t>(stream_id) * 0x9E3779B9ULL));
 
     const BurstModel &bm = profile.bursts;

@@ -176,7 +176,7 @@ const WorkloadProfile &vlcProfile();
  * almost completely at typical densities (0.03 % at the 0.07 %
  * average IMUL density) but not for IMUL-heavy code (1.60 % for
  * 525.x264 at 0.99 %).  Calibrated against the gem5-style study that
- * bench/fig14_imul_latency reproduces with the uarch model.
+ * bench/paper.cc (Fig. 14) reproduces with the uarch model.
  *
  * @param imul_fraction fraction of instructions that are IMUL.
  * @return fractional slowdown (e.g. 0.016 for 1.6 %).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -46,17 +47,6 @@ ProgramGenerator::ProgramGenerator(std::uint64_t seed) : seed_(seed) {}
 
 namespace {
 
-std::uint64_t
-hashName(const std::string &name)
-{
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (char c : name) {
-        h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
-
 OpClass
 sampleClass(const ProgramMix &mix, double total, Rng &rng)
 {
@@ -98,7 +88,7 @@ Program
 ProgramGenerator::generate(const ProgramMix &mix,
                            std::size_t count) const
 {
-    Rng rng(seed_ ^ hashName(mix.name));
+    Rng rng(seed_ ^ suit::util::fnv1a64(mix.name.data(), mix.name.size()));
 
     double total = 0.0;
     for (double w : mix.weights)

@@ -302,7 +302,11 @@ measureTelemetryOverheadPct(const sim::SimConfig &base,
     return std::max(deltas_pct[deltas_pct.size() / 2], 0.0);
 }
 
-/** The tracked scenario set (mirrors bench/micro_benchmarks.cc). */
+/**
+ * The tracked domain-simulator scenarios (single-core fast and
+ * reference, dense, shared four-core): the only timing of the
+ * simulator's event loop.
+ */
 std::vector<BenchResult>
 runScenarios(int reps, double &obs_overhead_pct,
              double &telemetry_overhead_pct)
