@@ -2,9 +2,9 @@
  * @file
  * Aligned ASCII table printer for the benchmark harnesses.
  *
- * Every bench/ binary regenerates one of the paper's tables or figure
- * series; TablePrinter renders them with aligned columns so the output
- * can be compared against the paper side by side.
+ * The bench/ programs regenerate the paper's tables and figure series;
+ * TablePrinter renders them with aligned columns so the output can be
+ * compared against the paper side by side.
  */
 
 #ifndef SUIT_UTIL_TABLE_HH

@@ -1,7 +1,8 @@
 # Paper conformance: run suit_paper and require
 #  - exit 0: every paper claim holds, or misses as a listed expected
 #    deviation (a listed deviation that starts to hold fails too);
-#  - a suit-claims-v1 record from --json;
+#  - a suit-claims-v1 record from --json whose header counts its claim
+#    lines and whose claim ids are distinct;
 #  - EXPERIMENTS.md holding the printed claims table verbatim between
 #    its "suit_paper claims" markers, so the documented claims cannot
 #    drift from the code.
@@ -23,6 +24,8 @@ execute_process(
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)
+# paper_section_test.cmake reads the per-experiment sections from here.
+file(WRITE "${WORK_DIR}/stdout.txt" "${out}")
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR
         "suit_paper failed (exit ${rc}): a paper claim fails\n${out}\n${err}")
@@ -33,6 +36,25 @@ string(FIND "${json}" "{\"schema\": \"suit-claims-v1\"" pos)
 if(NOT pos EQUAL 0)
     message(FATAL_ERROR "claims record lacks the suit-claims-v1 header")
 endif()
+
+# Every claim line opens with its id.
+string(REGEX MATCH "\"claims\": ([0-9]+)" unused "${json}")
+set(declared "${CMAKE_MATCH_1}")
+string(REGEX MATCHALL "\n{\"id\": \"[^\"]*\"" ids "${json}")
+list(LENGTH ids claim_lines)
+if(NOT declared STREQUAL claim_lines)
+    message(FATAL_ERROR "the suit-claims-v1 header counts ${declared} "
+        "claims, the record holds ${claim_lines} claim lines")
+endif()
+set(seen "")
+foreach(id IN LISTS ids)
+    string(REGEX REPLACE "^\n{" "" id "${id}")
+    list(FIND seen "${id}" at)
+    if(NOT at EQUAL -1)
+        message(FATAL_ERROR "two claims share ${id}")
+    endif()
+    list(APPEND seen "${id}")
+endforeach()
 
 # The claims block is the tail of stdout, from its heading on.
 string(FIND "${out}" "=== Paper claims" start)
