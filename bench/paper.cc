@@ -48,10 +48,10 @@
 #include "core/params.hh"
 #include "core/scheduler.hh"
 #include "core/strategy.hh"
+#include "emu/dispatcher.hh"
 #include "exec/sweep.hh"
 #include "faults/characterizer.hh"
 #include "obs/json.hh"
-#include "os/emulation_service.hh"
 #include "os/exception.hh"
 #include "power/cpu_model.hh"
 #include "power/guardband.hh"
@@ -484,16 +484,13 @@ sec53()
 
     std::printf("\nTotal per-instruction emulation cost (round trip + "
                 "software body) at the base frequency:\n");
-    os::ExceptionTable table(i9.exceptionDelayUs(), i9.emulationCallUs());
-    os::EmulationService service(table);
     util::TablePrinter t2({"Instruction", "Body (cycles)", "Total (us)"});
     for (const auto kind : isa::allFaultableKinds())
         t2.addRow({isa::toString(kind),
                    util::sformat("%.0f", emu::emulationCostCycles(kind)),
                    util::sformat("%.2f",
                                  util::ticksToMicroseconds(
-                                     service.emulationCost(
-                                         kind, i9.baseFreqHz())))});
+                                     os::emulationCostTicks(i9, kind)))});
     t2.print();
     return {i9.exceptionDelayUs(), i9.emulationCallUs(),
             amd.exceptionDelayUs(), amd.emulationCallUs()};

@@ -1,6 +1,5 @@
 #include "emu/vec.hh"
 
-#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace suit::emu {
@@ -98,17 +97,6 @@ void
 Vec256::toBytes(std::uint8_t *out) const
 {
     std::memcpy(out, words_.data(), 32);
-}
-
-std::string
-Vec256::toString() const
-{
-    return suit::util::sformat(
-        "%016llx:%016llx:%016llx:%016llx",
-        static_cast<unsigned long long>(words_[3]),
-        static_cast<unsigned long long>(words_[2]),
-        static_cast<unsigned long long>(words_[1]),
-        static_cast<unsigned long long>(words_[0]));
 }
 
 } // namespace suit::emu

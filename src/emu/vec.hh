@@ -14,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <string>
 
 namespace suit::emu {
 
@@ -66,9 +65,6 @@ class Vec256
 
     /** Copy out all 32 bytes. */
     void toBytes(std::uint8_t *out) const;
-
-    /** Hex dump, most significant word first. */
-    std::string toString() const;
 
     bool operator==(const Vec256 &other) const = default;
 

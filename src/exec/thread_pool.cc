@@ -3,11 +3,6 @@
 #include <chrono>
 #include <exception>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "util/format.hh"
@@ -57,43 +52,7 @@ ThreadPool::currentWorkerIndex()
     return tls_worker_index;
 }
 
-bool
-ThreadPool::pinCurrentThread(std::size_t index)
-{
-#if defined(__linux__)
-    const int ncpus = hardwareConcurrency();
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<int>(index) % ncpus, &set);
-    const int rc = pthread_setaffinity_np(pthread_self(),
-                                          sizeof(set), &set);
-    if (rc != 0) {
-        // Once per pool is enough: if one affinity call is refused
-        // (cgroup cpuset, restricted mask), they all will be.
-        static std::once_flag warned;
-        std::call_once(warned, [rc] {
-            suit::util::warn(
-                "worker pinning requested but "
-                "pthread_setaffinity_np failed (errno %d); "
-                "continuing unpinned",
-                rc);
-        });
-        return false;
-    }
-    return true;
-#else
-    (void)index;
-    static std::once_flag warned;
-    std::call_once(warned, [] {
-        suit::util::warn("worker pinning is not supported on this "
-                         "platform; continuing unpinned");
-    });
-    return false;
-#endif
-}
-
-ThreadPool::ThreadPool(int workers, bool pin_workers)
-    : pinWorkers_(pin_workers)
+ThreadPool::ThreadPool(int workers)
 {
     const int count = workers > 0 ? workers : hardwareConcurrency();
     cells_.reserve(static_cast<std::size_t>(count));
@@ -168,8 +127,6 @@ ThreadPool::workerMain(std::size_t index)
 {
     tls_worker_pool = this;
     tls_worker_index = static_cast<int>(index);
-    if (pinWorkers_ && pinCurrentThread(index))
-        pinned_.fetch_add(1, std::memory_order_relaxed);
     WorkerCell &cell = *cells_[index];
 
     // Latched once per worker: the session (installed before the pool

@@ -58,10 +58,8 @@ class ThreadPool
     /**
      * @param workers worker thread count; 0 selects
      *        hardwareConcurrency().
-     * @param pin_workers pin worker i to CPU i mod
-     *        hardwareConcurrency() (opt-in; see pinnedWorkers()).
      */
-    explicit ThreadPool(int workers = 0, bool pin_workers = false);
+    explicit ThreadPool(int workers = 0);
 
     /** Joins all workers. */
     ~ThreadPool();
@@ -80,17 +78,6 @@ class ThreadPool
 
     /** Number of worker threads. */
     int workers() const { return static_cast<int>(threads_.size()); }
-
-    /**
-     * Workers successfully pinned to a CPU.  0 unless pinning was
-     * requested; may be < workers() where the platform refuses the
-     * affinity call (pinning degrades gracefully — the worker keeps
-     * running unpinned and a single warning is emitted).
-     */
-    int pinnedWorkers() const
-    {
-        return pinned_.load(std::memory_order_relaxed);
-    }
 
     /**
      * Index of the pool worker running the current thread, or -1 on
@@ -142,9 +129,6 @@ class ThreadPool
                   const std::function<void(std::size_t)> &body,
                   std::size_t n);
 
-    /** Pin the calling worker to a CPU; true on success. */
-    static bool pinCurrentThread(std::size_t index);
-
     /** Serialises parallelFor() callers and shutdown(). */
     std::mutex callerMu_;
 
@@ -168,8 +152,6 @@ class ThreadPool
 
     std::vector<std::unique_ptr<WorkerCell>> cells_;
     std::vector<std::thread> threads_;
-    bool pinWorkers_ = false; //!< pin workers to CPUs at startup
-    std::atomic<int> pinned_{0}; //!< workers successfully pinned
     bool joined_ = false; //!< shutdown() already ran
 };
 

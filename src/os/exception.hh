@@ -1,31 +1,26 @@
 /**
  * @file
- * CPU exception vectors and the #DO dispatch path.
+ * The #DO trap frame and the Sec. 5.3 emulation charge.
  *
  * SUIT claims one of the reserved Intel interrupt vectors for the new
  * Disabled Opcode (#DO) exception (paper Sec. 3.3).  Like other CPU
  * exceptions it preserves the register state so the faulting program
- * can continue.  This module models the vector table and charges the
- * measured kernel entry costs (Sec. 5.3).
+ * can continue.  Emulating the trapped instruction in user space
+ * (Sec. 3.4) costs the measured two-transition round trip plus the
+ * emulation body scaled by the clock (Sec. 5.3).
  */
 
 #ifndef SUIT_OS_EXCEPTION_HH
 #define SUIT_OS_EXCEPTION_HH
 
 #include <cstdint>
-#include <functional>
 
+#include "emu/dispatcher.hh"
 #include "isa/faultable.hh"
+#include "power/cpu_model.hh"
 #include "util/ticks.hh"
 
 namespace suit::os {
-
-/** The exception vectors the model knows about. */
-enum class ExceptionVector : std::uint8_t
-{
-    InvalidOpcode = 6,   //!< #UD, the existing trap SUIT mirrors
-    DisabledOpcode = 21, //!< #DO, one of Intel's reserved vectors
-};
 
 /** Information delivered with a #DO exception. */
 struct TrapFrame
@@ -41,56 +36,18 @@ struct TrapFrame
 };
 
 /**
- * The kernel's exception table plus the measured costs of getting
- * into (and back out of) the handler.
+ * Time charged for emulating one trapped @p kind on @p cpu: the
+ * user/kernel/user round trip (Sec. 5.3: 0.77 us on the i9, 0.27 us
+ * on the AMD) plus the software body at the base frequency.
  */
-class ExceptionTable
+inline suit::util::Tick
+emulationCostTicks(const suit::power::CpuModel &cpu,
+                   suit::isa::FaultableKind kind)
 {
-  public:
-    /** Handler signature: receives the trap frame. */
-    using Handler = std::function<void(const TrapFrame &)>;
-
-    /**
-     * @param exception_delay_us user space -> handler entry latency
-     *        (paper Sec. 5.3: 0.34 us on the i9, 0.11 us on the AMD).
-     * @param emulation_call_us full user/kernel/user emulation round
-     *        trip (0.77 us / 0.27 us).
-     */
-    ExceptionTable(double exception_delay_us, double emulation_call_us);
-
-    /** Install the handler for a vector. */
-    void registerHandler(ExceptionVector vec, Handler handler);
-
-    /** True if a handler is installed. */
-    bool hasHandler(ExceptionVector vec) const;
-
-    /**
-     * Raise an exception: invokes the installed handler.  Panics on a
-     * missing handler (a real CPU would double fault).
-     */
-    void raise(ExceptionVector vec, const TrapFrame &frame);
-
-    /** Cost of entering the handler, in ticks. */
-    suit::util::Tick entryCost() const;
-
-    /**
-     * Cost of the full trap-to-user-space-emulation round trip
-     * (two kernel transitions, Sec. 3.4), in ticks, excluding the
-     * emulation body itself.
-     */
-    suit::util::Tick emulationCallCost() const;
-
-    /** Number of exceptions raised so far (for thrash detection). */
-    std::uint64_t raiseCount() const { return raiseCount_; }
-
-  private:
-    double exceptionDelayUs_;
-    double emulationCallUs_;
-    Handler handlers_[2];
-    std::uint64_t raiseCount_ = 0;
-
-    static int index(ExceptionVector vec);
-};
+    return suit::util::microsecondsToTicks(cpu.emulationCallUs()) +
+           suit::util::secondsToTicks(
+               suit::emu::emulationCostCycles(kind) / cpu.baseFreqHz());
+}
 
 } // namespace suit::os
 

@@ -22,12 +22,6 @@ DelayDistribution::sample(Rng &rng) const
     return suit::util::microsecondsToTicks(us);
 }
 
-Tick
-DelayDistribution::meanTicks() const
-{
-    return suit::util::microsecondsToTicks(meanUs);
-}
-
 std::vector<WaveformSample>
 voltageStepWaveform(const TransitionModel &model, double start_mv,
                     double end_mv, Rng &rng, double sample_period_us)

@@ -32,9 +32,6 @@ struct DelayDistribution
 
     /** Draw one delay in ticks (truncated normal, never negative). */
     suit::util::Tick sample(suit::util::Rng &rng) const;
-
-    /** Mean delay in ticks (for deterministic analyses). */
-    suit::util::Tick meanTicks() const;
 };
 
 /** How a CPU executes p-state change requests. */

@@ -28,7 +28,6 @@ sessionConfig(const suit::util::ArgParser &args)
     config.jobs =
         static_cast<int>(args.getIntInRange("jobs", 0, kMaxJobs));
     config.traceCacheBytes = static_cast<std::size_t>(cache_mb) << 20;
-    config.pinWorkers = args.getFlag("pin");
     return config;
 }
 
@@ -42,10 +41,6 @@ CliRun::addOptions(suit::util::ArgParser &args, const char *noun,
     args.addOption("jobs", "0",
                    "parallel workers (0 = hardware threads, "
                    "1 = serial reference)");
-    args.addFlag("pin",
-                 "pin each worker thread to a CPU (cache locality "
-                 "on dedicated machines; unsupported platforms warn "
-                 "and continue unpinned)");
     args.addOption("checkpoint", "",
                    "journal completed " + units +
                        " to this file (crash-safe)");

@@ -3,7 +3,7 @@
  * CliRun: the run wiring shared by the campaign CLIs (suit_sim suite
  * mode, suit_sweep, suit_fleet), next to obs::CliScope.
  *
- * addOptions() declares the shared run flags (--jobs, --pin,
+ * addOptions() declares the shared run flags (--jobs,
  * --trace-cache-mb, --checkpoint, --checkpoint-flush, --resume,
  * --deadline-s and optionally --stop-after), worded for the CLI's
  * unit noun ("cell", "shard", "workload").  After parsing, one CliRun

@@ -17,10 +17,8 @@ Session::Session(SessionConfig config)
                               : cfg_.jobs;
     SUIT_ASSERT(requested >= 1, "worker count must be >= 1, got %d",
                 requested);
-    if (requested > 1) {
-        pool_ = std::make_unique<ThreadPool>(requested,
-                                             cfg_.pinWorkers);
-    }
+    if (requested > 1)
+        pool_ = std::make_unique<ThreadPool>(requested);
     // One workspace per pool worker plus one for the session thread
     // (slot 0).  unique_ptr slots keep each workspace's address
     // stable and avoid false sharing between adjacent workers' hot

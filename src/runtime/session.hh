@@ -46,13 +46,6 @@ struct SessionConfig {
     /** Trace cache capacity in bytes (LRU eviction above it). */
     std::size_t traceCacheBytes =
         suit::sim::TraceCache::kDefaultCapacityBytes;
-    /**
-     * Pin worker i to CPU i mod hardwareConcurrency() (--pin).
-     * Opt-in: pinning helps cache locality on dedicated machines but
-     * hurts on shared ones; unsupported platforms warn and continue
-     * unpinned.  No effect in serial mode.
-     */
-    bool pinWorkers = false;
 };
 
 class Session

@@ -6,8 +6,8 @@
 #include <mutex>
 #include <string>
 
-#include "emu/dispatcher.hh"
 #include "obs/registry.hh"
+#include "os/exception.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
 
@@ -405,15 +405,6 @@ DomainSimulator::completePending()
         tracePState(now_, pstate_, "async");
 }
 
-Tick
-DomainSimulator::emulationCostTicks(suit::isa::FaultableKind kind) const
-{
-    const double body_s = suit::emu::emulationCostCycles(kind) /
-                          cfg_.cpu->baseFreqHz();
-    return suit::util::microsecondsToTicks(cfg_.cpu->emulationCallUs()) +
-           suit::util::secondsToTicks(body_s);
-}
-
 void
 DomainSimulator::advanceToRef(Tick t)
 {
@@ -611,7 +602,8 @@ DomainSimulator::handleFaultableInstruction(std::size_t i)
                 static_cast<double>(cfg_.params.maxExceptionCount));
         }
         const Tick cost = static_cast<Tick>(
-            static_cast<double>(emulationCostTicks(kind)) *
+            static_cast<double>(
+                suit::os::emulationCostTicks(*cfg_.cpu, kind)) *
             weight);
         resume_[i] = std::max(resume_[i], now_ + cost);
     } else {

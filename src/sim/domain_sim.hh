@@ -378,9 +378,6 @@ class DomainSimulator final : public suit::core::CpuControl
     void consumeEvent(std::size_t i);
     /** Apply a completed p-state change. */
     void completePending();
-
-    suit::util::Tick emulationCostTicks(suit::isa::FaultableKind kind)
-        const;
 };
 
 } // namespace suit::sim

@@ -239,12 +239,13 @@ std::vector<WorkloadProfile>
 buildProfiles()
 {
     // Columns: name, suite, Ginstr, IPC, burst events, within-burst
-    // gap, log-normal sigma, IMUL fraction, no-SIMD delta (Table 4),
-    // target efficient-curve share (Sec. 6.4 anchors: xz 97.1 %,
-    // gcc 76.6 %, omnetpp 3.2 %; the rest interpolated to match the
-    // Fig. 16 ordering).  Unlisted no-SIMD deltas default to the
-    // suite means (intrate +0.5 %, fprate -4.1 %, all under the 5 %
-    // reporting threshold of Table 4).
+    // gap, log-normal sigma, IMUL fraction, no-SIMD delta on the i9
+    // and on the 7700X (Table 4), target efficient-curve share
+    // (Sec. 6.4 anchors: xz 97.1 %, gcc 76.6 %, omnetpp 3.2 %; the
+    // rest interpolated to match the Fig. 16 ordering), trace
+    // thinning weight.  Workloads Table 4 does not list hold filler
+    // no-SIMD deltas (i9 / 7700X): intrate +0.5 % / +1.0 %, fprate
+    // -3.5 % / -4.0 %, all under its 5 % reporting threshold.
     const SpecRow rows[] = {
         // High efficient-share tier: rare, ~0.5 ms dense SIMD
         // phases (one trace event = 10 real faultable instructions).

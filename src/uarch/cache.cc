@@ -97,15 +97,6 @@ Cache::contains(std::uint64_t addr) const
     return false;
 }
 
-double
-Cache::missRate() const
-{
-    if (accesses_ == 0)
-        return 0.0;
-    return static_cast<double>(misses_) /
-           static_cast<double>(accesses_);
-}
-
 MemoryHierarchy::MemoryHierarchy(const Config &config)
     : cfg_(config), llc_(cfg_.llc, nullptr), l1i_(cfg_.l1i, &llc_),
       l1d_(cfg_.l1d, &llc_)

@@ -47,7 +47,6 @@ class Cache
     /** @{ Statistics. */
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
-    double missRate() const;
     /** @} */
 
     const Config &config() const { return cfg_; }

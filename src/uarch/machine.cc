@@ -246,8 +246,12 @@ SuitMachine::runBaseline(const Program &program)
 MachineResult
 SuitMachine::runSuit(const Program &program)
 {
+    const double base_hz = cfg_.cpu->baseFreqHz();
     CoreConfig core_cfg = cfg_.core;
     core_cfg.setImulLatency(4); // SUIT hardware (Sec. 4.2)
+    // #DO entry: the CPU's measured exception delay (Sec. 5.3).
+    core_cfg.trapPenalty = static_cast<int>(
+        cfg_.cpu->exceptionDelayUs() * 1e-6 * base_hz);
     O3Model core(core_cfg);
 
     CycleCpu cpu(cfg_, SuitPState::ConservativeVolt);
@@ -259,7 +263,6 @@ SuitMachine::runSuit(const Program &program)
         suit::isa::FaultableSet::suitTrapSet();
     core.setDisabledSet(trap_set);
 
-    const double base_hz = cfg_.cpu->baseFreqHz();
     const Cycle emu_roundtrip = static_cast<Cycle>(
         cfg_.cpu->emulationCallUs() * 1e-6 * base_hz);
     const Cycle trap_penalty =

@@ -69,7 +69,10 @@ class SuitMachine
     {
         /** Power/DVFS description (not owned). */
         const suit::power::CpuModel *cpu = nullptr;
-        /** Pipeline configuration (IMUL latency is set per run). */
+        /**
+         * Pipeline configuration (IMUL latency is set per run, and
+         * runSuit takes the trap penalty from the CPU model).
+         */
         CoreConfig core;
         /** Efficient-curve offset (negative mV). */
         double offsetMv = -97.0;

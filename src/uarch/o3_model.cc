@@ -59,12 +59,6 @@ O3Model::setAlarmHandler(AlarmHandler handler)
     alarmHandler_ = std::move(handler);
 }
 
-void
-O3Model::setAlarmTouchSet(suit::isa::FaultableSet set)
-{
-    alarmTouchSet_ = set;
-}
-
 namespace {
 
 /** Ring buffer of the last N cycle stamps (resource windows). */
@@ -127,6 +121,10 @@ O3Model::run(const Program &program)
     bool alarm_armed = false;
     Cycle alarm_at = 0;
     Cycle alarm_reload = 0;
+    // The touch set: what the MSR disables on the efficient curve
+    // (the hardened IMUL is *not* in it).
+    const suit::isa::FaultableSet alarm_touch =
+        suit::isa::FaultableSet::suitTrapSet();
     const std::uint64_t code_sites =
         std::max<std::uint64_t>(1, program.codeFootprintBytes / 4);
 
@@ -266,7 +264,7 @@ O3Model::run(const Program &program)
         // Touch: executing an instruction that would be disabled on
         // the efficient curve restarts the count-down (Sec. 4.1).
         if (alarm_armed && inst.faultable &&
-            alarmTouchSet_.contains(*inst.faultable)) {
+            alarm_touch.contains(*inst.faultable)) {
             alarm_at = complete + alarm_reload;
         }
 

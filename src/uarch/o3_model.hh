@@ -54,7 +54,10 @@ struct CoreConfig
     int lsqSize = 72;
     /** Front-end refill after a branch redirect, cycles. */
     int redirectPenalty = 10;
-    /** #DO / exception entry overhead in cycles (~0.34 us @3 GHz). */
+    /**
+     * #DO / exception entry overhead in cycles (~0.34 us @3 GHz);
+     * SuitMachine::runSuit sets it from the CPU model.
+     */
     int trapPenalty = 1000;
     /** Stride prefetcher hides sequential-stream L1D misses. */
     bool stridePrefetcher = true;
@@ -148,13 +151,6 @@ class O3Model
      */
     void setAlarmHandler(AlarmHandler handler);
 
-    /**
-     * The instructions that restart the deadline count-down — the
-     * set the MSR disables on the efficient curve (the hardened
-     * IMUL is *not* in it).
-     */
-    void setAlarmTouchSet(suit::isa::FaultableSet set);
-
     /** Run a program to completion and return the statistics. */
     CoreStats run(const Program &program);
 
@@ -170,8 +166,6 @@ class O3Model
     MemoryHierarchy mem_;
     GsharePredictor bp_;
     suit::isa::FaultableSet disabled_;
-    suit::isa::FaultableSet alarmTouchSet_ =
-        suit::isa::FaultableSet::suitTrapSet();
     TrapHandler handler_;
     AlarmHandler alarmHandler_;
 };

@@ -1,7 +1,5 @@
 #include "util/logging.hh"
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <mutex>
 
@@ -10,11 +8,6 @@
 namespace suit::util {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::atomic<LogLevel> g_level{LogLevel::Info};
-std::atomic<bool> g_tick_prefix{false};
 
 /**
  * One mutex serialises every sink write: concurrent inform()/warn()
@@ -35,60 +28,19 @@ sinkSlot()
     return sink;
 }
 
-Clock::time_point
-processStart()
-{
-    static const Clock::time_point start = Clock::now();
-    return start;
-}
-
-/** Message with the optional monotonic-tick prefix applied. */
-std::string
-decorate(const std::string &msg)
-{
-    if (!g_tick_prefix.load(std::memory_order_relaxed))
-        return msg;
-    const double s =
-        std::chrono::duration<double>(Clock::now() - processStart())
-            .count();
-    return sformat("[+%.6fs] ", s) + msg;
-}
-
 /** Serialised write to the installed sink or stderr. */
 void
 emit(LogClass cls, const char *tag, const std::string &msg)
 {
-    const std::string line = decorate(msg);
     std::lock_guard lock(sinkMutex());
     if (LogSink &sink = sinkSlot()) {
-        sink(cls, line);
+        sink(cls, msg);
         return;
     }
-    std::fprintf(stderr, "%s: %s\n", tag, line.c_str());
+    std::fprintf(stderr, "%s: %s\n", tag, msg.c_str());
 }
 
 } // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
-
-void
-setLogTickPrefix(bool enabled)
-{
-    // Latch the reference point on first use so the prefix measures
-    // time from roughly process start, not from the first message.
-    processStart();
-    g_tick_prefix.store(enabled, std::memory_order_relaxed);
-}
 
 void
 setLogSink(LogSink sink)
@@ -100,15 +52,13 @@ setLogSink(LogSink sink)
 void
 informStr(const std::string &msg)
 {
-    if (logLevel() >= LogLevel::Info)
-        emit(LogClass::Info, "info", msg);
+    emit(LogClass::Info, "info", msg);
 }
 
 void
 warnStr(const std::string &msg)
 {
-    if (logLevel() >= LogLevel::Warn)
-        emit(LogClass::Warn, "warn", msg);
+    emit(LogClass::Warn, "warn", msg);
 }
 
 void

@@ -22,32 +22,17 @@
 
 namespace suit::util {
 
-/** Verbosity control: messages below this level are suppressed. */
-enum class LogLevel { Silent, Warn, Info };
-
-/** Get/set the process-wide log level (defaults to Info). */
-LogLevel logLevel();
-void setLogLevel(LogLevel level);
-
 /** Kind of message delivered to a LogSink. */
 enum class LogClass { Info, Warn, Fatal, Panic };
 
 /**
  * Replacement message sink; null restores the stderr default.  The
  * sink is invoked under the writer mutex, one whole message at a
- * time (the level filter and tick prefix are applied first).  Used
- * by tests to capture output and by embedders to reroute it.
+ * time.  Used by tests to capture output and by embedders to
+ * reroute it.
  */
 using LogSink = std::function<void(LogClass, const std::string &)>;
 void setLogSink(LogSink sink);
-
-/**
- * Prefix every message with the monotonic time since process start
- * ("[+12.345678s] "), so interleaved multi-worker output stays
- * ordered and attributable.  All sinks are serialised by one writer
- * mutex regardless of this setting.
- */
-void setLogTickPrefix(bool enabled);
 
 /** @{ Raw (pre-formatted) sinks; prefer the variadic wrappers. */
 void informStr(const std::string &msg);

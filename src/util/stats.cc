@@ -39,14 +39,6 @@ RunningStats::stddev() const
     return std::sqrt(variance());
 }
 
-double
-RunningStats::stderrMean() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return stddev() / std::sqrt(static_cast<double>(count_));
-}
-
 void
 RunningStats::merge(const RunningStats &other)
 {

@@ -34,8 +34,6 @@ class RunningStats
     double variance() const;
     /** Sample standard deviation. */
     double stddev() const;
-    /** Standard error of the mean (sigma_x in the paper's notation). */
-    double stderrMean() const;
     /** Smallest sample (0 if empty). */
     double min() const { return count_ ? min_ : 0.0; }
     /** Largest sample (0 if empty). */

@@ -226,24 +226,6 @@ TEST(FleetEngine, KillAndResumeMatchesUninterruptedRun)
               reference);
 }
 
-TEST(FleetEngine, PinnedWorkersDoNotChangeTheReport)
-{
-    // --pin only moves threads onto CPUs; the work distribution and
-    // the exact accumulation order are unchanged, so the report must
-    // be byte-identical with pinning on, off, or unsupported (where
-    // the pool warns and continues unpinned).
-    const std::string reference = reportOf(testSpec(), 2, 32);
-
-    runtime::Session pinned_session({.jobs = 2, .pinWorkers = true});
-    FleetEngine engine(pinned_session, testSpec());
-    FleetOptions options;
-    options.shardSize = 32;
-    const FleetOutcome outcome = engine.run(options);
-    ASSERT_TRUE(outcome.complete());
-    EXPECT_EQ(fleet::renderReportJson(engine.spec(), outcome.totals),
-              reference);
-}
-
 TEST(FleetEngine, BatchedCheckpointResumeMatchesUninterruptedRun)
 {
     const std::string reference = reportOf(testSpec(), 1, 32);

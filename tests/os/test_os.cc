@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests of the OS model: MSR file, exception table and emulation
- * service.
+ * Tests of the OS model: MSR file and the #DO emulation charge.
  */
 
 #include <gtest/gtest.h>
 
-#include "os/emulation_service.hh"
 #include "os/exception.hh"
 #include "os/msr.hh"
+#include "power/cpu_model.hh"
 
 namespace {
 
@@ -42,81 +41,36 @@ TEST(MsrFileTest, WriteHookCanReject)
     EXPECT_EQ(msrs.read(MSR_SUIT_DVFS_CURVE), 1u);
 }
 
-TEST(ExceptionTableTest, DispatchesToHandler)
+TEST(EmulationCostTest, CostsMatchSec53)
 {
-    ExceptionTable table(0.34, 0.77);
-    int calls = 0;
-    suit::isa::FaultableKind seen{};
-    table.registerHandler(ExceptionVector::DisabledOpcode,
-                          [&](const TrapFrame &f) {
-                              ++calls;
-                              seen = f.kind;
-                          });
-    EXPECT_TRUE(table.hasHandler(ExceptionVector::DisabledOpcode));
-    EXPECT_FALSE(table.hasHandler(ExceptionVector::InvalidOpcode));
-
-    TrapFrame frame;
-    frame.kind = suit::isa::FaultableKind::AESENC;
-    table.raise(ExceptionVector::DisabledOpcode, frame);
-    EXPECT_EQ(calls, 1);
-    EXPECT_EQ(seen, suit::isa::FaultableKind::AESENC);
-    EXPECT_EQ(table.raiseCount(), 1u);
+    // Round trip (paper Sec. 5.3: 0.77 us on the i9, 0.27 us on the
+    // 7700X) plus the software body at the base frequency.
+    const suit::power::CpuModel i9 = suit::power::cpuA_i9_9900k();
+    const suit::power::CpuModel amd = suit::power::cpuB_ryzen7700x();
+    for (const auto kind : suit::isa::allFaultableKinds()) {
+        const auto body = [&](const suit::power::CpuModel &cpu) {
+            return suit::util::secondsToTicks(
+                suit::emu::emulationCostCycles(kind) / cpu.baseFreqHz());
+        };
+        EXPECT_EQ(emulationCostTicks(i9, kind),
+                  suit::util::microsecondsToTicks(0.77) + body(i9))
+            << suit::isa::toString(kind);
+        EXPECT_EQ(emulationCostTicks(amd, kind),
+                  suit::util::microsecondsToTicks(0.27) + body(amd))
+            << suit::isa::toString(kind);
+        EXPECT_LT(emulationCostTicks(amd, kind),
+                  emulationCostTicks(i9, kind));
+    }
 }
 
-TEST(ExceptionTableTest, CostsMatchSec53)
+TEST(EmulationCostTest, AesCostsMoreThanBitwise)
 {
-    // i9-9900K: 0.34 us to the handler, 0.77 us for the emulation
-    // round trip (paper Sec. 5.3).
-    ExceptionTable intel(0.34, 0.77);
-    EXPECT_EQ(intel.entryCost(), suit::util::microsecondsToTicks(0.34));
-    EXPECT_EQ(intel.emulationCallCost(),
-              suit::util::microsecondsToTicks(0.77));
-
-    ExceptionTable amd(0.11, 0.27);
-    EXPECT_LT(amd.entryCost(), intel.entryCost());
-}
-
-TEST(EmulationServiceTest, ComputesResultAndCost)
-{
-    ExceptionTable table(0.34, 0.77);
-    EmulationService service(table);
-
-    suit::emu::EmuRequest req;
-    req.kind = suit::isa::FaultableKind::VOR;
-    req.a = suit::emu::Vec256::broadcast64(0xF0F0);
-    req.b = suit::emu::Vec256::broadcast64(0x0F0F);
-
-    const EmulationOutcome out = service.emulate(req, 4.5e9);
-    EXPECT_EQ(out.result.u64(0), 0xFFFFu);
-    // Cost = round trip + body cycles at 4.5 GHz.
-    EXPECT_GT(out.cost, table.emulationCallCost());
-    EXPECT_LT(out.cost, table.emulationCallCost() +
-                            suit::util::microsecondsToTicks(1.0));
-    EXPECT_EQ(service.emulationCount(), 1u);
-}
-
-TEST(EmulationServiceTest, AesCostsMoreThanBitwise)
-{
-    ExceptionTable table(0.34, 0.77);
-    EmulationService service(table);
-    const auto vor_cost =
-        service.emulationCost(suit::isa::FaultableKind::VOR, 3e9);
-    const auto aes_cost =
-        service.emulationCost(suit::isa::FaultableKind::AESENC, 3e9);
-    EXPECT_GT(aes_cost, vor_cost);
-}
-
-TEST(EmulationServiceTest, LowerClockRaisesBodyCost)
-{
-    ExceptionTable table(0.0, 0.0); // isolate the body term
-    EmulationService service(table);
-    const auto fast =
-        service.emulationCost(suit::isa::FaultableKind::AESENC, 4e9);
-    const auto slow =
-        service.emulationCost(suit::isa::FaultableKind::AESENC, 2e9);
-    EXPECT_NEAR(static_cast<double>(slow),
-                2.0 * static_cast<double>(fast),
-                static_cast<double>(fast) * 0.01);
+    for (const auto &cpu : {suit::power::cpuA_i9_9900k(),
+                            suit::power::cpuB_ryzen7700x()}) {
+        EXPECT_GT(emulationCostTicks(cpu, suit::isa::FaultableKind::AESENC),
+                  emulationCostTicks(cpu, suit::isa::FaultableKind::VOR))
+            << cpu.name();
+    }
 }
 
 } // namespace

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests of the CMOS power model, guardbands, undervolt response,
- * energy meter and transition models.
+ * Tests of the CMOS power model, guardbands, undervolt response and
+ * transition models.
  */
 
 #include <gtest/gtest.h>
 
 #include "power/cmos.hh"
-#include "power/energy.hh"
 #include "power/guardband.hh"
 #include "power/transition.hh"
 #include "power/undervolt.hh"
@@ -106,22 +105,12 @@ TEST(Undervolt, EfficiencyMatchesTable2)
     EXPECT_NEAR(a.efficiencyDelta(), 0.20, 0.02);
 }
 
-TEST(Energy, IntegratesPiecewiseConstantPower)
-{
-    EnergyMeter m;
-    m.advance(suit::util::secondsToTicks(2.0), 10.0); // 20 J
-    m.advance(suit::util::secondsToTicks(3.0), 30.0); // +30 J
-    EXPECT_NEAR(m.energyJ(), 50.0, 1e-9);
-    EXPECT_NEAR(m.averagePowerW(), 50.0 / 3.0, 1e-9);
-    m.reset();
-    EXPECT_DOUBLE_EQ(m.energyJ(), 0.0);
-}
-
-TEST(Energy, EfficiencyDefinitionFromPaper)
+TEST(Undervolt, EfficiencyDefinitionFromPaper)
 {
     // Half the time at half the power -> 4x efficiency (Sec. 5.4).
-    EXPECT_NEAR(efficiencyRatio(0.5, 0.5), 4.0, 1e-12);
-    EXPECT_NEAR(efficiencyDelta(1.0, 1.0), 0.0, 1e-12);
+    const UndervoltEffect twice{.scoreDelta = 1.0, .powerDelta = -0.5};
+    EXPECT_NEAR(twice.efficiencyDelta(), 3.0, 1e-12);
+    EXPECT_NEAR(UndervoltEffect{}.efficiencyDelta(), 0.0, 1e-12);
 }
 
 TEST(Transition, SampleStaysWithinBounds)

@@ -159,25 +159,6 @@ TEST(Session, CurrentWorkerIndexIsMinusOneOffPool)
     EXPECT_EQ(exec::ThreadPool::currentWorkerIndex(), -1);
 }
 
-TEST(Session, PinWorkersOptionIsAcceptedAndCounted)
-{
-    // Pinning is opt-in and best-effort: the session must come up
-    // either way, and the pinned count never exceeds the worker
-    // count.  (On platforms without affinity support the pool warns
-    // once and reports zero pinned workers.)
-    Session session({.jobs = 2, .pinWorkers = true});
-    ASSERT_NE(session.pool(), nullptr);
-    EXPECT_TRUE(session.config().pinWorkers);
-    const int pinned = session.pool()->pinnedWorkers();
-    EXPECT_GE(pinned, 0);
-    EXPECT_LE(pinned, 2);
-
-    // And off by default.
-    Session plain({.jobs = 2});
-    EXPECT_FALSE(plain.config().pinWorkers);
-    EXPECT_EQ(plain.pool()->pinnedWorkers(), 0);
-}
-
 TEST(Session, LargeCacheNeverEvictsAndCountsHits)
 {
     Session session({.jobs = 1});

@@ -123,6 +123,41 @@ TEST(SuitMachineTest, DeadlineReturnsToEfficientCurve)
     EXPECT_GT(r.efficientShare, 0.4);
 }
 
+/** The i9 model with a different #DO entry delay. */
+power::CpuModel
+i9WithExceptionDelay(double exception_delay_us)
+{
+    const power::CpuModel i9 = power::cpuA_i9_9900k();
+    power::CpuModel::Config c;
+    c.name = i9.name();
+    c.label = i9.label();
+    c.vendor = i9.vendor();
+    c.coreCount = i9.coreCount();
+    c.domains = i9.domains();
+    c.conservativeCurve = i9.conservativeCurve();
+    c.undervolt = i9.undervolt();
+    c.transitions = i9.transitions();
+    c.baseFreqHz = i9.baseFreqHz();
+    c.basePowerW = i9.basePowerW();
+    c.exceptionDelayUs = exception_delay_us;
+    c.emulationCallUs = i9.emulationCallUs();
+    return power::CpuModel(std::move(c));
+}
+
+TEST(SuitMachineTest, TrapEntryCostComesFromTheCpuModel)
+{
+    // Each #DO costs the CPU's measured entry delay (Sec. 5.3), so a
+    // slower exception path must show up in the cycle count.
+    const Program p = quietProgramWithBursts(200'000, {100'000}, 7);
+    const power::CpuModel fast = i9WithExceptionDelay(0.34);
+    const power::CpuModel slow = i9WithExceptionDelay(0.68);
+    const MachineResult r_fast = SuitMachine(machineConfig(fast)).runSuit(p);
+    const MachineResult r_slow = SuitMachine(machineConfig(slow)).runSuit(p);
+    ASSERT_GE(r_fast.stats.traps, 1u);
+    EXPECT_EQ(r_slow.stats.traps, r_fast.stats.traps);
+    EXPECT_GT(r_slow.stats.cycles, r_fast.stats.cycles);
+}
+
 TEST(SuitMachineTest, DenseAesProgramStaysConservative)
 {
     const power::CpuModel cpu = power::cpuA_i9_9900k();
