@@ -110,6 +110,13 @@ class OperatingStrategy
     /** Total #DO exceptions handled. */
     std::uint64_t trapCount() const { return trapCount_; }
 
+    /**
+     * Count @p n traps handled without an onDisabledOpcode() call:
+     * the simulator's emulation window resolves strategy e's traps
+     * itself.
+     */
+    void noteTraps(std::uint64_t n) { trapCount_ += n; }
+
   protected:
     std::uint64_t trapCount_ = 0;
 };

@@ -27,8 +27,6 @@ struct TrapFrame
 {
     /** The disabled instruction that was fetched. */
     suit::isa::FaultableKind kind = suit::isa::FaultableKind::VOR;
-    /** Position of the instruction in its stream. */
-    std::uint64_t instructionIndex = 0;
     /** Core that raised the exception. */
     int coreId = 0;
     /** Simulated time of the trap. */

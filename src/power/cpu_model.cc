@@ -125,7 +125,9 @@ cpuA_i9_9900k()
 {
     CpuModel::Config c;
     c.name = "Intel Core i9-9900K";
-    c.label = "A";
+    // Move-assigned: GCC 12 at -O3 reports a false -Wrestrict on the
+    // inlined assignment of a short literal.
+    c.label = std::string("A");
     c.coreCount = 8;
     c.domains = DomainLayout::SharedAll;
     c.conservativeCurve = i9_9900kCurve();
@@ -143,7 +145,7 @@ cpuB_ryzen7700x()
 {
     CpuModel::Config c;
     c.name = "AMD Ryzen 7 7700X";
-    c.label = "B";
+    c.label = std::string("B");
     c.vendor = Vendor::Amd;
     c.coreCount = 8;
     c.domains = DomainLayout::PerCoreFrequency;
@@ -163,7 +165,7 @@ cpuC_xeon4208()
 {
     CpuModel::Config c;
     c.name = "Intel Xeon Silver 4208";
-    c.label = "C";
+    c.label = std::string("C");
     c.coreCount = 8;
     c.domains = DomainLayout::PerCoreAll;
     // The Xeon uses the same clock-source behaviour as the i9 (paper
@@ -185,7 +187,7 @@ cpu_i5_1035g1()
 {
     CpuModel::Config c;
     c.name = "Intel Core i5-1035G1";
-    c.label = "i5";
+    c.label = std::string("i5");
     c.coreCount = 4;
     c.domains = DomainLayout::SharedAll;
     c.conservativeCurve =

@@ -14,6 +14,8 @@
 namespace suit::sim {
 
 using suit::core::StrategyKind;
+using suit::isa::FaultableKind;
+using suit::isa::kNumFaultableKinds;
 using suit::power::kNumSuitPStates;
 using suit::power::pstateIndex;
 using suit::power::SuitPState;
@@ -30,6 +32,17 @@ constexpr Tick kNever = std::numeric_limits<Tick>::max();
  * the reaction latency stays far below human-visible.
  */
 constexpr std::uint32_t kCancelPollInterval = 4096;
+
+/** Count one step down; poll @p cancel when the countdown runs out. */
+inline void
+pollCancel(const suit::runtime::CancelToken *cancel,
+           std::uint32_t &countdown)
+{
+    if (cancel != nullptr && --countdown == 0) {
+        countdown = kCancelPollInterval;
+        cancel->throwIfCancelled();
+    }
+}
 
 /**
  * Min-reduction over the arrival row: the index of the earliest
@@ -241,6 +254,25 @@ DomainSimulator::reset(const SimConfig &config,
             cfg_.cpu->factorsAt(cfg_.offsetMv);
         for (int i = 0; i < kNumSuitPStates; ++i)
             powerTbl_[i] = f.power[i];
+    }
+    emuCost_.clear();
+    if (cfg_.mode == RunMode::Suit &&
+        cfg_.strategy == StrategyKind::Emulation) {
+        // handleFaultableInstruction()'s charge for an emulated event:
+        // strategy e weighs it by the full eventWeight.
+        emuCost_.resize(nCores_ * kNumFaultableKinds);
+        for (std::size_t i = 0; i < nCores_; ++i) {
+            const double weight = cores_[i].work.profile->eventWeight;
+            for (const FaultableKind kind :
+                 suit::isa::allFaultableKinds()) {
+                emuCost_[i * kNumFaultableKinds +
+                         static_cast<std::size_t>(kind)] =
+                    static_cast<Tick>(
+                        static_cast<double>(suit::os::emulationCostTicks(
+                            *cfg_.cpu, kind)) *
+                        weight);
+            }
+        }
     }
 
     if (!cfg_.obsBypass)
@@ -576,11 +608,6 @@ DomainSimulator::handleFaultableInstruction(std::size_t i)
 
     suit::os::TrapFrame frame;
     frame.kind = kind;
-    // The cursor walks forward from the previous trap: amortised one
-    // add per event, where Trace::eventIndex() would re-walk up to a
-    // block of gaps on every trap.
-    frame.instructionIndex =
-        core.trapIndex.indexOf(*core.work.trace, core.nextEvent);
     frame.coreId = static_cast<int>(i);
     frame.when = now_;
 
@@ -847,6 +874,188 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
     batchedEvents_ += consumed;
 }
 
+bool
+DomainSimulator::emulationWindowOpen() const
+{
+    // Strategy e never enables the set, arms the timer or starts a
+    // transition, but the window must not rely on that.  The state
+    // log and a trace session take per-trap records, which only the
+    // generic step writes.
+    return cfg_.mode == RunMode::Suit &&
+           cfg_.strategy == StrategyKind::Emulation && disabled_ &&
+           !timer_.armed() && !pending_ && !cfg_.recordStateLog &&
+           trace_ == nullptr;
+}
+
+void
+DomainSimulator::runEmulationWindowSingle(std::uint64_t &budget,
+                                          std::uint32_t &cancel_countdown)
+{
+    Core &core = cores_[0];
+    const int sidx = pstateIndex(pstate_);
+    const double rate = rates_[static_cast<std::size_t>(sidx)];
+    const double pf = powerTbl_[sidx];
+    const Tick exception_delay =
+        suit::util::microsecondsToTicks(cfg_.cpu->exceptionDelayUs());
+    const Tick *const cost = emuCost_.data();
+    const suit::runtime::CancelToken *const cancel = cfg_.cancel;
+    const suit::trace::Trace &trace = *core.work.trace;
+    const std::uint32_t *const gaps = trace.gapColumn();
+    const FaultableKind *const kinds = trace.kindColumn();
+    const std::size_t event_count = trace.eventCount();
+    const std::size_t window_first = core.nextEvent;
+
+    // As in runNativeWindowSingle(): the per-event state lives in
+    // locals, written back once at window exit.
+    std::uint64_t by_kind[kNumFaultableKinds] = {};
+    std::size_t next = window_first;
+    bool past_last = core.pastLastEvent;
+    std::uint64_t left = budget;
+    std::uint32_t countdown = cancel_countdown;
+    double remaining = remaining_[0];
+    Tick resume = resume_[0];
+    double power_s = powerIntegralS_;
+    double active_s = activeTimeS_;
+    double state_s = stateTimeS_[sidx];
+
+    Tick t = now_;
+    while (!past_last) {
+        pollCancel(cancel, countdown);
+        SUIT_ASSERT(left-- > 0, "simulation step budget exhausted");
+        // The only event source is the core itself: it arrives once
+        // its previous trap's stall is over.
+        const Tick start = resume > t ? resume : t;
+        const Tick arrival =
+            start + windowSecondsToTicks(remaining / rate);
+        if (arrival > t) {
+            const double dt_s = windowTicksToSeconds(arrival - t);
+            power_s += pf * dt_s;
+            active_s += dt_s;
+            state_s += dt_s;
+        }
+        t = arrival;
+        // The #DO trap, emulated (handleFaultableInstruction()).
+        const auto kind = static_cast<std::size_t>(kinds[next]);
+        ++by_kind[kind];
+        resume = std::max(resume, t + exception_delay);
+        resume = std::max(resume, t + cost[kind]);
+        // consumeEvent() inlined.
+        ++next;
+        if (next < event_count) {
+            remaining = gapAt(trace, gaps, next);
+        } else {
+            remaining = static_cast<double>(trace.tailInstructions());
+            past_last = true;
+        }
+    }
+    const std::uint64_t consumed = next - window_first;
+    traps_ += consumed;
+    emulations_ += consumed;
+    for (std::size_t k = 0; k < kNumFaultableKinds; ++k)
+        trapsByKind_[k] += by_kind[k];
+    strategy_->noteTraps(consumed);
+    core.nextEvent = next;
+    core.pastLastEvent = past_last;
+    budget = left;
+    cancel_countdown = countdown;
+    powerIntegralS_ = power_s;
+    activeTimeS_ = active_s;
+    stateTimeS_[sidx] = state_s;
+    remaining_[0] = remaining;
+    resume_[0] = resume;
+    now_ = t;
+    batchedEvents_ += consumed;
+}
+
+void
+DomainSimulator::runEmulationWindowMulti(std::uint64_t &budget,
+                                         std::uint32_t &cancel_countdown)
+{
+    const std::size_t n = nCores_;
+    const int sidx = pstateIndex(pstate_);
+    const double *const rate =
+        &rates_[static_cast<std::size_t>(sidx) * n];
+    const double pf = powerTbl_[sidx];
+    const Tick exception_delay =
+        suit::util::microsecondsToTicks(cfg_.cpu->exceptionDelayUs());
+    const Tick *const cost = emuCost_.data();
+    const suit::runtime::CancelToken *const cancel = cfg_.cancel;
+    Tick *const arrival = arrival_.data();
+    const Tick *const done_mask = doneMask_.data();
+    Tick *const resume = resume_.data();
+    double *const remaining = remaining_.data();
+    std::size_t active = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        active += cores_[i].done ? 0U : 1U;
+
+    std::uint64_t consumed = 0;
+    Tick t = now_;
+    for (;;) {
+        pollCancel(cancel, cancel_countdown);
+        // (1)-(2) runNativeWindowMulti()'s stalled arrival recompute
+        // and scan: every trap stalls its core, so there is no plain
+        // branch.  No transition is ever pending.
+        for (std::size_t i = 0; i < n; ++i) {
+            const Tick start = resume[i] > t ? resume[i] : t;
+            const double need_s = remaining[i] / rate[i];
+            arrival[i] =
+                (start + windowSecondsToTicks(need_s)) | done_mask[i];
+        }
+        const std::size_t win = scanArrivals(arrival, n);
+        const Tick m = arrival[win];
+        // (3) Every core done, or the winner finishes: the generic
+        // step handles both.
+        if (m == kNever)
+            break;
+        Core &core = cores_[win];
+        if (core.pastLastEvent)
+            break;
+        SUIT_ASSERT(budget-- > 0, "simulation step budget exhausted");
+        // (4) The reference accumulator and progress sequence.
+        if (m > t) {
+            const double dt_s = windowTicksToSeconds(m - t);
+            const double pw_s = pf * dt_s;
+            for (std::size_t k = 0; k < active; ++k) {
+                powerIntegralS_ += pw_s;
+                activeTimeS_ += dt_s;
+                stateTimeS_[sidx] += dt_s;
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                const Tick lo = resume[i] > t ? resume[i] : t;
+                const double progress_s =
+                    lo < m ? windowTicksToSeconds(m - lo) : 0.0;
+                remaining[i] =
+                    std::max(remaining[i] - progress_s * rate[i], 0.0);
+            }
+            t = m;
+        }
+        // (5) The winner's #DO trap, emulated, then consumeEvent().
+        const suit::trace::Trace &trace = *core.work.trace;
+        const auto kind =
+            static_cast<std::size_t>(trace.kind(core.nextEvent));
+        ++trapsByKind_[kind];
+        trappingCore_ = win;
+        resume[win] = std::max(resume[win], t + exception_delay);
+        resume[win] = std::max(
+            resume[win], t + cost[win * kNumFaultableKinds + kind]);
+        ++core.nextEvent;
+        if (core.nextEvent < trace.eventCount()) {
+            remaining[win] =
+                gapAt(trace, trace.gapColumn(), core.nextEvent);
+        } else {
+            remaining[win] =
+                static_cast<double>(trace.tailInstructions());
+            core.pastLastEvent = true;
+        }
+        ++consumed;
+    }
+    traps_ += consumed;
+    emulations_ += consumed;
+    strategy_->noteTraps(consumed);
+    now_ = t;
+    batchedEvents_ += consumed;
+}
+
 DomainResult
 DomainSimulator::run()
 {
@@ -877,10 +1086,7 @@ DomainSimulator::runReference(DomainResult &out)
 
     std::uint32_t cancel_countdown = kCancelPollInterval;
     while (active > 0) {
-        if (cfg_.cancel != nullptr && --cancel_countdown == 0) {
-            cancel_countdown = kCancelPollInterval;
-            cfg_.cancel->throwIfCancelled();
-        }
+        pollCancel(cfg_.cancel, cancel_countdown);
         SUIT_ASSERT(budget-- > 0, "simulation step budget exhausted");
 
         // Earliest event wins; transitions outrank timers outrank
@@ -954,19 +1160,23 @@ DomainSimulator::runFast(DomainResult &out)
     for (const Core &core : cores_)
         budget += 20 * core.work.trace->eventCount() + 1000;
 
-    // Batched native windows: single-core domains keep PR 3's
-    // specialised loop (no cross-core replay at all); multi-core
-    // domains run the generalised window that replays the reference
-    // progress interleaving per event (see DESIGN.md).
+    // Batched windows: single-core domains keep a specialised loop
+    // (no cross-core replay at all); multi-core domains run the
+    // generalised window that replays the reference progress
+    // interleaving per event (see DESIGN.md).  Native windows batch
+    // events that execute; emulation windows batch strategy e's
+    // traps.
     const bool single_core = nCores_ == 1;
 
     std::uint32_t cancel_countdown = kCancelPollInterval;
     while (active > 0) {
-        if (cfg_.cancel != nullptr && --cancel_countdown == 0) {
-            cancel_countdown = kCancelPollInterval;
-            cfg_.cancel->throwIfCancelled();
-        }
-        if (single_core) {
+        pollCancel(cfg_.cancel, cancel_countdown);
+        if (emulationWindowOpen()) {
+            if (single_core)
+                runEmulationWindowSingle(budget, cancel_countdown);
+            else
+                runEmulationWindowMulti(budget, cancel_countdown);
+        } else if (single_core) {
             if (singleWindowOpen())
                 runNativeWindowSingle(budget);
         } else if (multiWindowOpen()) {

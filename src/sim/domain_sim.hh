@@ -240,8 +240,6 @@ class DomainSimulator final : public suit::core::CpuControl
     {
         CoreWork work;
         std::size_t nextEvent = 0;  //!< index into trace events
-        /** Instruction index of the trapping event (#DO frame). */
-        suit::trace::EventIndexCursor trapIndex;
         bool pastLastEvent = false; //!< draining the tail
         bool done = false;
         suit::util::Tick finishTime = 0;
@@ -315,6 +313,12 @@ class DomainSimulator final : public suit::core::CpuControl
      * suit::power::pstateIndex().  Defaults cover RunMode::Baseline.
      */
     double powerTbl_[suit::power::kNumSuitPStates] = {1.0, 1.0, 1.0};
+    /**
+     * Fast-path invariant of strategy-e runs (empty otherwise): the
+     * weighted emulation cost handleFaultableInstruction() charges,
+     * per [core][FaultableKind].
+     */
+    std::vector<suit::util::Tick> emuCost_;
 
     /** Instruction rate of core @p i at a p-state (instr/s). */
     double instrRate(std::size_t i, suit::power::SuitPState p) const;
@@ -358,6 +362,19 @@ class DomainSimulator final : public suit::core::CpuControl
      * event so the floating-point grouping is unchanged.
      */
     void runNativeWindowMulti(std::uint64_t &budget);
+    /** May an emulation window (strategy e, every event traps) run? */
+    bool emulationWindowOpen() const;
+    /**
+     * Consume consecutive trapping events of a single-core strategy-e
+     * domain, replaying the generic step's state writes per event.
+     * Polls cfg_.cancel with the run loop's shared
+     * @p cancel_countdown: one window may cover a whole trace.
+     */
+    void runEmulationWindowSingle(std::uint64_t &budget,
+                                  std::uint32_t &cancel_countdown);
+    /** The same across all cores of a multi-core strategy-e domain. */
+    void runEmulationWindowMulti(std::uint64_t &budget,
+                                 std::uint32_t &cancel_countdown);
     /** @} */
 
     /**

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "isa/faultable.hh"
-#include "util/logging.hh"
 #include "util/stats.hh"
 
 namespace suit::trace {
@@ -161,6 +160,12 @@ class Trace
         return events_.kinds_[i];
     }
 
+    /** The kind column: entry i is kind(i). */
+    const suit::isa::FaultableKind *kindColumn() const
+    {
+        return events_.kinds_.data();
+    }
+
     /** Real faultable instructions represented by one event. */
     double eventWeight() const { return eventWeight_; }
 
@@ -173,8 +178,7 @@ class Trace
     /**
      * Absolute instruction index of event @p i (0-based position in
      * the stream).  Walks at most kBlockEvents gaps from the nearest
-     * block start; a caller asking for every event in order should
-     * use an EventIndexCursor instead.
+     * block start.
      */
     std::uint64_t eventIndex(std::size_t i) const;
 
@@ -279,30 +283,6 @@ Trace::events() const
 {
     return EventView(*this);
 }
-
-/**
- * Forward-only Trace::eventIndex(): for a caller asking for
- * non-decreasing event numbers, each query adds `gap + 1` from the
- * last one it answered, amortised one add per event.  The simulator
- * keeps one per core to fill the #DO frame's instruction index.
- */
-class EventIndexCursor
-{
-  public:
-    /** eventIndex(@p i); @p i must not precede the previous query. */
-    std::uint64_t indexOf(const Trace &trace, std::size_t i)
-    {
-        SUIT_ASSERT(i + 1 >= next_ && i < trace.eventCount(),
-                    "event cursor moved back or out of range (%zu)", i);
-        for (; next_ <= i; ++next_)
-            span_ += trace.gap(next_) + 1;
-        return span_ - 1;
-    }
-
-  private:
-    std::size_t next_ = 0;   //!< events folded into span_
-    std::uint64_t span_ = 0; //!< stream position just past them
-};
 
 /** Aggregate statistics over a trace (drives Figs. 5 and 7). */
 struct TraceStats

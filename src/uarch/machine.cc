@@ -269,11 +269,10 @@ SuitMachine::runSuit(const Program &program)
         static_cast<Cycle>(core_cfg.trapPenalty);
 
     core.setTrapHandler([&](suit::isa::FaultableKind kind,
-                            std::uint64_t seq, std::uint64_t when) {
+                            std::uint64_t, std::uint64_t when) {
         cpu.beginEvent(when);
         suit::os::TrapFrame frame;
         frame.kind = kind;
-        frame.instructionIndex = seq;
         frame.when = cpu.now();
         const suit::core::TrapAction action =
             controller.handleDisabledOpcode(frame);

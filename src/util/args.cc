@@ -115,7 +115,9 @@ ArgParser::parse(int argc, char **argv)
         if (opt.isFlag) {
             if (has_value)
                 fatal("flag --%s takes no value", name.c_str());
-            opt.value = "1";
+            // Move-assigned: GCC 12 at -O3 reports a false -Wrestrict
+            // on the inlined assignment of a short literal.
+            opt.value = std::string("1");
         } else {
             if (!has_value) {
                 if (i + 1 >= argc)

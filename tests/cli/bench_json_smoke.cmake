@@ -1,6 +1,6 @@
 # Smoke test of suit_bench_json: run the benchmark scenarios with a
 # single repetition (seconds, not minutes), then validate the emitted
-# record against the suit-bench-simcore-v5 schema with the tool's own
+# record against the suit-bench-simcore-v6 schema with the tool's own
 # --check mode.
 #
 # Invoked by ctest as:
@@ -34,7 +34,7 @@ endif()
 
 # A corrupted record must be rejected.
 file(READ "${WORK_DIR}/bench.json" CONTENT)
-string(REPLACE "suit-bench-simcore-v5" "wrong-schema" CONTENT
+string(REPLACE "suit-bench-simcore-v6" "wrong-schema" CONTENT
        "${CONTENT}")
 file(WRITE "${WORK_DIR}/corrupt.json" "${CONTENT}")
 execute_process(

@@ -16,6 +16,7 @@
  * -DSUIT_SANITIZE=thread.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -150,7 +151,8 @@ TEST(GoldenIdentity, FastPathMatchesReferenceAcrossMatrix)
  * Core counts 8 and 12 scan rows wider than any shipped domain (at
  * most four cores), and 12 is not a multiple of four.  The mode
  * cases pick the window flavours apart: Baseline batches whole
- * traces, Emulation stalls cores in-window (resume starts), and the
+ * traces in the native window, Emulation runs the emulation window,
+ * whose traps stall cores in-window (resume starts), and the
  * CombinedFv/Hybrid strategies leave transitions pending across
  * windows (runUntil caps).
  */
@@ -195,10 +197,10 @@ TEST(GoldenIdentity, MultiCoreBatchedWindowsMatchReference)
 }
 
 /**
- * The sim.events.batched counter must cover both window flavours:
- * single-core domains (runNativeWindowSingle) and shared multi-core
- * domains (runNativeWindowMulti) each consume most trace events
- * inside windows.
+ * The sim.events.batched counter must cover every window flavour:
+ * under fV, single-core domains (runNativeWindowSingle) and shared
+ * multi-core domains (runNativeWindowMulti), and under e the two
+ * emulation windows, each consume most trace events inside windows.
  */
 TEST(GoldenIdentity, BatchedWindowCounterCoversSingleAndMultiCore)
 {
@@ -206,37 +208,129 @@ TEST(GoldenIdentity, BatchedWindowCounterCoversSingleAndMultiCore)
     const trace::WorkloadProfile p = goldenProfile("golden-dense", true);
 
     sim::TraceCache traces;
-    for (const int cores : {1, 4}) {
-        obs::metrics().reset();
-        obs::metrics().setEnabled(true);
+    for (const core::StrategyKind strategy :
+         {core::StrategyKind::CombinedFv, core::StrategyKind::Emulation}) {
+        for (const int cores : {1, 4}) {
+            obs::metrics().reset();
+            obs::metrics().setEnabled(true);
 
-        EvalConfig cfg;
+            EvalConfig cfg;
+            cfg.cpu = &cpu;
+            cfg.cores = cores;
+            cfg.offsetMv = -97.0;
+            cfg.mode = RunMode::Suit;
+            cfg.strategy = strategy;
+            cfg.params = core::optimalParams(cpu);
+            cfg.seed = 7;
+            (void)sim::runWorkload(cfg, p, traces);
+
+            const obs::Snapshot snap = obs::metrics().snapshot();
+            obs::metrics().setEnabled(false);
+            obs::metrics().reset();
+
+            const std::string label = std::string(core::toString(strategy)) +
+                                      " cores=" + std::to_string(cores);
+            ASSERT_NE(snap.find("sim.events.batched"), nullptr) << label;
+            ASSERT_NE(snap.find("sim.events.total"), nullptr) << label;
+            const std::uint64_t batched =
+                snap.find("sim.events.batched")->count;
+            const std::uint64_t total =
+                snap.find("sim.events.total")->count;
+            EXPECT_GT(batched, 0u) << label;
+            EXPECT_LE(batched, total) << label;
+            // The windows are the fast path's point: the bulk of the
+            // trace must be consumed there, not in the generic loop.
+            EXPECT_GT(batched, total / 2) << label;
+        }
+    }
+}
+
+/**
+ * The emulation window on real profiles: Nginx traps on AESENC and
+ * VPCLMULQDQ, so the per-kind cost table is read at more than one
+ * kind, and 502.gcc is a SPEC mix.  Both are cut to a slice, as a
+ * fleet's trace_scale does.  One, two and four cores take the
+ * single-core loop and the multi-core loop; CPUs A and B differ in
+ * exception delay and emulation call cost.
+ */
+TEST(GoldenIdentity, EmulationWindowMatchesReferenceOnRealProfiles)
+{
+    const std::vector<power::CpuModel> cpus = {power::cpuA_i9_9900k(),
+                                               power::cpuB_ryzen7700x()};
+    std::vector<trace::WorkloadProfile> profiles;
+    for (const char *name : {"Nginx", "502.gcc"}) {
+        trace::WorkloadProfile p = trace::profileByName(name);
+        p.totalInstructions =
+            std::max<std::uint64_t>(1000000, p.totalInstructions / 100);
+        profiles.push_back(std::move(p));
+    }
+
+    sim::TraceCache traces;
+    int checked = 0;
+    for (const power::CpuModel &cpu : cpus) {
+        for (const int cores : {1, 2, 4}) {
+            for (const trace::WorkloadProfile &p : profiles) {
+                EvalConfig cfg;
+                cfg.cpu = &cpu;
+                cfg.cores = cores;
+                cfg.offsetMv = -97.0;
+                cfg.mode = RunMode::Suit;
+                cfg.strategy = core::StrategyKind::Emulation;
+                cfg.params = core::optimalParams(cpu);
+                cfg.seed = 7;
+
+                cfg.referencePath = true;
+                const std::string ref = resultBytes(cfg, p, traces);
+                cfg.referencePath = false;
+                ASSERT_EQ(resultBytes(cfg, p, traces), ref)
+                    << "CPU " << cpu.label() << " cores=" << cores
+                    << " " << p.name;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 2 * 3 * 2);
+}
+
+/**
+ * The state log takes one entry per trap, which only the generic step
+ * writes: with recordStateLog set, strategy e must stay off the
+ * emulation window and still match the reference loop.
+ */
+TEST(GoldenIdentity, EmulationWithStateLogTakesTheGenericPath)
+{
+    const power::CpuModel cpu = power::cpuA_i9_9900k();
+    const trace::WorkloadProfile p = goldenProfile("golden-dense", true);
+    std::vector<trace::Trace> traces;
+    for (int s = 0; s < 4; ++s)
+        traces.push_back(trace::TraceGenerator(11).generate(p, s));
+
+    for (const std::size_t cores : {std::size_t{1}, std::size_t{4}}) {
+        std::vector<sim::CoreWork> work;
+        for (std::size_t c = 0; c < cores; ++c)
+            work.push_back({&traces[c], &p});
+
+        sim::SimConfig cfg;
         cfg.cpu = &cpu;
-        cfg.cores = cores;
         cfg.offsetMv = -97.0;
         cfg.mode = RunMode::Suit;
-        cfg.strategy = core::StrategyKind::CombinedFv;
+        cfg.strategy = core::StrategyKind::Emulation;
         cfg.params = core::optimalParams(cpu);
-        cfg.seed = 7;
-        (void)sim::runWorkload(cfg, p, traces);
+        cfg.seed = 23;
+        cfg.recordStateLog = true;
 
-        const obs::Snapshot snap = obs::metrics().snapshot();
-        obs::metrics().setEnabled(false);
-        obs::metrics().reset();
+        const sim::DomainResult fast = sim::DomainSimulator(cfg, work).run();
+        cfg.referencePath = true;
+        const sim::DomainResult ref = sim::DomainSimulator(cfg, work).run();
 
-        ASSERT_NE(snap.find("sim.events.batched"), nullptr)
-            << "cores=" << cores;
-        ASSERT_NE(snap.find("sim.events.total"), nullptr)
-            << "cores=" << cores;
-        const std::uint64_t batched =
-            snap.find("sim.events.batched")->count;
-        const std::uint64_t total =
-            snap.find("sim.events.total")->count;
-        EXPECT_GT(batched, 0u) << "cores=" << cores;
-        EXPECT_LE(batched, total) << "cores=" << cores;
-        // The windows are the fast path's point: the bulk of the
-        // trace must be consumed there, not in the generic loop.
-        EXPECT_GT(batched, total / 2) << "cores=" << cores;
+        // Every trap is on the timeline: none was batched past it.
+        ASSERT_GT(fast.traps, 0u);
+        EXPECT_EQ(fast.stateLog.size(), fast.traps) << "cores=" << cores;
+        std::string fast_bytes;
+        std::string ref_bytes;
+        sim::serializeResult(fast, fast_bytes);
+        sim::serializeResult(ref, ref_bytes);
+        EXPECT_EQ(fast_bytes, ref_bytes) << "cores=" << cores;
     }
 }
 

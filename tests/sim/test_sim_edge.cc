@@ -286,4 +286,40 @@ TEST(SimEdge, EscapedGapsFastMatchesReferenceOneAndFourCores)
     }
 }
 
+/**
+ * Cancellation reaches the fast loop however its events are batched.
+ * The trace has more events than the loop's poll interval (4096), so
+ * a window that ran the whole trace without polling would finish the
+ * run instead of throwing.  Strategy e traps on every event; under fV
+ * the 2.2 ms gaps outlast even the stretched deadline, so every event
+ * pays a switch and a return.
+ */
+TEST(SimEdge, ZeroDeadlineCancelsLongFastRuns)
+{
+    const power::CpuModel cpu = power::cpuA_i9_9900k();
+    const std::size_t events = 5000;
+    const std::uint64_t gap = 10'000'000;
+    const trace::Trace t(
+        "long", events * (gap + 1) + 1000, 1.0,
+        std::vector<trace::FaultableEvent>(
+            events, {gap, isa::FaultableKind::VOR}));
+    const trace::WorkloadProfile p = plainProfile(t.totalInstructions());
+
+    runtime::CancelToken token;
+    token.setDeadlineAfter(0.0);
+    for (const core::StrategyKind strategy :
+         {core::StrategyKind::Emulation, core::StrategyKind::CombinedFv}) {
+        for (const std::size_t cores : {std::size_t{1}, std::size_t{4}}) {
+            SimConfig cfg = cfgFor(cpu);
+            cfg.strategy = strategy;
+            cfg.cancel = &token;
+            const std::vector<sim::CoreWork> work(cores, {&t, &p});
+            DomainSimulator sim(cfg, work);
+            EXPECT_THROW(sim.run(), runtime::Cancelled)
+                << cores << " cores, strategy "
+                << core::toString(strategy);
+        }
+    }
+}
+
 } // namespace

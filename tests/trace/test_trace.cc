@@ -358,36 +358,6 @@ TEST(TraceTest, EventIndexMatchesPrefixSumAcrossBlocks)
     EXPECT_EQ(t.tailInstructions(), 10u);
 }
 
-TEST(TraceTest, IndexCursorMatchesEventIndexOnMonotoneQueries)
-{
-    const Trace t = TraceGenerator(5).generate(profileByName("557.xz"));
-    ASSERT_GT(t.eventCount(), 1000u);
-    suit::util::Rng rng(23);
-    for (int round = 0; round < 20; ++round) {
-        // Non-decreasing queries with repeats and jumps of up to a
-        // few blocks, like the traps of one simulated core.
-        EventIndexCursor cursor;
-        std::size_t i = rng.nextBelow(4);
-        while (i < t.eventCount()) {
-            ASSERT_EQ(cursor.indexOf(t, i), t.eventIndex(i)) << i;
-            i += rng.nextBool(0.2) ? 0 : rng.nextBelow(200);
-        }
-    }
-    EventIndexCursor escaped;
-    const Trace e = escapedGapTrace();
-    for (std::size_t i = 0; i < e.eventCount(); ++i)
-        EXPECT_EQ(escaped.indexOf(e, i), e.eventIndex(i)) << i;
-}
-
-TEST(TraceTest, IndexCursorRejectsMovingBack)
-{
-    const Trace t("t", 1000, 1.0,
-                  {{10, FaultableKind::VOR}, {5, FaultableKind::VOR}});
-    EventIndexCursor cursor;
-    EXPECT_EQ(cursor.indexOf(t, 1), 16u);
-    EXPECT_DEATH((void)cursor.indexOf(t, 0), "moved back");
-}
-
 TEST(TraceTest, GeneratedTraceCostsAboutFiveBytesPerEvent)
 {
     // A u32 gap, a one-byte kind and 1/64 of a block start per event:

@@ -3,16 +3,16 @@
  * suit_bench_json — measure the domain-simulator hot path and write
  * the tracked BENCH_simcore.json record.
  *
- * Runs the four simulator scenarios the micro-benchmarks cover
- * (single-core SUIT on 502.gcc, the same run on the reference event
- * loop, the event-dense 525.x264, and CPU A's shared four-core
- * domain) plus the engine-scale throughput scenarios (the 100k- and
- * 1M-domain demo fleets through FleetEngine and a SPEC x offset grid
- * through SweepEngine, all on all hardware threads) with wall-clock
- * timing, and emits one JSON document:
+ * Runs the simulator scenarios (single-core SUIT on 502.gcc, the
+ * same run on the reference event loop and under strategy e, the
+ * event-dense 525.x264, and CPU A's shared four-core domain) plus the
+ * engine-scale throughput scenarios (the 100k- and 1M-domain demo
+ * fleets through FleetEngine and a SPEC x offset grid through
+ * SweepEngine, all on all hardware threads) with wall-clock timing,
+ * and emits one JSON document:
  *
  *   {
- *     "schema": "suit-bench-simcore-v5",
+ *     "schema": "suit-bench-simcore-v6",
  *     "reps": 5,
  *     "benchmarks": [
  *       { "name": "domain_sim_single", "events": ...,
@@ -303,8 +303,8 @@ measureTelemetryOverheadPct(const sim::SimConfig &base,
 }
 
 /**
- * The tracked domain-simulator scenarios (single-core fast and
- * reference, dense, shared four-core): the only timing of the
+ * The tracked domain-simulator scenarios (single-core fast, reference
+ * and strategy e, dense, shared four-core): the only timing of the
  * simulator's event loop.
  */
 std::vector<BenchResult>
@@ -336,6 +336,11 @@ runScenarios(int reps, double &obs_overhead_pct,
         cfg.referencePath = true;
         results.push_back(timeScenario(
             "domain_sim_reference", cfg, {{&gcc_trace, &gcc}}, reps));
+        // Strategy e traps on every event: the emulation window.
+        cfg.referencePath = false;
+        cfg.strategy = core::StrategyKind::Emulation;
+        results.push_back(timeScenario(
+            "domain_sim_emulate", cfg, {{&gcc_trace, &gcc}}, reps));
     }
 
     // Event-dense workload (highest faultable density in the suite).
@@ -569,7 +574,7 @@ renderJson(const std::vector<BenchResult> &results,
     const double speedup = fast_ms > 0.0 ? ref_ms / fast_ms : 0.0;
     return util::sformat(
         "{\n"
-        "  \"schema\": \"suit-bench-simcore-v5\",\n"
+        "  \"schema\": \"suit-bench-simcore-v6\",\n"
         "  \"reps\": %d,\n"
         "  \"benchmarks\": [\n%s\n  ],\n"
         "  \"fleet\": %s,\n"
@@ -600,12 +605,13 @@ std::string
 validateJson(const std::string &text)
 {
     const char *kRequired[] = {
-        "\"schema\": \"suit-bench-simcore-v5\"",
+        "\"schema\": \"suit-bench-simcore-v6\"",
         "\"reps\":",
         "\"benchmarks\":",
         "\"domain_sim_single\"",
         "\"domain_sim_noobs\"",
         "\"domain_sim_reference\"",
+        "\"domain_sim_emulate\"",
         "\"domain_sim_dense\"",
         "\"domain_sim_shared\"",
         "\"events_per_sec\":",
