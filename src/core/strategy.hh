@@ -112,7 +112,7 @@ class OperatingStrategy
 
     /**
      * Count @p n traps handled without an onDisabledOpcode() call:
-     * the simulator's emulation window resolves strategy e's traps
+     * the simulator's trap window resolves strategy e's traps
      * itself.
      */
     void noteTraps(std::uint64_t n) { trapCount_ += n; }

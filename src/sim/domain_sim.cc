@@ -26,10 +26,12 @@ namespace {
 constexpr Tick kNever = std::numeric_limits<Tick>::max();
 
 /**
- * Outer-loop iterations between cancellation polls.  A poll is two
+ * Steps between cancellation polls.  The run loop's outer iterations
+ * and every batched window's events count down one shared countdown,
+ * so a window that covers a whole trace still polls.  A poll is two
  * relaxed atomic loads (plus a clock read only when a deadline is
- * armed); at ~4k iterations the amortised cost is unmeasurable while
- * the reaction latency stays far below human-visible.
+ * armed); at ~4k steps the amortised cost is unmeasurable while the
+ * reaction latency stays far below human-visible.
  */
 constexpr std::uint32_t kCancelPollInterval = 4096;
 
@@ -640,84 +642,106 @@ DomainSimulator::handleFaultableInstruction(std::size_t i)
     consumeEvent(i);
 }
 
-bool
-DomainSimulator::singleWindowOpen() const
+DomainSimulator::Window
+DomainSimulator::windowAt() const
 {
-    const Core &core = cores_[0];
-    if (core.done || core.pastLastEvent)
-        return false;
-    if (resume_[0] > now_)
-        return false;
-    // Events execute natively in Baseline mode always, and in Suit
-    // mode while the instructions are enabled.  The Suit batch also
-    // requires the deadline timer to be armed so the window-closing
-    // expiry check below is meaningful (the strategies always arm it
+    // NoSimdCompile cores drain their whole stream from construction,
+    // with no events.
+    if (cfg_.mode == RunMode::NoSimdCompile)
+        return Window::None;
+    // Baseline events always execute natively, and SUIT events while
+    // the set is enabled.  A SUIT window needs the deadline timer armed
+    // so its expiry bound is meaningful (the strategies always arm it
     // when enabling, but the loop must not rely on that).
-    if (cfg_.mode == RunMode::Suit && (disabled_ || !timer_.armed()))
-        return false;
-    if (cfg_.mode == RunMode::NoSimdCompile)
-        return false; // pastLastEvent from construction; belt and braces
-    if (pending_ && now_ >= pending_->runUntil)
-        return false; // frozen by the transition
-    return true;
+    if (cfg_.mode == RunMode::Baseline || !disabled_) {
+        if (cfg_.mode == RunMode::Suit && !timer_.armed())
+            return Window::None;
+        if (pending_ && now_ >= pending_->runUntil)
+            return Window::None; // frozen by the transition
+        // Native events never stall a core, so the single-core loop
+        // starts every event at t: it opens once the stall is over.
+        if (nCores_ == 1 && resume_[0] > now_)
+            return Window::None;
+        return Window::Native;
+    }
+    // Disabled: every event traps.  Strategy e never enables the set,
+    // arms the timer or starts a transition, but the window must not
+    // rely on that.  The state log and a trace session take per-trap
+    // records, which only the generic step writes.
+    if (cfg_.strategy == StrategyKind::Emulation && !timer_.armed() &&
+        !pending_ && !cfg_.recordStateLog && trace_ == nullptr)
+        return Window::Trap;
+    return Window::None;
 }
 
-bool
-DomainSimulator::multiWindowOpen() const
-{
-    // Unlike the single-core window, stalled or done cores do not
-    // close a multi-core window: the in-window scan computes every
-    // core's arrival with its stall start and done mask applied, so
-    // the other cores keep batching across them.
-    if (cfg_.mode == RunMode::Suit && (disabled_ || !timer_.armed()))
-        return false;
-    if (cfg_.mode == RunMode::NoSimdCompile)
-        return false; // every core pastLastEvent from construction
-    if (pending_ && now_ >= pending_->runUntil)
-        return false; // frozen by the transition
-    return true;
-}
-
+template <bool Trap>
 void
-DomainSimulator::runNativeWindowSingle(std::uint64_t &budget)
+DomainSimulator::runWindowSingle(std::uint64_t &budget,
+                                 std::uint32_t &cancel_countdown)
 {
     Core &core = cores_[0];
     const int sidx = pstateIndex(pstate_);
     const double rate = rates_[static_cast<std::size_t>(sidx)];
     const double pf = powerTbl_[sidx];
-    const bool suit_mode = cfg_.mode == RunMode::Suit;
-    const bool has_pending = pending_.has_value();
-    const Tick run_cap = has_pending ? pending_->runUntil : kNever;
-    const Tick complete_at = has_pending ? pending_->completeAt : kNever;
+    // Native SUIT events touch the deadline timer; Baseline never arms
+    // it and trap windows run with it disarmed.
+    const bool timed = !Trap && cfg_.mode == RunMode::Suit;
+    // With no transition pending both caps are kNever, which no
+    // arrival reaches (63-bit ticks), so the loop needs no flag.
+    const Tick run_cap = pending_ ? pending_->runUntil : kNever;
+    const Tick complete_at = pending_ ? pending_->completeAt : kNever;
+    const Tick exception_delay =
+        Trap ? suit::util::microsecondsToTicks(cfg_.cpu->exceptionDelayUs())
+             : 0;
+    const Tick *const cost = emuCost_.data();
+    const suit::runtime::CancelToken *const cancel = cfg_.cancel;
     const suit::trace::Trace &trace = *core.work.trace;
     const std::uint32_t *const gaps = trace.gapColumn();
+    const FaultableKind *const kinds = trace.kindColumn();
     const std::size_t event_count = trace.eventCount();
+    // Hoisted: a call in the loop body makes GCC keep the
+    // accumulators in memory across it.
+    const double tail = static_cast<double>(trace.tailInstructions());
     const std::size_t window_first = core.nextEvent;
 
     // Everything the loop updates per event lives in a local and is
     // written back once at window exit, so no event waits on
     // store-to-load forwarding through a member.  The timer takes the
     // window's touches in one touchMany().
-    const Tick reload = suit_mode ? timer_.reload() : 0;
-    Tick expiry = suit_mode ? timer_.expiry() : kNever;
+    const Tick reload = timed ? timer_.reload() : 0;
+    Tick expiry = timed ? timer_.expiry() : kNever;
+    std::uint64_t by_kind[kNumFaultableKinds] = {};
     std::size_t next = window_first;
     bool past_last = core.pastLastEvent;
     std::uint64_t left = budget;
+    // The run loop's cancel countdown runs down one step per event.
+    // Its poll sits on the gap load's slow path, at the event index
+    // where it runs out, so an event pays no branch for it: a
+    // per-event poll made perfbench's fleet_1m ~10 % slower.
+    std::size_t poll_at =
+        cancel != nullptr ? next + cancel_countdown : event_count;
+    std::size_t fast_end = std::min(event_count, poll_at);
     double remaining = remaining_[0];
+    Tick resume = resume_[0];
     double power_s = powerIntegralS_;
     double active_s = activeTimeS_;
     double state_s = stateTimeS_[sidx];
 
     Tick t = now_;
     while (!past_last) {
-        if (has_pending && t >= run_cap)
-            break; // frozen from t on: the transition goes first
-        const Tick arrival = t + windowSecondsToTicks(remaining / rate);
+        // A trap stalls the core.  A native window opens with the core
+        // unstalled (windowAt()), so there every event starts at t; the
+        // max there measured ~9 % slower on perfbench's fleet_1m.
+        const Tick start = Trap && resume > t ? resume : t;
+        if (start >= run_cap)
+            break; // frozen from start on: the transition goes first
+        const Tick arrival =
+            start + windowSecondsToTicks(remaining / rate);
         // Stop where another event source outranks the core arrival
         // (the loop's tie order: transitions > timers > cores).
-        if (suit_mode && arrival >= expiry)
+        if (timed && arrival >= expiry)
             break;
-        if (has_pending && (arrival > run_cap || arrival >= complete_at))
+        if (arrival > run_cap || arrival >= complete_at)
             break;
         SUIT_ASSERT(left-- > 0, "simulation step budget exhausted");
         if (arrival > t) {
@@ -730,22 +754,49 @@ DomainSimulator::runNativeWindowSingle(std::uint64_t &budget)
             state_s += dt_s;
         }
         t = arrival;
-        expiry = t + reload; // read only in Suit mode
-        // Native execution of the event (consumeEvent() inlined).
+        if constexpr (Trap) {
+            // The #DO trap, emulated (handleFaultableInstruction()).
+            const auto kind = static_cast<std::size_t>(kinds[next]);
+            ++by_kind[kind];
+            resume = std::max(resume, t + exception_delay);
+            resume = std::max(resume, t + cost[kind]);
+        } else {
+            expiry = t + reload; // read only when timed
+        }
+        // consumeEvent() inlined.
         ++next;
-        if (next < event_count) {
+        if (next < fast_end) [[likely]] {
+            remaining = gapAt(trace, gaps, next);
+        } else if (next < event_count) {
+            // The cancel countdown ran out: poll and rearm it.
+            cancel->throwIfCancelled();
+            poll_at = next + kCancelPollInterval;
+            fast_end = std::min(event_count, poll_at);
             remaining = gapAt(trace, gaps, next);
         } else {
-            remaining = static_cast<double>(trace.tailInstructions());
+            remaining = tail;
             past_last = true;
         }
     }
     const std::uint64_t consumed = next - window_first;
-    if (suit_mode)
+    if constexpr (Trap) {
+        traps_ += consumed;
+        emulations_ += consumed;
+        for (std::size_t k = 0; k < kNumFaultableKinds; ++k)
+            trapsByKind_[k] += by_kind[k];
+        strategy_->noteTraps(consumed);
+        resume_[0] = resume;
+    } else if (timed) {
         timer_.touchMany(consumed, t);
+    }
     core.nextEvent = next;
     core.pastLastEvent = past_last;
     budget = left;
+    if (cancel != nullptr) {
+        // poll_at >= next: the countdown is rearmed where it runs out.
+        cancel_countdown = static_cast<std::uint32_t>(
+            std::max<std::size_t>(poll_at - next, 1));
+    }
     powerIntegralS_ = power_s;
     activeTimeS_ = active_s;
     stateTimeS_[sidx] = state_s;
@@ -756,57 +807,48 @@ DomainSimulator::runNativeWindowSingle(std::uint64_t &budget)
     batchedEvents_ += consumed;
 }
 
+template <bool Trap>
 void
-DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
+DomainSimulator::runWindowMulti(std::uint64_t &budget,
+                                std::uint32_t &cancel_countdown)
 {
     const std::size_t n = nCores_;
     const int sidx = pstateIndex(pstate_);
     const double *const rate =
         &rates_[static_cast<std::size_t>(sidx) * n];
     const double pf = powerTbl_[sidx];
-    const bool suit_mode = cfg_.mode == RunMode::Suit;
-    const bool has_pending = pending_.has_value();
+    const bool timed = !Trap && cfg_.mode == RunMode::Suit;
+    // Trap windows open with no transition pending (windowAt()).
+    const bool has_pending = !Trap && pending_.has_value();
     const Tick run_cap = has_pending ? pending_->runUntil : kNever;
     const Tick complete_at = has_pending ? pending_->completeAt : kNever;
+    const Tick exception_delay =
+        Trap ? suit::util::microsecondsToTicks(cfg_.cpu->exceptionDelayUs())
+             : 0;
+    const Tick *const cost = emuCost_.data();
+    const suit::runtime::CancelToken *const cancel = cfg_.cancel;
     Tick *const arrival = arrival_.data();
     const Tick *const done_mask = doneMask_.data();
-    const Tick *const resume = resume_.data();
+    Tick *const resume = resume_.data();
     double *const remaining = remaining_.data();
     std::size_t active = 0;
-    bool stalls_possible = false;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i)
         active += cores_[i].done ? 0U : 1U;
-        stalls_possible |= resume[i] > now_;
-    }
-    // Stall starts never move while the window runs (only traps and
-    // waited transitions set them, and neither happens in-window), so
-    // a window that starts with every core resumed keeps lo == t for
-    // every core and the per-core progress interval equals the shared
-    // dt — the per-lane clip below vanishes.
-    const bool plain = !stalls_possible && !has_pending;
 
     std::uint64_t consumed = 0;
     Tick t = now_;
     for (;;) {
+        pollCancel(cancel, cancel_countdown);
         // (1) Recompute every core's next arrival from scratch, the
-        // same expression the generic scan uses per event.  Straight
+        // same expression coreArrivalFast() uses per core.  Straight
         // dense rows so the compiler can vectorize the divide.
-        if (plain) {
-            for (std::size_t i = 0; i < n; ++i) {
-                const double need_s = remaining[i] / rate[i];
-                arrival[i] =
-                    (t + windowSecondsToTicks(need_s)) | done_mask[i];
-            }
-        } else {
-            for (std::size_t i = 0; i < n; ++i) {
-                const Tick start = resume[i] > t ? resume[i] : t;
-                const double need_s = remaining[i] / rate[i];
-                Tick a = (start + windowSecondsToTicks(need_s)) |
-                         done_mask[i];
-                if (has_pending && (start >= run_cap || a > run_cap))
-                    a = kNever; // frozen by the transition
-                arrival[i] = a;
-            }
+        for (std::size_t i = 0; i < n; ++i) {
+            const Tick start = resume[i] > t ? resume[i] : t;
+            const double need_s = remaining[i] / rate[i];
+            Tick a = (start + windowSecondsToTicks(need_s)) | done_mask[i];
+            if (has_pending && (start >= run_cap || a > run_cap))
+                a = kNever; // frozen by the transition
+            arrival[i] = a;
         }
         // (2) Min-reduction over the arrival row; ties pick the
         // lowest core index, like the generic scan's strict <.
@@ -817,7 +859,7 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
         // the winner needs the generic loop (tail drain, finish).
         if (m == kNever)
             break;
-        if (suit_mode && m >= timer_.expiry())
+        if (timed && m >= timer_.expiry())
             break;
         if (has_pending && m >= complete_at)
             break;
@@ -836,208 +878,36 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
                 activeTimeS_ += dt_s;
                 stateTimeS_[sidx] += dt_s;
             }
-            if (plain) {
-                for (std::size_t i = 0; i < n; ++i) {
-                    remaining[i] = std::max(
-                        remaining[i] - dt_s * rate[i], 0.0);
-                }
-            } else {
-                for (std::size_t i = 0; i < n; ++i) {
-                    const Tick lo = resume[i] > t ? resume[i] : t;
-                    double progress_s =
-                        lo < m ? windowTicksToSeconds(m - lo) : 0.0;
-                    // No pending freeze clip: in-window times stay
-                    // strictly below runUntil <= completeAt, so the
-                    // frozen interval never intersects [lo, m).
-                    remaining[i] = std::max(
-                        remaining[i] - progress_s * rate[i], 0.0);
-                }
-            }
-            t = m;
-        }
-        if (suit_mode)
-            timer_.touch(t);
-        // (5) Native execution of the winner (consumeEvent inlined).
-        ++core.nextEvent;
-        const suit::trace::Trace &trace = *core.work.trace;
-        if (core.nextEvent < trace.eventCount()) {
-            remaining[win] =
-                gapAt(trace, trace.gapColumn(), core.nextEvent);
-        } else {
-            remaining[win] =
-                static_cast<double>(trace.tailInstructions());
-            core.pastLastEvent = true;
-        }
-        ++consumed;
-    }
-    now_ = t;
-    batchedEvents_ += consumed;
-}
-
-bool
-DomainSimulator::emulationWindowOpen() const
-{
-    // Strategy e never enables the set, arms the timer or starts a
-    // transition, but the window must not rely on that.  The state
-    // log and a trace session take per-trap records, which only the
-    // generic step writes.
-    return cfg_.mode == RunMode::Suit &&
-           cfg_.strategy == StrategyKind::Emulation && disabled_ &&
-           !timer_.armed() && !pending_ && !cfg_.recordStateLog &&
-           trace_ == nullptr;
-}
-
-void
-DomainSimulator::runEmulationWindowSingle(std::uint64_t &budget,
-                                          std::uint32_t &cancel_countdown)
-{
-    Core &core = cores_[0];
-    const int sidx = pstateIndex(pstate_);
-    const double rate = rates_[static_cast<std::size_t>(sidx)];
-    const double pf = powerTbl_[sidx];
-    const Tick exception_delay =
-        suit::util::microsecondsToTicks(cfg_.cpu->exceptionDelayUs());
-    const Tick *const cost = emuCost_.data();
-    const suit::runtime::CancelToken *const cancel = cfg_.cancel;
-    const suit::trace::Trace &trace = *core.work.trace;
-    const std::uint32_t *const gaps = trace.gapColumn();
-    const FaultableKind *const kinds = trace.kindColumn();
-    const std::size_t event_count = trace.eventCount();
-    const std::size_t window_first = core.nextEvent;
-
-    // As in runNativeWindowSingle(): the per-event state lives in
-    // locals, written back once at window exit.
-    std::uint64_t by_kind[kNumFaultableKinds] = {};
-    std::size_t next = window_first;
-    bool past_last = core.pastLastEvent;
-    std::uint64_t left = budget;
-    std::uint32_t countdown = cancel_countdown;
-    double remaining = remaining_[0];
-    Tick resume = resume_[0];
-    double power_s = powerIntegralS_;
-    double active_s = activeTimeS_;
-    double state_s = stateTimeS_[sidx];
-
-    Tick t = now_;
-    while (!past_last) {
-        pollCancel(cancel, countdown);
-        SUIT_ASSERT(left-- > 0, "simulation step budget exhausted");
-        // The only event source is the core itself: it arrives once
-        // its previous trap's stall is over.
-        const Tick start = resume > t ? resume : t;
-        const Tick arrival =
-            start + windowSecondsToTicks(remaining / rate);
-        if (arrival > t) {
-            const double dt_s = windowTicksToSeconds(arrival - t);
-            power_s += pf * dt_s;
-            active_s += dt_s;
-            state_s += dt_s;
-        }
-        t = arrival;
-        // The #DO trap, emulated (handleFaultableInstruction()).
-        const auto kind = static_cast<std::size_t>(kinds[next]);
-        ++by_kind[kind];
-        resume = std::max(resume, t + exception_delay);
-        resume = std::max(resume, t + cost[kind]);
-        // consumeEvent() inlined.
-        ++next;
-        if (next < event_count) {
-            remaining = gapAt(trace, gaps, next);
-        } else {
-            remaining = static_cast<double>(trace.tailInstructions());
-            past_last = true;
-        }
-    }
-    const std::uint64_t consumed = next - window_first;
-    traps_ += consumed;
-    emulations_ += consumed;
-    for (std::size_t k = 0; k < kNumFaultableKinds; ++k)
-        trapsByKind_[k] += by_kind[k];
-    strategy_->noteTraps(consumed);
-    core.nextEvent = next;
-    core.pastLastEvent = past_last;
-    budget = left;
-    cancel_countdown = countdown;
-    powerIntegralS_ = power_s;
-    activeTimeS_ = active_s;
-    stateTimeS_[sidx] = state_s;
-    remaining_[0] = remaining;
-    resume_[0] = resume;
-    now_ = t;
-    batchedEvents_ += consumed;
-}
-
-void
-DomainSimulator::runEmulationWindowMulti(std::uint64_t &budget,
-                                         std::uint32_t &cancel_countdown)
-{
-    const std::size_t n = nCores_;
-    const int sidx = pstateIndex(pstate_);
-    const double *const rate =
-        &rates_[static_cast<std::size_t>(sidx) * n];
-    const double pf = powerTbl_[sidx];
-    const Tick exception_delay =
-        suit::util::microsecondsToTicks(cfg_.cpu->exceptionDelayUs());
-    const Tick *const cost = emuCost_.data();
-    const suit::runtime::CancelToken *const cancel = cfg_.cancel;
-    Tick *const arrival = arrival_.data();
-    const Tick *const done_mask = doneMask_.data();
-    Tick *const resume = resume_.data();
-    double *const remaining = remaining_.data();
-    std::size_t active = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        active += cores_[i].done ? 0U : 1U;
-
-    std::uint64_t consumed = 0;
-    Tick t = now_;
-    for (;;) {
-        pollCancel(cancel, cancel_countdown);
-        // (1)-(2) runNativeWindowMulti()'s stalled arrival recompute
-        // and scan: every trap stalls its core, so there is no plain
-        // branch.  No transition is ever pending.
-        for (std::size_t i = 0; i < n; ++i) {
-            const Tick start = resume[i] > t ? resume[i] : t;
-            const double need_s = remaining[i] / rate[i];
-            arrival[i] =
-                (start + windowSecondsToTicks(need_s)) | done_mask[i];
-        }
-        const std::size_t win = scanArrivals(arrival, n);
-        const Tick m = arrival[win];
-        // (3) Every core done, or the winner finishes: the generic
-        // step handles both.
-        if (m == kNever)
-            break;
-        Core &core = cores_[win];
-        if (core.pastLastEvent)
-            break;
-        SUIT_ASSERT(budget-- > 0, "simulation step budget exhausted");
-        // (4) The reference accumulator and progress sequence.
-        if (m > t) {
-            const double dt_s = windowTicksToSeconds(m - t);
-            const double pw_s = pf * dt_s;
-            for (std::size_t k = 0; k < active; ++k) {
-                powerIntegralS_ += pw_s;
-                activeTimeS_ += dt_s;
-                stateTimeS_[sidx] += dt_s;
-            }
             for (std::size_t i = 0; i < n; ++i) {
-                const Tick lo = resume[i] > t ? resume[i] : t;
+                // Progress from max(resume, t) to m.  A core that is
+                // not stalled takes the shared dt, the same double
+                // windowTicksToSeconds(m - t) gives, without a divide
+                // per core.  No pending freeze clip: in-window times
+                // stay at or below runUntil <= completeAt, so the
+                // frozen interval never intersects the progress.
+                const Tick lo = resume[i];
                 const double progress_s =
-                    lo < m ? windowTicksToSeconds(m - lo) : 0.0;
+                    lo <= t ? dt_s
+                            : (lo < m ? windowTicksToSeconds(m - lo) : 0.0);
                 remaining[i] =
                     std::max(remaining[i] - progress_s * rate[i], 0.0);
             }
             t = m;
         }
-        // (5) The winner's #DO trap, emulated, then consumeEvent().
+        // (5) The winner's event, then consumeEvent() inlined.
         const suit::trace::Trace &trace = *core.work.trace;
-        const auto kind =
-            static_cast<std::size_t>(trace.kind(core.nextEvent));
-        ++trapsByKind_[kind];
-        trappingCore_ = win;
-        resume[win] = std::max(resume[win], t + exception_delay);
-        resume[win] = std::max(
-            resume[win], t + cost[win * kNumFaultableKinds + kind]);
+        if constexpr (Trap) {
+            // The #DO trap, emulated (handleFaultableInstruction()).
+            const auto kind =
+                static_cast<std::size_t>(trace.kind(core.nextEvent));
+            ++trapsByKind_[kind];
+            trappingCore_ = win;
+            resume[win] = std::max(resume[win], t + exception_delay);
+            resume[win] = std::max(
+                resume[win], t + cost[win * kNumFaultableKinds + kind]);
+        } else if (timed) {
+            timer_.touch(t);
+        }
         ++core.nextEvent;
         if (core.nextEvent < trace.eventCount()) {
             remaining[win] =
@@ -1049,9 +919,11 @@ DomainSimulator::runEmulationWindowMulti(std::uint64_t &budget,
         }
         ++consumed;
     }
-    traps_ += consumed;
-    emulations_ += consumed;
-    strategy_->noteTraps(consumed);
+    if constexpr (Trap) {
+        traps_ += consumed;
+        emulations_ += consumed;
+        strategy_->noteTraps(consumed);
+    }
     now_ = t;
     batchedEvents_ += consumed;
 }
@@ -1160,27 +1032,31 @@ DomainSimulator::runFast(DomainResult &out)
     for (const Core &core : cores_)
         budget += 20 * core.work.trace->eventCount() + 1000;
 
-    // Batched windows: single-core domains keep a specialised loop
-    // (no cross-core replay at all); multi-core domains run the
-    // generalised window that replays the reference progress
-    // interleaving per event (see DESIGN.md).  Native windows batch
-    // events that execute; emulation windows batch strategy e's
-    // traps.
+    // Batched windows, one loop per domain arity: single-core domains
+    // need no cross-core replay at all; multi-core domains replay the
+    // reference progress interleaving per event (see DESIGN.md).
+    // windowAt() fixes at entry what each event does: it executes
+    // natively, or it is strategy e's emulated trap.
     const bool single_core = nCores_ == 1;
 
     std::uint32_t cancel_countdown = kCancelPollInterval;
     while (active > 0) {
         pollCancel(cfg_.cancel, cancel_countdown);
-        if (emulationWindowOpen()) {
+        switch (windowAt()) {
+          case Window::Native:
             if (single_core)
-                runEmulationWindowSingle(budget, cancel_countdown);
+                runWindowSingle<false>(budget, cancel_countdown);
             else
-                runEmulationWindowMulti(budget, cancel_countdown);
-        } else if (single_core) {
-            if (singleWindowOpen())
-                runNativeWindowSingle(budget);
-        } else if (multiWindowOpen()) {
-            runNativeWindowMulti(budget);
+                runWindowMulti<false>(budget, cancel_countdown);
+            break;
+          case Window::Trap:
+            if (single_core)
+                runWindowSingle<true>(budget, cancel_countdown);
+            else
+                runWindowMulti<true>(budget, cancel_countdown);
+            break;
+          case Window::None:
+            break;
         }
         // A window stops at the first event another source outranks
         // (timer expiry, pending transition) and never finishes the
@@ -1383,7 +1259,7 @@ DomainSimulator::publishObs(const DomainResult &result) const
                 static_cast<std::uint64_t>(stateTimeS_[s] * 1e6));
 
     // Batched-window hit rate: share of trace events consumed inside
-    // a native window instead of the generic event loop.
+    // a batched window instead of the generic event loop.
     std::uint64_t consumed = 0;
     for (const Core &core : cores_)
         consumed += core.nextEvent;

@@ -141,7 +141,7 @@ struct SimConfig
     bool recordStateLog = false;
     /**
      * Run the pre-optimization reference event loop instead of the
-     * fast path (invariant tables, batched native windows).  Both
+     * fast path (invariant tables, batched windows).  Both
      * paths produce bit-identical DomainResults — the
      * golden-identity test suite serializes and compares them
      * across the full configuration matrix — so this flag exists
@@ -158,10 +158,11 @@ struct SimConfig
     bool obsBypass = false;
     /**
      * Cooperative cancellation: the event loop polls this token
-     * every ~4k outer iterations and throws runtime::Cancelled when
-     * it trips.  A cancelled run produces no DomainResult at all —
-     * the engines treat the cell as never run, so cancellation can
-     * never alter a completed (journaled) result.
+     * every ~4k steps (outer iterations and batched-window events)
+     * and throws runtime::Cancelled when it trips.  A cancelled run
+     * produces no DomainResult at all — the engines treat the cell
+     * as never run, so cancellation can never alter a completed
+     * (journaled) result.
      */
     const suit::runtime::CancelToken *cancel = nullptr;
 };
@@ -341,40 +342,43 @@ class DomainSimulator final : public suit::core::CpuControl
 
     /**
      * @{ Fast event loop: cached rate/power tables, a branch-free
-     * arrival min-reduction over the SoA rows, and batched native
-     * windows for both single- and multi-core domains.  Produces
-     * bit-identical results to the reference loop (argued in
-     * DESIGN.md, enforced by the golden-identity suite).
+     * arrival min-reduction over the SoA rows, and batched windows
+     * (native events and strategy-e traps) for both single- and
+     * multi-core domains.  Produces bit-identical results to the
+     * reference loop (argued in DESIGN.md, enforced by the
+     * golden-identity suite).
      */
     void runFast(DomainResult &out);
     void advanceToFast(suit::util::Tick t);
     suit::util::Tick coreArrivalFast(std::size_t i) const;
-    /** May the next events of core 0 run as one native batch? */
-    bool singleWindowOpen() const;
-    /** May a multi-core native window run from now_? */
-    bool multiWindowOpen() const;
-    /** Consume consecutive native events of a single-core domain. */
-    void runNativeWindowSingle(std::uint64_t &budget);
+    /** What one event of a batched window does, fixed at entry. */
+    enum class Window
+    {
+        None,   //!< no window: the generic step runs the next event
+        Native, //!< events execute (Baseline, or SUIT with the set on)
+        Trap,   //!< every event is a strategy-e #DO trap, emulated
+    };
+    /** May a batched window run from now_, and of which kind? */
+    Window windowAt() const;
     /**
-     * Consume consecutive native events across all cores of a
-     * multi-core domain up to the exact timer/pending boundary,
-     * replaying the reference accumulator and progress sequence per
-     * event so the floating-point grouping is unchanged.
-     */
-    void runNativeWindowMulti(std::uint64_t &budget);
-    /** May an emulation window (strategy e, every event traps) run? */
-    bool emulationWindowOpen() const;
-    /**
-     * Consume consecutive trapping events of a single-core strategy-e
-     * domain, replaying the generic step's state writes per event.
-     * Polls cfg_.cancel with the run loop's shared
+     * Consume consecutive events of a single-core domain, replaying
+     * the generic step's state writes per event (Trap: the trap
+     * counters and the two resume_ maxima; Native in SUIT mode: the
+     * timer touch).  Polls cfg_.cancel with the run loop's shared
      * @p cancel_countdown: one window may cover a whole trace.
      */
-    void runEmulationWindowSingle(std::uint64_t &budget,
-                                  std::uint32_t &cancel_countdown);
-    /** The same across all cores of a multi-core strategy-e domain. */
-    void runEmulationWindowMulti(std::uint64_t &budget,
-                                 std::uint32_t &cancel_countdown);
+    template <bool Trap>
+    void runWindowSingle(std::uint64_t &budget,
+                         std::uint32_t &cancel_countdown);
+    /**
+     * The same across all cores of a multi-core domain, up to the
+     * exact timer/pending boundary, replaying the reference
+     * accumulator and clipped progress sequence per event so the
+     * floating-point grouping is unchanged.
+     */
+    template <bool Trap>
+    void runWindowMulti(std::uint64_t &budget,
+                        std::uint32_t &cancel_countdown);
     /** @} */
 
     /**

@@ -3,7 +3,7 @@
  * Golden bit-identity suite for the domain-simulator fast path.
  *
  * The optimised event loop (invariant tables, a branch-free arrival
- * scan, batched native windows) must reproduce the reference
+ * scan, batched windows) must reproduce the reference
  * loop byte-for-byte: every DomainResult — including the optional
  * p-state timeline — is serialised through sim::result_io and
  * compared against the SimConfig::referencePath run of the same
@@ -147,11 +147,11 @@ TEST(GoldenIdentity, FastPathMatchesReferenceAcrossMatrix)
 }
 
 /**
- * Multi-core batched native windows against the reference loop.
+ * Multi-core batched windows against the reference loop.
  * Core counts 8 and 12 scan rows wider than any shipped domain (at
  * most four cores), and 12 is not a multiple of four.  The mode
  * cases pick the window flavours apart: Baseline batches whole
- * traces in the native window, Emulation runs the emulation window,
+ * traces in the native window, Emulation runs the trap window,
  * whose traps stall cores in-window (resume starts), and the
  * CombinedFv/Hybrid strategies leave transitions pending across
  * windows (runUntil caps).
@@ -197,19 +197,29 @@ TEST(GoldenIdentity, MultiCoreBatchedWindowsMatchReference)
 }
 
 /**
- * The sim.events.batched counter must cover every window flavour:
- * under fV, single-core domains (runNativeWindowSingle) and shared
- * multi-core domains (runNativeWindowMulti), and under e the two
- * emulation windows, each consume most trace events inside windows.
+ * The sim.events.batched counter must cover both window loops
+ * (runWindowSingle, runWindowMulti) with both event kinds: native
+ * events under fV and in Baseline mode, and strategy e's traps.
+ * Single-core and shared multi-core domains each consume most trace
+ * events inside windows.
  */
 TEST(GoldenIdentity, BatchedWindowCounterCoversSingleAndMultiCore)
 {
     const power::CpuModel cpu = power::cpuA_i9_9900k();
     const trace::WorkloadProfile p = goldenProfile("golden-dense", true);
 
+    struct Case
+    {
+        RunMode mode;
+        core::StrategyKind strategy;
+        const char *label;
+    };
     sim::TraceCache traces;
-    for (const core::StrategyKind strategy :
-         {core::StrategyKind::CombinedFv, core::StrategyKind::Emulation}) {
+    for (const Case &c :
+         {Case{RunMode::Suit, core::StrategyKind::CombinedFv, "fV"},
+          Case{RunMode::Suit, core::StrategyKind::Emulation, "e"},
+          Case{RunMode::Baseline, core::StrategyKind::CombinedFv,
+               "baseline"}}) {
         for (const int cores : {1, 4}) {
             obs::metrics().reset();
             obs::metrics().setEnabled(true);
@@ -218,8 +228,8 @@ TEST(GoldenIdentity, BatchedWindowCounterCoversSingleAndMultiCore)
             cfg.cpu = &cpu;
             cfg.cores = cores;
             cfg.offsetMv = -97.0;
-            cfg.mode = RunMode::Suit;
-            cfg.strategy = strategy;
+            cfg.mode = c.mode;
+            cfg.strategy = c.strategy;
             cfg.params = core::optimalParams(cpu);
             cfg.seed = 7;
             (void)sim::runWorkload(cfg, p, traces);
@@ -228,8 +238,8 @@ TEST(GoldenIdentity, BatchedWindowCounterCoversSingleAndMultiCore)
             obs::metrics().setEnabled(false);
             obs::metrics().reset();
 
-            const std::string label = std::string(core::toString(strategy)) +
-                                      " cores=" + std::to_string(cores);
+            const std::string label =
+                std::string(c.label) + " cores=" + std::to_string(cores);
             ASSERT_NE(snap.find("sim.events.batched"), nullptr) << label;
             ASSERT_NE(snap.find("sim.events.total"), nullptr) << label;
             const std::uint64_t batched =
@@ -246,7 +256,7 @@ TEST(GoldenIdentity, BatchedWindowCounterCoversSingleAndMultiCore)
 }
 
 /**
- * The emulation window on real profiles: Nginx traps on AESENC and
+ * The trap window on real profiles: Nginx traps on AESENC and
  * VPCLMULQDQ, so the per-kind cost table is read at more than one
  * kind, and 502.gcc is a SPEC mix.  Both are cut to a slice, as a
  * fleet's trace_scale does.  One, two and four cores take the
@@ -295,7 +305,7 @@ TEST(GoldenIdentity, EmulationWindowMatchesReferenceOnRealProfiles)
 /**
  * The state log takes one entry per trap, which only the generic step
  * writes: with recordStateLog set, strategy e must stay off the
- * emulation window and still match the reference loop.
+ * trap window and still match the reference loop.
  */
 TEST(GoldenIdentity, EmulationWithStateLogTakesTheGenericPath)
 {

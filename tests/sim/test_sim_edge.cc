@@ -292,7 +292,8 @@ TEST(SimEdge, EscapedGapsFastMatchesReferenceOneAndFourCores)
  * a window that ran the whole trace without polling would finish the
  * run instead of throwing.  Strategy e traps on every event; under fV
  * the 2.2 ms gaps outlast even the stretched deadline, so every event
- * pays a switch and a return.
+ * pays a switch and a return; Baseline executes every event natively,
+ * so one native window spans the whole trace.
  */
 TEST(SimEdge, ZeroDeadlineCancelsLongFastRuns)
 {
@@ -307,17 +308,67 @@ TEST(SimEdge, ZeroDeadlineCancelsLongFastRuns)
 
     runtime::CancelToken token;
     token.setDeadlineAfter(0.0);
-    for (const core::StrategyKind strategy :
-         {core::StrategyKind::Emulation, core::StrategyKind::CombinedFv}) {
+    struct Case
+    {
+        RunMode mode;
+        core::StrategyKind strategy;
+        const char *label;
+    };
+    for (const Case &c :
+         {Case{RunMode::Suit, core::StrategyKind::Emulation, "e"},
+          Case{RunMode::Suit, core::StrategyKind::CombinedFv, "fV"},
+          Case{RunMode::Baseline, core::StrategyKind::CombinedFv,
+               "baseline"}}) {
         for (const std::size_t cores : {std::size_t{1}, std::size_t{4}}) {
             SimConfig cfg = cfgFor(cpu);
-            cfg.strategy = strategy;
+            cfg.mode = c.mode;
+            cfg.strategy = c.strategy;
             cfg.cancel = &token;
             const std::vector<sim::CoreWork> work(cores, {&t, &p});
             DomainSimulator sim(cfg, work);
             EXPECT_THROW(sim.run(), runtime::Cancelled)
-                << cores << " cores, strategy "
-                << core::toString(strategy);
+                << cores << " cores, " << c.label;
+        }
+    }
+}
+
+/**
+ * A live cancel token changes nothing: a window that outlasts the poll
+ * interval polls mid-window and carries on with the next event.  The
+ * fast run with the token must match the reference run without one.
+ */
+TEST(SimEdge, LiveCancelTokenKeepsFastBytes)
+{
+    const power::CpuModel cpu = power::cpuA_i9_9900k();
+    std::vector<trace::FaultableEvent> events;
+    std::uint64_t span = 0;
+    for (std::uint64_t i = 0; i < 10000; ++i) {
+        const std::uint64_t gap = 10'000'000 + 7919 * (i % 13);
+        events.push_back({gap, i % 3 == 0 ? isa::FaultableKind::AESENC
+                                          : isa::FaultableKind::VOR});
+        span += gap + 1;
+    }
+    const trace::Trace t("live", span + 1000, 1.0, events);
+    const trace::WorkloadProfile p = plainProfile(t.totalInstructions());
+
+    const runtime::CancelToken token;
+    for (const RunMode mode : {RunMode::Suit, RunMode::Baseline}) {
+        for (const std::size_t cores : {std::size_t{1}, std::size_t{4}}) {
+            SimConfig cfg = cfgFor(cpu);
+            cfg.mode = mode;
+            cfg.strategy = core::StrategyKind::Emulation;
+            const std::vector<sim::CoreWork> work(cores, {&t, &p});
+            cfg.referencePath = true;
+            DomainSimulator ref_sim(cfg, work);
+            std::string ref_bytes;
+            sim::serializeResult(ref_sim.run(), ref_bytes);
+            cfg.referencePath = false;
+            cfg.cancel = &token;
+            DomainSimulator fast_sim(cfg, work);
+            std::string fast_bytes;
+            sim::serializeResult(fast_sim.run(), fast_bytes);
+            EXPECT_EQ(fast_bytes, ref_bytes)
+                << cores << " cores, mode " << static_cast<int>(mode);
         }
     }
 }

@@ -336,7 +336,7 @@ runScenarios(int reps, double &obs_overhead_pct,
         cfg.referencePath = true;
         results.push_back(timeScenario(
             "domain_sim_reference", cfg, {{&gcc_trace, &gcc}}, reps));
-        // Strategy e traps on every event: the emulation window.
+        // Strategy e traps on every event: the trap window.
         cfg.referencePath = false;
         cfg.strategy = core::StrategyKind::Emulation;
         results.push_back(timeScenario(
