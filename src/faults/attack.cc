@@ -1,5 +1,7 @@
 #include "faults/attack.hh"
 
+#include <algorithm>
+
 #include "util/rng.hh"
 
 namespace suit::faults {
@@ -7,7 +9,7 @@ namespace suit::faults {
 namespace {
 
 /**
- * Run the victim loop.  @p supply_of returns the supply voltage the
+ * Run the victim loop.  @p exec_supply_mv is the supply voltage the
  * target instruction actually executes at; @p count_trap is true on
  * the SUIT machine where each disabled execution first traps.
  */
@@ -58,14 +60,19 @@ attackBaseline(const VminModel &model, const AttackConfig &cfg)
 AttackResult
 attackWithSuit(const VminModel &model, const AttackConfig &cfg)
 {
-    // SUIT: executing the disabled instruction raises #DO; the OS
-    // switches to the conservative curve, and the re-execution
-    // happens at the full vendor-validated voltage regardless of the
-    // attacker's requested offset (the hardware refuses the
-    // efficient curve while the set is enabled, Sec. 3.2).
     const double nominal =
         model.config().curve->voltageAtMv(cfg.freqHz);
-    return runCampaign(model, cfg, nominal, true);
+    // A disabled instruction raises #DO; the OS switches to the
+    // conservative curve, and the re-execution happens at the full
+    // vendor-validated voltage regardless of the attacker's offset
+    // (the hardware refuses the efficient curve while the set is
+    // enabled, Sec. 3.2).
+    if (suit::isa::FaultableSet::suitTrapSet().contains(cfg.target))
+        return runCampaign(model, cfg, nominal, true);
+    return runCampaign(model, cfg,
+                       std::max(nominal - cfg.undervoltMv,
+                                nominal - kEfficientOffsetMv),
+                       false);
 }
 
 } // namespace suit::faults

@@ -61,6 +61,12 @@ struct AttackConfig
 };
 
 /**
+ * Depth of SUIT's efficient curve below the vendor curve (mV): the
+ * paper's -97 mV operating point.  SUIT refuses any lower supply.
+ */
+constexpr double kEfficientOffsetMv = 97.0;
+
+/**
  * Mount the campaign on a CPU *without* SUIT: the undervolt applies
  * while the victim executes the target instruction natively.
  */
@@ -68,10 +74,12 @@ AttackResult attackBaseline(const VminModel &model,
                             const AttackConfig &config);
 
 /**
- * Mount the same campaign on a CPU *with* SUIT: on the efficient
- * curve the target instruction is disabled, every execution traps,
- * and the hardware re-executes it only at a vendor-validated
- * conservative operating point.
+ * Mount the same campaign on a CPU *with* SUIT.  A target in the trap
+ * set (isa::FaultableSet::suitTrapSet) is disabled on the efficient
+ * curve: every execution traps, and the hardware re-executes it only
+ * at the vendor-validated conservative operating point.  Any other
+ * target (the hardened IMUL) runs natively without a trap, at the
+ * requested undervolt but no deeper than the efficient curve.
  */
 AttackResult attackWithSuit(const VminModel &model,
                             const AttackConfig &config);

@@ -1,7 +1,8 @@
 # Smoke test of suit_bench_json: run the benchmark scenarios with a
 # single repetition (seconds, not minutes), then validate the emitted
-# record against the suit-bench-simcore-v6 schema with the tool's own
-# --check mode.
+# record against the suit-bench-simcore-v7 schema with the tool's own
+# --check mode, which requires every scenario key (uarch_generate and
+# uarch_o3 included).
 #
 # Invoked by ctest as:
 #   cmake -DSUIT_BENCH_JSON=<tool> -DWORK_DIR=<scratch> -P this_file
@@ -34,7 +35,7 @@ endif()
 
 # A corrupted record must be rejected.
 file(READ "${WORK_DIR}/bench.json" CONTENT)
-string(REPLACE "suit-bench-simcore-v6" "wrong-schema" CONTENT
+string(REPLACE "suit-bench-simcore-v7" "wrong-schema" CONTENT
        "${CONTENT}")
 file(WRITE "${WORK_DIR}/corrupt.json" "${CONTENT}")
 execute_process(

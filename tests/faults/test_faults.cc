@@ -252,22 +252,55 @@ TEST(VminModelTest, HardenedImulNeverFaultsAtSuitOffsets)
     }
 }
 
+/** The i9 model with SUIT's 4-cycle IMUL (Sec. 4.2). */
+VminModel
+makeSuitChip()
+{
+    static const suit::power::DvfsCurve curve =
+        suit::power::i9_9900kCurve();
+    VminConfig cfg;
+    cfg.curve = &curve;
+    cfg.cores = 4;
+    cfg.hardenedImul = true;
+    return VminModel(cfg);
+}
+
 TEST(AttackTest, ImulTargetAlsoNeutralised)
 {
     // Plundervolt's original target: IMUL in an enclave.  With SUIT,
-    // IMUL is hardened statically (4-cycle latency) and its safe
-    // voltage is far lower (Fig. 13) — model it as the trap set
-    // protecting the remaining margin.
-    const VminModel m = makeModel();
+    // IMUL is hardened statically (4-cycle latency): its Vmin is far
+    // lower (Fig. 13), so it runs natively on the efficient curve.
     AttackConfig cfg;
     cfg.target = FaultableKind::IMUL;
     cfg.undervoltMv = 115.0; // Murdoch et al.: IMUL faults at ~-100 mV
     cfg.attempts = 2000;
 
-    const AttackResult base = attackBaseline(m, cfg);
-    const AttackResult suit = attackWithSuit(m, cfg);
+    const AttackResult base = attackBaseline(makeModel(), cfg);
+    const AttackResult suit = attackWithSuit(makeSuitChip(), cfg);
     EXPECT_GT(base.faultyResults, 0u);
     EXPECT_EQ(suit.faultyResults, 0u);
+}
+
+TEST(AttackTest, HardenedImulRunsNativelyWhileAesTraps)
+{
+    // IMUL is not in SUIT's trap set: the campaign against it takes
+    // no #DO, while every AESENC attempt still traps.
+    const VminModel m = makeSuitChip();
+    AttackConfig cfg;
+    cfg.attempts = 2000;
+
+    cfg.target = FaultableKind::IMUL;
+    cfg.undervoltMv = 115.0;
+    const AttackResult imul = attackWithSuit(m, cfg);
+    EXPECT_EQ(imul.attempts, 2000u);
+    EXPECT_EQ(imul.traps, 0u);
+    EXPECT_EQ(imul.faultyResults, 0u);
+
+    cfg.target = FaultableKind::AESENC;
+    cfg.undervoltMv = 180.0;
+    const AttackResult aes = attackWithSuit(m, cfg);
+    EXPECT_EQ(aes.traps, aes.attempts);
+    EXPECT_EQ(aes.faultyResults, 0u);
 }
 
 } // namespace

@@ -5,19 +5,26 @@
  *
  * Runs the simulator scenarios (single-core SUIT on 502.gcc, the
  * same run on the reference event loop and under strategy e, the
- * event-dense 525.x264, and CPU A's shared four-core domain) plus the
- * engine-scale throughput scenarios (the 100k- and 1M-domain demo
- * fleets through FleetEngine and a SPEC x offset grid through
- * SweepEngine, all on all hardware threads) with wall-clock timing,
- * and emits one JSON document:
+ * event-dense 525.x264, and CPU A's shared four-core domain), the
+ * cycle-level machine's two stages (program generation and the O3
+ * model), and the engine-scale throughput scenarios (the 100k- and
+ * 1M-domain demo fleets through FleetEngine and a SPEC x offset grid
+ * through SweepEngine, all on all hardware threads) with wall-clock
+ * timing, and emits one JSON document:
  *
  *   {
- *     "schema": "suit-bench-simcore-v6",
+ *     "schema": "suit-bench-simcore-v7",
  *     "reps": 5,
  *     "benchmarks": [
  *       { "name": "domain_sim_single", "events": ...,
  *         "best_ms": ..., "median_ms": ..., "events_per_sec": ... },
  *       ...
+ *     ],
+ *     "uarch": [
+ *       { "name": "uarch_generate", "instructions": 100000,
+ *         "best_ms": ..., "median_ms": ...,
+ *         "instructions_per_sec": ... },
+ *       { "name": "uarch_o3", ... }
  *     ],
  *     "fleet": { "name": "fleet_100k", "domains": 100000,
  *       "best_ms": ..., "median_ms": ..., "domains_per_sec": ... },
@@ -76,6 +83,8 @@
 #include "sim/evaluation.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
+#include "uarch/o3_model.hh"
+#include "uarch/program.hh"
 #include "util/alloc_count.hh"
 #include "util/args.hh"
 #include "util/format.hh"
@@ -85,14 +94,47 @@ namespace {
 
 using namespace suit;
 
-/** One measured scenario. */
+/** Best and median wall time of a repeated run. */
+struct Timing
+{
+    double bestMs = 0.0;
+    double medianMs = 0.0;
+};
+
+/** Time @p reps runs of @p body. */
+template <typename Body>
+Timing
+timeReps(int reps, const Body &body)
+{
+    std::vector<double> times_ms;
+    times_ms.reserve(static_cast<std::size_t>(reps));
+    for (int r = 0; r < reps; ++r) {
+        const auto start = std::chrono::steady_clock::now();
+        body();
+        const auto stop = std::chrono::steady_clock::now();
+        times_ms.push_back(
+            std::chrono::duration<double, std::milli>(stop - start)
+                .count());
+    }
+    std::sort(times_ms.begin(), times_ms.end());
+    return {times_ms.front(), times_ms[times_ms.size() / 2]};
+}
+
+/** @p items processed per second at the best time. */
+double
+perSec(std::uint64_t items, const Timing &t)
+{
+    return t.bestMs > 0.0
+               ? static_cast<double>(items) / (t.bestMs / 1e3)
+               : 0.0;
+}
+
+/** One measured scenario: @p items are events or instructions. */
 struct BenchResult
 {
     std::string name;
-    std::uint64_t events = 0;
-    double bestMs = 0.0;
-    double medianMs = 0.0;
-    double eventsPerSec = 0.0;
+    std::uint64_t items = 0;
+    Timing time;
 };
 
 /** Time one simulator configuration over @p reps repetitions. */
@@ -103,31 +145,34 @@ timeScenario(const std::string &name, const sim::SimConfig &cfg,
     std::uint64_t events = 0;
     for (const sim::CoreWork &w : work)
         events += w.trace->eventCount();
+    return {name, events, timeReps(reps, [&] {
+                sim::DomainSimulator simulator(cfg, work);
+                SUIT_ASSERT(!simulator.run().cores.empty(),
+                            "simulation returned no cores");
+            })};
+}
 
-    std::vector<double> times_ms;
-    times_ms.reserve(static_cast<std::size_t>(reps));
-    for (int r = 0; r < reps; ++r) {
-        const auto start = std::chrono::steady_clock::now();
-        sim::DomainSimulator simulator(cfg, work);
-        const sim::DomainResult result = simulator.run();
-        const auto stop = std::chrono::steady_clock::now();
-        SUIT_ASSERT(!result.cores.empty(), "simulation returned no cores");
-        times_ms.push_back(
-            std::chrono::duration<double, std::milli>(stop - start)
-                .count());
-    }
-    std::sort(times_ms.begin(), times_ms.end());
-
-    BenchResult out;
-    out.name = name;
-    out.events = events;
-    out.bestMs = times_ms.front();
-    out.medianMs = times_ms[times_ms.size() / 2];
-    out.eventsPerSec = out.bestMs > 0.0
-                           ? static_cast<double>(events) /
-                                 (out.bestMs / 1e3)
-                           : 0.0;
-    return out;
+/**
+ * The two cycle-level stages a Fig. 14 / Sec. 4 campaign runs:
+ * ProgramGenerator (uarch_generate) and O3Model::run (uarch_o3), on
+ * the 100k-instruction SPECint-like program of seed 5.
+ */
+std::vector<BenchResult>
+runUarchScenarios(int reps)
+{
+    constexpr std::size_t kInsts = 100'000;
+    const uarch::ProgramGenerator gen(5);
+    const uarch::ProgramMix mix = uarch::specIntLikeMix();
+    const uarch::Program prog = gen.generate(mix, kInsts);
+    return {{"uarch_generate", kInsts, timeReps(reps, [&] {
+                 SUIT_ASSERT(gen.generate(mix, kInsts).insts.size() ==
+                                 kInsts,
+                             "short program");
+             })},
+            {"uarch_o3", kInsts, timeReps(reps, [&] {
+                 uarch::O3Model model;
+                 SUIT_ASSERT(model.run(prog).cycles > 0, "no cycles");
+             })}};
 }
 
 /**
@@ -373,70 +418,32 @@ runScenarios(int reps, double &obs_overhead_pct,
     return results;
 }
 
-/** The fleet-scale throughput scenario. */
-struct FleetBench
-{
-    std::string name;
-    std::uint64_t domains = 0;
-    double bestMs = 0.0;
-    double medianMs = 0.0;
-    double domainsPerSec = 0.0;
-};
-
 /**
  * Time the @p domains-sized demo fleet through the FleetEngine on
  * all hardware threads.  The session (pool and trace cache) and
  * engine are rebuilt per repetition so every run pays the full cost
  * a fresh suit_fleet invocation would.
  */
-FleetBench
+BenchResult
 timeFleet(const std::string &name, std::uint64_t domains, int reps)
 {
-    std::vector<double> times_ms;
-    times_ms.reserve(static_cast<std::size_t>(reps));
-    for (int r = 0; r < reps; ++r) {
-        const auto start = std::chrono::steady_clock::now();
-        runtime::Session session;
-        fleet::FleetEngine engine(session,
-                                  fleet::FleetSpec::demo(domains));
-        const fleet::FleetOutcome outcome = engine.run({});
-        const auto stop = std::chrono::steady_clock::now();
-        SUIT_ASSERT(outcome.complete() &&
-                        outcome.totals.totalDomains() == domains,
-                    "fleet benchmark run incomplete");
-        times_ms.push_back(
-            std::chrono::duration<double, std::milli>(stop - start)
-                .count());
-    }
-    std::sort(times_ms.begin(), times_ms.end());
-
-    FleetBench out;
-    out.name = name;
-    out.domains = domains;
-    out.bestMs = times_ms.front();
-    out.medianMs = times_ms[times_ms.size() / 2];
-    out.domainsPerSec =
-        out.bestMs > 0.0 ? static_cast<double>(domains) /
-                               (out.bestMs / 1e3)
-                         : 0.0;
-    return out;
+    return {name, domains, timeReps(reps, [&] {
+                runtime::Session session;
+                fleet::FleetEngine engine(session,
+                                          fleet::FleetSpec::demo(domains));
+                const fleet::FleetOutcome outcome = engine.run({});
+                SUIT_ASSERT(outcome.complete() &&
+                                outcome.totals.totalDomains() == domains,
+                            "fleet benchmark run incomplete");
+            })};
 }
-
-/** The sweep-grid throughput scenario. */
-struct SweepBench
-{
-    std::size_t cells = 0;
-    double bestMs = 0.0;
-    double medianMs = 0.0;
-    double cellsPerSec = 0.0;
-};
 
 /**
  * Time a representative sweep grid (SPEC workloads x offsets on
  * CPU C) through the SweepEngine on all hardware threads, session
  * rebuilt per repetition like the fleet scenario.
  */
-SweepBench
+BenchResult
 timeSweepGrid(int reps)
 {
     const power::CpuModel cpu = power::cpuC_xeon4208();
@@ -454,33 +461,12 @@ timeSweepGrid(int reps)
             jobs.push_back({p.name, cfg, &p});
         }
     }
-
-    std::vector<double> times_ms;
-    times_ms.reserve(static_cast<std::size_t>(reps));
-    for (int r = 0; r < reps; ++r) {
-        const auto start = std::chrono::steady_clock::now();
-        runtime::Session session;
-        exec::SweepEngine engine(session);
-        const std::vector<sim::DomainResult> results =
-            engine.run(jobs);
-        const auto stop = std::chrono::steady_clock::now();
-        SUIT_ASSERT(results.size() == jobs.size(),
-                    "sweep benchmark run incomplete");
-        times_ms.push_back(
-            std::chrono::duration<double, std::milli>(stop - start)
-                .count());
-    }
-    std::sort(times_ms.begin(), times_ms.end());
-
-    SweepBench out;
-    out.cells = jobs.size();
-    out.bestMs = times_ms.front();
-    out.medianMs = times_ms[times_ms.size() / 2];
-    out.cellsPerSec =
-        out.bestMs > 0.0 ? static_cast<double>(out.cells) /
-                               (out.bestMs / 1e3)
-                         : 0.0;
-    return out;
+    return {"sweep_grid", jobs.size(), timeReps(reps, [&] {
+                runtime::Session session;
+                exec::SweepEngine engine(session);
+                SUIT_ASSERT(engine.run(jobs).size() == jobs.size(),
+                            "sweep benchmark run incomplete");
+            })};
 }
 
 /**
@@ -535,63 +521,66 @@ measureAllocsPerDomain()
            static_cast<double>(kMeasured);
 }
 
+/** @p r as a JSON object counting its items as @p unit. */
 std::string
-renderFleetJson(const FleetBench &bench)
+renderRow(const BenchResult &r, const char *unit, int ms_digits,
+          int rate_digits)
 {
     return util::sformat(
-        "{ \"name\": \"%s\", "
-        "\"domains\": %llu, \"best_ms\": %.1f, "
-        "\"median_ms\": %.1f, \"domains_per_sec\": %.0f }",
-        bench.name.c_str(),
-        static_cast<unsigned long long>(bench.domains),
-        bench.bestMs, bench.medianMs, bench.domainsPerSec);
+        "{ \"name\": \"%s\", \"%s\": %llu, \"best_ms\": %.*f, "
+        "\"median_ms\": %.*f, \"%s_per_sec\": %.*f }",
+        r.name.c_str(), unit, static_cast<unsigned long long>(r.items),
+        ms_digits, r.time.bestMs, ms_digits, r.time.medianMs, unit,
+        rate_digits, perSec(r.items, r.time));
+}
+
+/** @p rows as the lines of a JSON array. */
+std::string
+renderRows(const std::vector<BenchResult> &rows, const char *unit)
+{
+    std::string body;
+    for (const BenchResult &r : rows)
+        body += (body.empty() ? "    " : ",\n    ") +
+                renderRow(r, unit, 3, 0);
+    return body;
 }
 
 std::string
 renderJson(const std::vector<BenchResult> &results,
-           const FleetBench &fleet_100k, const FleetBench &fleet_1m,
-           const SweepBench &sweep_bench, double allocs_per_domain,
+           const std::vector<BenchResult> &uarch,
+           const BenchResult &fleet_100k, const BenchResult &fleet_1m,
+           const BenchResult &sweep_bench, double allocs_per_domain,
            int reps, double obs_pct, double telemetry_pct)
 {
     double fast_ms = 0.0;
     double ref_ms = 0.0;
-    std::string body;
     for (const BenchResult &r : results) {
         if (r.name == "domain_sim_single")
-            fast_ms = r.bestMs;
+            fast_ms = r.time.bestMs;
         if (r.name == "domain_sim_reference")
-            ref_ms = r.bestMs;
-        if (!body.empty())
-            body += ",\n";
-        body += util::sformat(
-            "    { \"name\": \"%s\", \"events\": %llu, "
-            "\"best_ms\": %.3f, \"median_ms\": %.3f, "
-            "\"events_per_sec\": %.0f }",
-            r.name.c_str(),
-            static_cast<unsigned long long>(r.events), r.bestMs,
-            r.medianMs, r.eventsPerSec);
+            ref_ms = r.time.bestMs;
     }
     const double speedup = fast_ms > 0.0 ? ref_ms / fast_ms : 0.0;
     return util::sformat(
         "{\n"
-        "  \"schema\": \"suit-bench-simcore-v6\",\n"
+        "  \"schema\": \"suit-bench-simcore-v7\",\n"
         "  \"reps\": %d,\n"
         "  \"benchmarks\": [\n%s\n  ],\n"
+        "  \"uarch\": [\n%s\n  ],\n"
         "  \"fleet\": %s,\n"
         "  \"fleet_1m\": %s,\n"
-        "  \"sweep\": { \"name\": \"sweep_grid\", "
-        "\"cells\": %zu, \"best_ms\": %.1f, "
-        "\"median_ms\": %.1f, \"cells_per_sec\": %.1f },\n"
+        "  \"sweep\": %s,\n"
         "  \"allocs_per_domain\": %.2f,\n"
         "  \"alloc_count_enabled\": %s,\n"
         "  \"speedup_vs_reference\": %.2f,\n"
         "  \"obs_overhead_disabled_pct\": %.2f,\n"
         "  \"telemetry_overhead_pct\": %.2f\n"
         "}\n",
-        reps, body.c_str(), renderFleetJson(fleet_100k).c_str(),
-        renderFleetJson(fleet_1m).c_str(), sweep_bench.cells,
-        sweep_bench.bestMs, sweep_bench.medianMs,
-        sweep_bench.cellsPerSec, allocs_per_domain,
+        reps, renderRows(results, "events").c_str(),
+        renderRows(uarch, "instructions").c_str(),
+        renderRow(fleet_100k, "domains", 1, 0).c_str(),
+        renderRow(fleet_1m, "domains", 1, 0).c_str(),
+        renderRow(sweep_bench, "cells", 1, 1).c_str(), allocs_per_domain,
         util::allocCountEnabled() ? "true" : "false", speedup,
         obs_pct, telemetry_pct);
 }
@@ -605,7 +594,7 @@ std::string
 validateJson(const std::string &text)
 {
     const char *kRequired[] = {
-        "\"schema\": \"suit-bench-simcore-v6\"",
+        "\"schema\": \"suit-bench-simcore-v7\"",
         "\"reps\":",
         "\"benchmarks\":",
         "\"domain_sim_single\"",
@@ -615,6 +604,9 @@ validateJson(const std::string &text)
         "\"domain_sim_dense\"",
         "\"domain_sim_shared\"",
         "\"events_per_sec\":",
+        "\"uarch_generate\"",
+        "\"uarch_o3\"",
+        "\"instructions_per_sec\":",
         "\"fleet\":",
         "\"fleet_100k\"",
         "\"fleet_1m\"",
@@ -692,17 +684,19 @@ main(int argc, char **argv)
                     obs_pct);
     }
     const double allocs_per_domain = measureAllocsPerDomain();
-    const FleetBench fleet_100k =
+    const std::vector<BenchResult> uarch =
+        runUarchScenarios(static_cast<int>(reps));
+    const BenchResult fleet_100k =
         timeFleet("fleet_100k", 100'000, static_cast<int>(reps));
     // The million-domain scenario takes seconds per repetition; cap
     // it so --reps 25 regenerations stay minutes, not hours.
-    const FleetBench fleet_1m = timeFleet(
+    const BenchResult fleet_1m = timeFleet(
         "fleet_1m", 1'000'000,
         std::min(static_cast<int>(reps), 3));
-    const SweepBench sweep_bench =
+    const BenchResult sweep_bench =
         timeSweepGrid(static_cast<int>(reps));
     const std::string json = renderJson(
-        results, fleet_100k, fleet_1m, sweep_bench,
+        results, uarch, fleet_100k, fleet_1m, sweep_bench,
         allocs_per_domain, static_cast<int>(reps), obs_pct,
         telemetry_pct);
 
@@ -721,18 +715,18 @@ main(int argc, char **argv)
     std::fputs(json.c_str(), f);
     std::fclose(f);
 
+    const auto report = [](const BenchResult &r, const char *unit) {
+        std::fprintf(stderr, "%-22s %8.2f ms  %12.0f %s/s\n",
+                     r.name.c_str(), r.time.bestMs,
+                     perSec(r.items, r.time), unit);
+    };
     for (const BenchResult &r : results)
-        std::fprintf(stderr, "%-22s %8.2f ms  %12.0f events/s\n",
-                     r.name.c_str(), r.bestMs, r.eventsPerSec);
-    std::fprintf(stderr, "%-22s %8.2f ms  %12.0f domains/s\n",
-                 "fleet_100k", fleet_100k.bestMs,
-                 fleet_100k.domainsPerSec);
-    std::fprintf(stderr, "%-22s %8.2f ms  %12.0f domains/s\n",
-                 "fleet_1m", fleet_1m.bestMs,
-                 fleet_1m.domainsPerSec);
-    std::fprintf(stderr, "%-22s %8.2f ms  %12.1f cells/s\n",
-                 "sweep_grid", sweep_bench.bestMs,
-                 sweep_bench.cellsPerSec);
+        report(r, "events");
+    for (const BenchResult &r : uarch)
+        report(r, "instructions");
+    report(fleet_100k, "domains");
+    report(fleet_1m, "domains");
+    report(sweep_bench, "cells");
     std::fprintf(stderr, "allocs/domain (steady state): %.2f%s\n",
                  allocs_per_domain,
                  util::allocCountEnabled()
