@@ -1424,6 +1424,9 @@ scheduling(runtime::Session &session)
 constexpr std::pair<isa::FaultableKind, double> kAttacks[] = {
     {isa::FaultableKind::AESENC, 180.0}, {isa::FaultableKind::IMUL, 115.0}};
 
+/** The one operating point of the campaigns and the margin table. */
+constexpr double kSec69FreqHz = 4.5e9;
+
 struct Sec69
 {
     /** Campaigns against kAttacks, without and with SUIT. */
@@ -1454,6 +1457,7 @@ sec69()
     for (std::size_t i = 0; i < std::size(kAttacks); ++i) {
         faults::AttackConfig cfg;
         std::tie(cfg.target, cfg.undervoltMv) = kAttacks[i];
+        cfg.freqHz = kSec69FreqHz;
         s.base[i] = faults::attackBaseline(baseline, cfg);
         s.suit[i] = faults::attackWithSuit(suit_chip, cfg);
         for (const auto &[sys, r] : {std::pair{"baseline", &s.base[i]},
@@ -1468,18 +1472,20 @@ sec69()
     t.print();
 
     std::printf("\nMargin bookkeeping (the reductionist argument):\n");
-    const double nominal = curve.voltageAtMv(4.5e9);
+    const double nominal = curve.voltageAtMv(kSec69FreqHz);
     const double efficient = nominal - faults::kEfficientOffsetMv;
     const auto vmin = [](const faults::VminModel &m, isa::FaultableKind k) {
-        return m.vminMv(0, k, 4.5e9);
+        return m.vminMv(0, k, kSec69FreqHz);
     };
     const double stock = vmin(baseline, isa::FaultableKind::IMUL);
     const double hardened = vmin(suit_chip, isa::FaultableKind::IMUL);
     util::TablePrinter m({"Quantity", "Voltage / margin"});
-    const auto row = [&](const char *label, double mv) {
+    const auto row = [&](const std::string &label, double mv) {
         m.addRow({label, util::sformat("%.0f mV", mv)});
     };
-    row("Vendor operating point (4.5 GHz)", nominal);
+    row(util::sformat("Vendor operating point (%.1f GHz)",
+                      kSec69FreqHz / 1e9),
+        nominal);
     row("SUIT efficient point (-97 mV)", efficient);
     row("Shallowest SIMD Vmin (VOR, core 0)",
         vmin(baseline, isa::FaultableKind::VOR));
@@ -1495,7 +1501,8 @@ sec69()
         "instructions keep the exact margins the\nvendor validates "
         "today — SUIT's security reduces to the security of current "
         "CPUs.\n");
-    s.hardenedBelowCrash = suit_chip.crashVoltageMv(0, 4.5e9) - hardened;
+    s.hardenedBelowCrash =
+        suit_chip.crashVoltageMv(0, kSec69FreqHz) - hardened;
     s.stockImulMargin = efficient - stock;
     return s;
 }

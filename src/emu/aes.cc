@@ -124,117 +124,12 @@ subBytesBitsliced(const AesBlock &s)
     return aesFromPlanes(out);
 }
 
-/** Inverse S-box, derived from the forward table at first use. */
-const std::uint8_t *
-invSbox()
-{
-    static const auto table = [] {
-        std::array<std::uint8_t, 256> t{};
-        for (int i = 0; i < 256; ++i)
-            t[kSbox[i]] = static_cast<std::uint8_t>(i);
-        return t;
-    }();
-    return table.data();
-}
-
-/** InvShiftRows on the x86 column-major state layout. */
-AesBlock
-invShiftRows(const AesBlock &s)
-{
-    AesBlock r;
-    for (int col = 0; col < 4; ++col) {
-        for (int row = 0; row < 4; ++row) {
-            // Row `row` rotates right by `row` columns.
-            const int src_col = (col - row + 4) % 4;
-            r[static_cast<std::size_t>(4 * col + row)] =
-                s[static_cast<std::size_t>(4 * src_col + row)];
-        }
-    }
-    return r;
-}
-
-AesBlock
-invSubBytes(const AesBlock &s)
-{
-    AesBlock r;
-    for (std::size_t i = 0; i < 16; ++i)
-        r[i] = invSbox()[s[i]];
-    return r;
-}
-
-/** InvMixColumns (coefficients 0E 0B 0D 09), constant time. */
-AesBlock
-invMixColumns(const AesBlock &s)
-{
-    auto x2 = [](std::uint8_t b) { return xtime(b); };
-    auto mul = [&](std::uint8_t a, int c) -> std::uint8_t {
-        const std::uint8_t a2 = x2(a);
-        const std::uint8_t a4 = x2(a2);
-        const std::uint8_t a8 = x2(a4);
-        switch (c) {
-          case 0x9:
-            return static_cast<std::uint8_t>(a8 ^ a);
-          case 0xB:
-            return static_cast<std::uint8_t>(a8 ^ a2 ^ a);
-          case 0xD:
-            return static_cast<std::uint8_t>(a8 ^ a4 ^ a);
-          case 0xE:
-            return static_cast<std::uint8_t>(a8 ^ a4 ^ a2);
-        }
-        return 0;
-    };
-    AesBlock r;
-    for (int col = 0; col < 4; ++col) {
-        const std::uint8_t a0 = s[static_cast<std::size_t>(4 * col)];
-        const std::uint8_t a1 = s[static_cast<std::size_t>(4 * col + 1)];
-        const std::uint8_t a2 = s[static_cast<std::size_t>(4 * col + 2)];
-        const std::uint8_t a3 = s[static_cast<std::size_t>(4 * col + 3)];
-        r[static_cast<std::size_t>(4 * col)] = static_cast<std::uint8_t>(
-            mul(a0, 0xE) ^ mul(a1, 0xB) ^ mul(a2, 0xD) ^ mul(a3, 0x9));
-        r[static_cast<std::size_t>(4 * col + 1)] =
-            static_cast<std::uint8_t>(mul(a0, 0x9) ^ mul(a1, 0xE) ^
-                                      mul(a2, 0xB) ^ mul(a3, 0xD));
-        r[static_cast<std::size_t>(4 * col + 2)] =
-            static_cast<std::uint8_t>(mul(a0, 0xD) ^ mul(a1, 0x9) ^
-                                      mul(a2, 0xE) ^ mul(a3, 0xB));
-        r[static_cast<std::size_t>(4 * col + 3)] =
-            static_cast<std::uint8_t>(mul(a0, 0xB) ^ mul(a1, 0xD) ^
-                                      mul(a2, 0x9) ^ mul(a3, 0xE));
-    }
-    return r;
-}
-
 } // namespace
 
 std::uint8_t
 aesSubByte(std::uint8_t b)
 {
     return kSbox[b];
-}
-
-std::uint8_t
-aesInvSubByte(std::uint8_t b)
-{
-    return invSbox()[b];
-}
-
-AesBlock
-aesdecRound(const AesBlock &state, const AesBlock &round_key)
-{
-    return addRoundKey(
-        invMixColumns(invSubBytes(invShiftRows(state))), round_key);
-}
-
-AesBlock
-aesdeclastRound(const AesBlock &state, const AesBlock &round_key)
-{
-    return addRoundKey(invSubBytes(invShiftRows(state)), round_key);
-}
-
-AesBlock
-aesimc(const AesBlock &round_key)
-{
-    return invMixColumns(round_key);
 }
 
 AesBlock
@@ -303,19 +198,6 @@ Aes128::encryptBitsliced(const AesBlock &plaintext) const
         s = aesencRoundBitsliced(
             s, roundKeys_[static_cast<std::size_t>(r)]);
     return aesenclastRoundBitsliced(s, roundKeys_[10]);
-}
-
-AesBlock
-Aes128::decrypt(const AesBlock &ciphertext) const
-{
-    // Equivalent inverse cipher: AESDEC rounds consume the expanded
-    // keys in reverse, with the inner keys passed through AESIMC —
-    // exactly how AES-NI decryption key schedules are prepared.
-    AesBlock s = addRoundKey(ciphertext, roundKeys_[10]);
-    for (int r = 9; r >= 1; --r)
-        s = aesdecRound(
-            s, aesimc(roundKeys_[static_cast<std::size_t>(r)]));
-    return aesdeclastRound(s, roundKeys_[0]);
 }
 
 const AesBlock &

@@ -40,24 +40,6 @@ AesBlock aesencRound(const AesBlock &state, const AesBlock &round_key);
 AesBlock aesenclastRound(const AesBlock &state,
                          const AesBlock &round_key);
 
-/** The inverse S-box applied to one byte. */
-std::uint8_t aesInvSubByte(std::uint8_t b);
-
-/**
- * One AESDEC round exactly as the x86 instruction defines it:
- * InvShiftRows, InvSubBytes, InvMixColumns, AddRoundKey.  Like on
- * real hardware, the round key must be pre-transformed with
- * aesimc() for the equivalent inverse cipher.
- */
-AesBlock aesdecRound(const AesBlock &state, const AesBlock &round_key);
-
-/** One AESDECLAST round: InvShiftRows, InvSubBytes, AddRoundKey. */
-AesBlock aesdeclastRound(const AesBlock &state,
-                         const AesBlock &round_key);
-
-/** AESIMC: InvMixColumns, used to transform decryption round keys. */
-AesBlock aesimc(const AesBlock &round_key);
-
 /** @} */
 
 /** @{ Bit-sliced (constant-time) primitives with identical results. */
@@ -88,13 +70,6 @@ class Aes128
 
     /** Encrypt one block with the bit-sliced rounds. */
     AesBlock encryptBitsliced(const AesBlock &plaintext) const;
-
-    /**
-     * Decrypt one block via the equivalent inverse cipher (AESDEC
-     * rounds over aesimc-transformed keys, the AES-NI decryption
-     * idiom).
-     */
-    AesBlock decrypt(const AesBlock &ciphertext) const;
 
     /** Round key @p i (0..10). */
     const AesBlock &roundKey(int i) const;

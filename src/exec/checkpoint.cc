@@ -16,7 +16,6 @@
 #include "util/bytes.hh"
 #include "util/format.hh"
 #include "util/hash.hh"
-#include "util/logging.hh"
 
 namespace suit::exec {
 
@@ -198,26 +197,8 @@ class WriteTimer
 
 CheckpointJournal::~CheckpointJournal()
 {
-    // Destruction is the last chance for a batched journal to land
-    // its tail; a write failure here must not throw out of a
-    // destructor (the engine may already be unwinding an exception).
-    try {
-        flush();
-    } catch (const JournalError &e) {
-        suit::util::warn("checkpoint flush on close failed: %s",
-                         e.what());
-    }
     if (fd_ >= 0)
         ::close(fd_);
-}
-
-void
-CheckpointJournal::setFlushInterval(int every)
-{
-    SUIT_ASSERT(every >= 1, "flush interval must be >= 1, got %d",
-                every);
-    std::lock_guard lock(mu_);
-    flushEvery_ = every;
 }
 
 void
@@ -230,8 +211,6 @@ CheckpointJournal::start(const std::string &path,
         ::close(fd_);
     fd_ = -1;
     path_.clear();
-    tail_.clear();
-    pending_ = 0;
 
     std::string image;
     image.append(kMagic, sizeof(kMagic));
@@ -242,11 +221,10 @@ CheckpointJournal::start(const std::string &path,
     for (const CellRecord &record : seed)
         encodeRecord(encodePayload(record), image);
 
-    // The header (and any resume seed) always hits the disk before
-    // the run starts, whatever the flush interval: a crash during
-    // the first batch must recover the restored cells.  The file
-    // appears under its name only complete, and the descriptor that
-    // wrote it stays open for the appends.
+    // The header (and any resume seed) hits the disk before the run
+    // starts: a crash during the first append must recover the
+    // restored cells.  The file appears under its name only complete,
+    // and the descriptor that wrote it stays open for the appends.
     const WriteTimer timer;
     const std::string tmp = path + ".tmp";
     double t = timer.now();
@@ -294,38 +272,20 @@ CheckpointJournal::append(const CellRecord &record)
     std::lock_guard lock(mu_);
     if (path_.empty())
         return;
-    tail_.append(frame);
-    if (++pending_ < flushEvery_)
-        return; // buffered; durable at the next interval boundary
-    flushLocked();
-}
-
-void
-CheckpointJournal::flush()
-{
-    std::lock_guard lock(mu_);
-    if (path_.empty() || pending_ == 0)
-        return;
-    flushLocked();
-}
-
-void
-CheckpointJournal::flushLocked()
-{
     if (fd_ < 0)
         throw JournalError(suit::util::sformat(
             "checkpoint '%s' is unusable after a failed write",
             path_.c_str()));
     const WriteTimer timer;
     double t = timer.now();
-    int err = writeAll(fd_, tail_);
+    int err = writeAll(fd_, frame);
     timer.stage(t, "journal.write");
     t = timer.now();
     if (err == 0 && ::fdatasync(fd_) != 0)
         err = errno;
     timer.stage(t, "journal.fsync");
     if (err != 0) {
-        // Cut a partly written batch back to the last record end on
+        // Cut a partly written frame back to the last record end on
         // disk: the next append must not land after a torn record.
         // If even that fails, stop writing to the file altogether.
         if (::ftruncate(fd_, static_cast<off_t>(durableSize_)) != 0) {
@@ -336,10 +296,8 @@ CheckpointJournal::flushLocked()
             "cannot write checkpoint '%s': %s", path_.c_str(),
             std::strerror(err)));
     }
-    timer.done(tail_.size());
-    durableSize_ += tail_.size();
-    tail_.clear();
-    pending_ = 0;
+    timer.done(frame.size());
+    durableSize_ += frame.size();
 }
 
 JournalContents

@@ -26,13 +26,13 @@
  * made durable with fdatasync; no record is ever rewritten.  A kill
  * mid-append can therefore leave one torn frame at the tail, which
  * load() drops; a failed write is cut back to the last durable record
- * boundary, so a later append never lands after a torn record.  By
- * default every append() flushes; a batched flush interval
- * (setFlushInterval / --checkpoint-flush) amortises the write +
- * fdatasync over N records, bounding the loss after a crash to the
- * last unflushed batch.  The loader is defensive: records are length-
- * and checksum-framed, and load() keeps the longest valid prefix of
- * a truncated or corrupted file (reporting the dropped byte count)
+ * boundary, so a later append never lands after a torn record.  Each
+ * append() is one write + fdatasync, so a record is durable when the
+ * call returns; an engine that wants fewer syncs journals coarser
+ * units (the fleet engine's --shard sets how many domains one record
+ * covers).  The loader is defensive: records are length- and
+ * checksum-framed, and load() keeps the longest valid prefix of a
+ * truncated or corrupted file (reporting the dropped byte count)
  * instead of refusing it, so a journal damaged by a crash or outside
  * our control resumes as far as possible.
  *
@@ -137,7 +137,7 @@ class CheckpointJournal
   public:
     CheckpointJournal() = default;
 
-    /** Best-effort flush of buffered records (never throws). */
+    /** Closes the journal file. */
     ~CheckpointJournal();
 
     CheckpointJournal(const CheckpointJournal &) = delete;
@@ -145,17 +145,6 @@ class CheckpointJournal
 
     /** True once start() bound the journal to a file. */
     bool active() const { return !path_.empty(); }
-
-    /**
-     * Flush to disk every @p every appends (>= 1).  The default, 1,
-     * writes each record as it completes; larger intervals batch the
-     * write + fdatasync, trading at most `every - 1`
-     * re-run cells after a crash for far fewer synchronous writes.
-     * Buffered records are strictly ordered after flushed ones, so
-     * recovery still yields the longest valid record prefix.  Set
-     * before appending (typically right after start()).
-     */
-    void setFlushInterval(int every);
 
     /**
      * Bind to @p path and write a fresh header (plus @p seed records
@@ -167,23 +156,13 @@ class CheckpointJournal
                std::vector<CellRecord> seed = {});
 
     /**
-     * Append one record (thread-safe).  With the default flush
-     * interval the record is durable on return; with a batched
-     * interval it becomes durable at the next interval boundary, an
-     * explicit flush(), or journal destruction.
+     * Append one record (thread-safe): write its frame and fdatasync
+     * it, so the record is durable on return.
      *
-     * @throws JournalError if a flush fails; the file is first cut
+     * @throws JournalError if the write fails; the file is first cut
      *         back to its last complete record.
      */
     void append(const CellRecord &record);
-
-    /**
-     * Write any buffered records to disk now (thread-safe, no-op on
-     * an inactive or fully flushed journal).  Engines call this when
-     * a run ends — normally or cancelled — so the journal on disk
-     * reflects every completed cell regardless of flush interval.
-     */
-    void flush();
 
     /**
      * Parse the journal at @p path.
@@ -196,19 +175,10 @@ class CheckpointJournal
     static JournalContents load(const std::string &path);
 
   private:
-    /**
-     * Append tail_ to the journal and fdatasync it; on failure cut
-     * the file back to durableSize_ and throw JournalError.
-     */
-    void flushLocked();
-
     std::mutex mu_;
     std::string path_;
     int fd_ = -1; //!< O_APPEND descriptor on path_; -1 if unusable
     std::uint64_t durableSize_ = 0; //!< on-disk size, at a record end
-    std::string tail_; //!< framed records not yet written
-    int flushEvery_ = 1; //!< appends per synchronous flush
-    int pending_ = 0; //!< records appended since the last flush
 };
 
 } // namespace suit::exec

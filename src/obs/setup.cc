@@ -18,59 +18,26 @@ addCliOptions(util::ArgParser &args)
     args.addOption("trace-out", "",
                    "write a Chrome trace_event timeline to this path "
                    "('-' for stdout)");
-    args.addOption("obs-level", "auto",
-                   "observability level: off, metrics, full, or auto "
-                   "(derive from --metrics/--trace-out)");
     args.addOption("metrics-interval", "0",
                    "dump the metrics registry every N seconds while "
                    "running, rounded up to a whole sampler period "
-                   "(0 = only at exit); implies --obs-level metrics");
+                   "(0 = only at exit)");
     args.addOption("listen-metrics", "0",
                    "serve OpenMetrics text on 127.0.0.1:PORT while "
-                   "running (0 = off; implies --obs-level metrics)");
+                   "running (0 = off)");
     args.addOption("metrics-series", "",
                    "write the final OpenMetrics snapshot to this "
-                   "path at exit (file exposition for headless CI; "
-                   "implies --obs-level metrics)");
+                   "path at exit (file exposition for headless CI)");
     args.addOption("flight-recorder", "",
                    "on crash, Ctrl-C or --deadline-s expiry dump the "
                    "last telemetry samples + active spans to this "
-                   "JSONL path (implies --obs-level metrics)");
-    args.addOption("sample-interval-ms", "100",
-                   "telemetry sampler period in milliseconds "
-                   "(used by --metrics-interval/--listen-metrics/"
-                   "--metrics-series/--flight-recorder)");
+                   "JSONL path");
 }
 
 CliScope::CliScope(const util::ArgParser &args)
     : metricsPath_(args.get("metrics")),
       tracePath_(args.get("trace-out"))
 {
-    const std::string &level = args.get("obs-level");
-    if (level == "off") {
-        level_ = Level::Off;
-    } else if (level == "metrics") {
-        level_ = Level::Metrics;
-    } else if (level == "full") {
-        level_ = Level::Full;
-    } else if (level == "auto") {
-        if (!tracePath_.empty())
-            level_ = Level::Full;
-        else if (!metricsPath_.empty())
-            level_ = Level::Metrics;
-        else
-            level_ = Level::Off;
-    } else {
-        util::fatal("bad --obs-level '%s' (want off, metrics, full "
-                    "or auto)",
-                    level.c_str());
-    }
-    if (!tracePath_.empty() && level_ != Level::Full) {
-        util::warn("--trace-out ignored at --obs-level %s",
-                   level.c_str());
-        tracePath_.clear();
-    }
-
     const std::string &interval = args.get("metrics-interval");
     if (util::tryParseDouble(interval, metricsIntervalS_) !=
             util::ParseStatus::Ok ||
@@ -83,23 +50,15 @@ CliScope::CliScope(const util::ArgParser &args)
         args.getIntInRange("listen-metrics", 0, 65535));
     seriesPath_ = args.get("metrics-series");
     flightPath_ = args.get("flight-recorder");
-    const std::string &sampleMs = args.get("sample-interval-ms");
-    if (util::tryParseDouble(sampleMs, sampleIntervalMs_) !=
-            util::ParseStatus::Ok ||
-        sampleIntervalMs_ <= 0.0) {
-        util::fatal("bad --sample-interval-ms '%s' (want ms > 0)",
-                    sampleMs.c_str());
-    }
 
     const bool wantsSampler = metricsIntervalS_ > 0.0 ||
                               listenPort_ != 0 ||
                               !seriesPath_.empty() ||
                               !flightPath_.empty();
-    if (wantsSampler && level_ == Level::Off)
-        level_ = Level::Metrics;
-
-    metrics().setEnabled(level_ != Level::Off);
-    if (level_ == Level::Full) {
+    metricsEnabled_ = wantsSampler || !metricsPath_.empty() ||
+                      !tracePath_.empty();
+    metrics().setEnabled(metricsEnabled_);
+    if (!tracePath_.empty()) {
         trace_ = std::make_unique<TraceSession>();
         setActiveTrace(trace_.get());
     }
@@ -107,7 +66,7 @@ CliScope::CliScope(const util::ArgParser &args)
         return;
 
     sampler_ = std::make_unique<TelemetrySampler>(
-        metrics(), TelemetryConfig{.intervalS = sampleIntervalMs_ / 1e3});
+        metrics(), TelemetryConfig{.intervalS = kSamplePeriodS});
     if (!flightPath_.empty())
         flight_ = std::make_unique<FlightRecorder>(
             FlightConfig{flightPath_}, sampler_.get());
@@ -215,7 +174,7 @@ CliScope::finish()
     if (trace_)
         setActiveTrace(nullptr);
 
-    if (!metricsPath_.empty() && metricsEnabled())
+    if (!metricsPath_.empty())
         dumpMetrics();
     if (!seriesPath_.empty()) {
         const std::string doc =
@@ -225,7 +184,7 @@ CliScope::finish()
         else
             writeFileAtomic(seriesPath_, doc);
     }
-    if (trace_ && !tracePath_.empty())
+    if (trace_)
         trace_->writeTo(tracePath_);
 
     metrics().setEnabled(false);

@@ -7,26 +7,24 @@
  *
  *   --metrics <path|->        write the metrics registry as JSON
  *   --trace-out <path|->      write a Chrome trace_event timeline
- *   --obs-level <level>       off | metrics | full | auto
  *   --metrics-interval <s>    also dump the registry every s seconds
  *   --listen-metrics <port>   serve OpenMetrics on 127.0.0.1:port
  *   --metrics-series <path>   write the final OpenMetrics snapshot
  *   --flight-recorder <path>  arm the JSONL post-mortem dumper
- *   --sample-interval-ms <ms> telemetry sampler period (default 100)
  *
- * "auto" (the default) derives the level from the other two flags:
- * off unless --metrics or --trace-out was given, full when
- * --trace-out was.  The scope enables obs::metrics(), installs its
- * TraceSession as the active trace, and on finish()/destruction
- * writes both outputs and tears the wiring back down.
+ * The flags decide what is recorded: the registry records when any
+ * of them is given, and a trace session exists when --trace-out is.
+ * The scope enables obs::metrics(), installs its TraceSession as the
+ * active trace, and on finish()/destruction writes both outputs and
+ * tears the wiring back down.
  *
  * Four flags need the telemetry sampler: --metrics-interval,
  * --listen-metrics, --metrics-series and --flight-recorder.  When any
  * of them is given the constructor creates the run's one
- * TelemetrySampler over obs::metrics(), starts it (the only periodic
- * obs thread), arms the flight recorder against its ring and starts
- * the exposition server, all before any engine or pool exists.  Each
- * of these implies at least Level::Metrics.
+ * TelemetrySampler over obs::metrics(), ticking every
+ * kSamplePeriodS, starts it (the only periodic obs thread), arms the
+ * flight recorder against its ring and starts the exposition server,
+ * all before any engine or pool exists.
  *
  * --metrics-interval rides the sampler thread: after each periodic
  * sample a tick hook checks the elapsed time and, once the interval
@@ -34,7 +32,7 @@
  * --metrics path via an atomic temp-file + rename (so a concurrent
  * reader never sees a torn JSON document), or as a table to stderr
  * when no path was given.  Dumps therefore land on sampler ticks: the
- * interval is rounded up to a whole --sample-interval-ms period.
+ * interval is rounded up to a whole sampler period.
  *
  * Declare the CliScope *before* any thread pool or engine whose
  * workers may emit events, so the session outlives every emitter.
@@ -55,15 +53,10 @@
 
 namespace suit::obs {
 
-/** What the CLI asked the obs layer to record. */
-enum class Level
-{
-    Off,     //!< nothing recorded
-    Metrics, //!< registry counters only
-    Full,    //!< registry counters + trace events
-};
+/** Telemetry sampler period of a CLI run, in seconds. */
+inline constexpr double kSamplePeriodS = 0.1;
 
-/** Declare --metrics, --trace-out and --obs-level on @p args. */
+/** Declare the obs flags of the file comment on @p args. */
 void addCliOptions(util::ArgParser &args);
 
 /** RAII wiring of the obs flags; see the file comment. */
@@ -72,8 +65,8 @@ class CliScope
   public:
     /**
      * Read the obs flags from parsed @p args and wire the registry
-     * and (for Level::Full) the active trace session accordingly.
-     * fatal()s on a bad --obs-level value.
+     * and (with --trace-out) the active trace session accordingly.
+     * fatal()s on a bad --metrics-interval value.
      */
     explicit CliScope(const util::ArgParser &args);
 
@@ -83,13 +76,10 @@ class CliScope
     CliScope(const CliScope &) = delete;
     CliScope &operator=(const CliScope &) = delete;
 
-    /** Effective level after resolving "auto". */
-    Level level() const { return level_; }
-
     /** True when the registry is recording. */
-    bool metricsEnabled() const { return level_ != Level::Off; }
+    bool metricsEnabled() const { return metricsEnabled_; }
 
-    /** The trace session, or null below Level::Full. */
+    /** The trace session, or null without --trace-out. */
     TraceSession *trace() { return trace_.get(); }
 
     /** The run's telemetry sampler, or null without a telemetry flag. */
@@ -126,14 +116,13 @@ class CliScope
      */
     void dumpMetrics() const;
 
-    Level level_ = Level::Off;
+    bool metricsEnabled_ = false;
     std::string metricsPath_;
     std::string tracePath_;
     double metricsIntervalS_ = 0.0;
     std::uint16_t listenPort_ = 0;
     std::string seriesPath_;
     std::string flightPath_;
-    double sampleIntervalMs_ = 100.0;
     std::unique_ptr<TraceSession> trace_;
     // Written only by the constructor, before the sampler thread
     // starts; declared before the server and the flight recorder,

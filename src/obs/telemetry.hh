@@ -60,7 +60,7 @@ namespace suit::obs {
 /** How a telemetry sampler should run. */
 struct TelemetryConfig
 {
-    /** Sampling period in seconds (--sample-interval-ms / 1e3). */
+    /** Sampling period in seconds (a CLI run uses kSamplePeriodS). */
     double intervalS = 0.1;
     /** Ring capacity in samples; fixed once constructed. */
     std::size_t ringCapacity = 256;

@@ -22,10 +22,7 @@ toString(SuitPState p)
 }
 
 CpuModel::CpuModel(Config cfg)
-    : cfg_(std::move(cfg)),
-      cmos_(cfg_.baseFreqHz,
-            cfg_.conservativeCurve.voltageAtMv(cfg_.baseFreqHz),
-            cfg_.basePowerW, cfg_.dynamicFraction)
+    : cfg_(std::move(cfg))
 {
     SUIT_ASSERT(cfg_.coreCount >= 1, "CPU '%s' needs cores",
                 cfg_.name.c_str());
@@ -75,7 +72,7 @@ CpuModel::powerFactor(SuitPState p, double offset_mv) const
         // Cf runs at the same reduced voltage as E (Fig. 4); the
         // measured package response (Table 2) already folds in the
         // power-management behaviour, so Cf is charged the measured
-        // efficient-curve power.  (The raw CMOS model would credit
+        // efficient-curve power.  (A raw C·V²·f model would credit
         // Cf an extra ~f_cf/f_base of dynamic power, which the
         // paper's measured totals do not show.)
         return 1.0 + cfg_.undervolt.at(offset_mv).powerDelta;

@@ -12,7 +12,7 @@
  *
  * CpuModel bundles everything the trace simulator needs: the DVFS
  * curve, the undervolt response, transition delays, exception costs
- * and a calibrated package power model, and computes the relative
+ * and the base package power, and computes the relative
  * performance/power of the three SUIT p-states E, Cf and CV.
  */
 
@@ -21,7 +21,6 @@
 
 #include <string>
 
-#include "power/cmos.hh"
 #include "power/pstate.hh"
 #include "power/transition.hh"
 #include "power/undervolt.hh"
@@ -112,7 +111,6 @@ class CpuModel
         TransitionModel transitions;
         double baseFreqHz = 0.0;   //!< mean SPEC frequency
         double basePowerW = 0.0;   //!< package power at base point
-        double dynamicFraction = 0.7;
         double exceptionDelayUs = 0.0;  //!< #DO -> handler entry
         double emulationCallUs = 0.0;   //!< full emulate round trip
     };
@@ -139,7 +137,6 @@ class CpuModel
     double basePowerW() const { return cfg_.basePowerW; }
     double exceptionDelayUs() const { return cfg_.exceptionDelayUs; }
     double emulationCallUs() const { return cfg_.emulationCallUs; }
-    const CmosPowerModel &cmos() const { return cmos_; }
     /** @} */
 
     /**
@@ -166,7 +163,7 @@ class CpuModel
     /**
      * Package-power factor of a p-state relative to the conservative
      * base point.  E comes from the measured response (Table 2); CV
-     * is 1; Cf is derived from the CMOS model at (V_E, f_Cf).
+     * is 1; Cf runs at V_E, so it is charged E's measured power.
      */
     double powerFactor(SuitPState p, double offset_mv) const;
 
@@ -179,7 +176,6 @@ class CpuModel
 
   private:
     Config cfg_;
-    CmosPowerModel cmos_;
 };
 
 /** @{ The paper's machines. */

@@ -44,12 +44,6 @@ CliRun::addOptions(suit::util::ArgParser &args, const char *noun,
     args.addOption("checkpoint", "",
                    "journal completed " + units +
                        " to this file (crash-safe)");
-    args.addOption("checkpoint-flush", "1",
-                   "flush the checkpoint journal every N " + units +
-                       " (1 = after every " + noun +
-                       "; larger batches trade re-running at most "
-                       "N-1 " + units +
-                       " after a crash for fewer fsyncs)");
     args.addFlag("resume", "load the --checkpoint journal and run "
                            "only the missing " + units);
     if (stop_after)
@@ -71,8 +65,6 @@ CliRun::CliRun(const suit::util::ArgParser &args,
 {
     ctx_.checkpoint.path = args.get("checkpoint");
     ctx_.checkpoint.resume = args.getFlag("resume");
-    ctx_.checkpoint.flushInterval = static_cast<int>(
-        args.getIntInRange("checkpoint-flush", 1, INT_MAX));
     ctx_.token().linkExternal(sigint_.flag());
     const double deadline_s = args.getDouble("deadline-s");
     if (deadline_s > 0.0)

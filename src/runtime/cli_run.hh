@@ -4,8 +4,8 @@
  * mode, suit_sweep, suit_fleet), next to obs::CliScope.
  *
  * addOptions() declares the shared run flags (--jobs,
- * --trace-cache-mb, --checkpoint, --checkpoint-flush, --resume,
- * --deadline-s and optionally --stop-after), worded for the CLI's
+ * --trace-cache-mb, --checkpoint, --resume, --deadline-s and
+ * optionally --stop-after), worded for the CLI's
  * unit noun ("cell", "shard", "workload").  After parsing, one CliRun
  * validates them, builds the Session and the RunContext (journal
  * policy, deadline, Ctrl-C link); finish() prints the "interrupted

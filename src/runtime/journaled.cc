@@ -71,7 +71,6 @@ runJournaled(Session &session, RunContext &ctx, std::size_t n,
             }
         }
         journal.start(ckpt.path, fingerprint, std::move(seed));
-        journal.setFlushInterval(ckpt.flushInterval);
     }
 
     std::atomic<std::size_t> executed{0};
@@ -143,13 +142,8 @@ runJournaled(Session &session, RunContext &ctx, std::size_t n,
         for (std::size_t k = 0; k < n; ++k)
             dispatch(k);
     }
-    // A unit exception leaves the batch tail to the journal's
-    // destructor, which cannot throw over it.
     if (error)
         std::rethrow_exception(error);
-    // Land any batch tail now (including after a cancellation), so
-    // every settled unit is on disk for a resume.
-    journal.flush();
 
     counts.executed = executed.load();
     counts.skipped = skipped.load();

@@ -36,17 +36,6 @@ struct CheckpointPolicy {
     std::string path;
     /** Restore the journal's valid prefix before running. */
     bool resume = false;
-    /**
-     * Flush the journal to disk every N appended records
-     * (--checkpoint-flush).  1 (the default) preserves the original
-     * every-record durability; larger values amortise one flush
-     * (a write of the pending records + fdatasync of the append-only
-     * journal) over N cells/shards at the cost of re-running at most
-     * N-1 of them after a crash.  The longest-valid-prefix recovery
-     * contract is unchanged — a kill at any instant leaves a
-     * loadable journal.
-     */
-    int flushInterval = 1;
 };
 
 class RunContext

@@ -7,7 +7,7 @@
  * transition delays and stalls, the SUIT deadline timer, and an
  * operating strategy reacting to #DO traps.  Power is integrated as
  * a factor relative to the conservative baseline using the measured
- * undervolt response (Table 2) and the CMOS model for the Cf point.
+ * undervolt response (Table 2), which also prices the Cf point.
  *
  * CPU A (one shared domain) is simulated as a single domain holding
  * all utilised cores; CPUs B and C (per-core domains) as one domain

@@ -23,72 +23,9 @@ std::shared_ptr<const Trace>
 TraceCache::get(const WorkloadProfile &profile, std::uint64_t seed,
                 int stream)
 {
-    const KeyView key{profile.name, seed, stream};
-    std::shared_ptr<Slot> slot;
-    {
-        std::lock_guard lock(mu_);
-        const auto it = map_.find(key);
-        if (it != map_.end()) {
-            Entry &entry = it->second;
-            // Touch: move to the recency front.
-            lru_.splice(lru_.begin(), lru_, entry.lruIt);
-            slot = entry.slot;
-        } else {
-            // Only a miss pays for materialising the owning key.
-            const auto emplaced =
-                map_.try_emplace(Key{profile.name, seed, stream});
-            Entry &entry = emplaced.first->second;
-            entry.slot = std::make_shared<Slot>();
-            lru_.push_front(&emplaced.first->first);
-            entry.lruIt = lru_.begin();
-            slot = entry.slot;
-        }
-    }
-    // Generation happens outside the map lock: distinct traces build
-    // concurrently; racing get()s on the *same* key serialise on the
-    // slot's once_flag and generate exactly once.
-    bool generated = false;
-    std::call_once(slot->once, [&] {
-        auto built = std::make_shared<const Trace>(
-            TraceGenerator(seed).generate(profile, stream));
-        slot->bytes = built->memoryBytes();
-        slot->trace = std::move(built);
-        generated = true;
-    });
-    static const obs::MetricId hit_id =
-        obs::metrics().counter("sim.trace_cache.hits");
-    static const obs::MetricId miss_id =
-        obs::metrics().counter("sim.trace_cache.misses");
-    static const obs::MetricId evict_id =
-        obs::metrics().counter("sim.trace_cache.evictions");
-    if (!generated) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        obs::metrics().add(hit_id);
-        return slot->trace;
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().add(miss_id);
-    std::uint64_t evicted = 0;
-    {
-        std::lock_guard lock(mu_);
-        // Account the new bytes iff the entry is still ours (it may
-        // have been evicted mid-generation, or replaced by a fresh
-        // slot after such an eviction).
-        const auto it = map_.find(key);
-        if (it != map_.end() && it->second.slot == slot &&
-            !it->second.accounted) {
-            it->second.accounted = true;
-            bytes_ += slot->bytes;
-            const std::uint64_t before =
-                evictions_.load(std::memory_order_relaxed);
-            evictLocked();
-            evicted = evictions_.load(std::memory_order_relaxed) -
-                      before;
-        }
-    }
-    if (evicted != 0)
-        obs::metrics().add(evict_id, evicted);
-    return slot->trace;
+    std::shared_ptr<const Trace> trace;
+    fetch(profile, seed, stream, 1, &trace);
+    return trace;
 }
 
 void
@@ -101,33 +38,39 @@ TraceCache::getMany(
                 kMaxStreams, streams);
     out.clear();
     out.resize(static_cast<std::size_t>(streams));
+    fetch(profile, seed, 0, streams, out.data());
+}
 
+void
+TraceCache::fetch(const WorkloadProfile &profile, std::uint64_t seed,
+                  int first, int count, std::shared_ptr<const Trace> *out)
+{
     // Slots of the streams whose trace is not yet built; everything
     // already accounted is answered directly under the single lock.
     std::array<std::shared_ptr<Slot>, kMaxStreams> pending;
-    int pending_count = 0;
+    bool any_pending = false;
     {
         std::lock_guard lock(mu_);
-        for (int s = 0; s < streams; ++s) {
-            const KeyView key{profile.name, seed, s};
+        for (int i = 0; i < count; ++i) {
+            const KeyView key{profile.name, seed, first + i};
             auto it = map_.find(key);
             if (it != map_.end()) {
+                // Touch: move to the recency front.
                 lru_.splice(lru_.begin(), lru_, it->second.lruIt);
             } else {
-                const auto emplaced =
-                    map_.try_emplace(Key{profile.name, seed, s});
-                it = emplaced.first;
-                Entry &entry = it->second;
-                entry.slot = std::make_shared<Slot>();
+                // Only a miss pays for materialising the owning key.
+                it = map_.try_emplace(Key{profile.name, seed, first + i})
+                         .first;
+                it->second.slot = std::make_shared<Slot>();
                 lru_.push_front(&it->first);
-                entry.lruIt = lru_.begin();
+                it->second.lruIt = lru_.begin();
             }
-            Entry &entry = it->second;
+            const Entry &entry = it->second;
             if (entry.accounted) {
-                out[static_cast<std::size_t>(s)] = entry.slot->trace;
+                out[i] = entry.slot->trace;
             } else {
-                pending[static_cast<std::size_t>(s)] = entry.slot;
-                ++pending_count;
+                pending[static_cast<std::size_t>(i)] = entry.slot;
+                any_pending = true;
             }
         }
     }
@@ -140,33 +83,37 @@ TraceCache::getMany(
         obs::metrics().counter("sim.trace_cache.evictions");
 
     std::uint64_t generated = 0;
-    if (pending_count != 0) {
-        // Build the missing traces outside the lock, like get().
-        for (int s = 0; s < streams; ++s) {
+    if (any_pending) {
+        // Generation happens outside the map lock: distinct traces
+        // build concurrently; racing lookups of the *same* key
+        // serialise on the slot's once_flag and generate exactly once.
+        for (int i = 0; i < count; ++i) {
             const std::shared_ptr<Slot> &slot =
-                pending[static_cast<std::size_t>(s)];
+                pending[static_cast<std::size_t>(i)];
             if (!slot)
                 continue;
             std::call_once(slot->once, [&] {
                 auto built = std::make_shared<const Trace>(
-                    TraceGenerator(seed).generate(profile, s));
+                    TraceGenerator(seed).generate(profile, first + i));
                 slot->bytes = built->memoryBytes();
                 slot->trace = std::move(built);
                 ++generated;
             });
-            out[static_cast<std::size_t>(s)] = slot->trace;
+            out[i] = slot->trace;
         }
-        // Account every newly generated entry in one lock.
+        // Account every newly built entry in one lock, iff the entry
+        // is still ours (it may have been evicted mid-generation, or
+        // replaced by a fresh slot after such an eviction).
         std::uint64_t evicted = 0;
         {
             std::lock_guard lock(mu_);
-            for (int s = 0; s < streams; ++s) {
+            for (int i = 0; i < count; ++i) {
                 const std::shared_ptr<Slot> &slot =
-                    pending[static_cast<std::size_t>(s)];
+                    pending[static_cast<std::size_t>(i)];
                 if (!slot)
                     continue;
-                const KeyView key{profile.name, seed, s};
-                const auto it = map_.find(key);
+                const auto it =
+                    map_.find(KeyView{profile.name, seed, first + i});
                 if (it != map_.end() && it->second.slot == slot &&
                     !it->second.accounted) {
                     it->second.accounted = true;
@@ -184,7 +131,7 @@ TraceCache::getMany(
     }
 
     const std::uint64_t hit_count =
-        static_cast<std::uint64_t>(streams) - generated;
+        static_cast<std::uint64_t>(count) - generated;
     if (hit_count != 0) {
         hits_.fetch_add(hit_count, std::memory_order_relaxed);
         obs::metrics().add(hit_id, hit_count);

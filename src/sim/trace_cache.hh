@@ -211,6 +211,16 @@ class TraceCache
         bool accounted = false;
     };
 
+    /**
+     * Pin streams [@p first, @p first + @p count) of (@p profile,
+     * @p seed) into out[0, @p count) under one map lock, generating
+     * missing entries outside it; get() and getMany() share it.
+     * @p count is at most kMaxStreams.
+     */
+    void fetch(const suit::trace::WorkloadProfile &profile,
+               std::uint64_t seed, int first, int count,
+               std::shared_ptr<const suit::trace::Trace> *out);
+
     /** Evict accounted LRU entries until bytes_ <= capacity_. */
     void evictLocked();
 

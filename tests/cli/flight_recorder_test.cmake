@@ -27,7 +27,6 @@ execute_process(
     COMMAND ${SUIT_FLEET} --domains 10000 --shard 256 --jobs 2
             --stop-after 1
             --flight-recorder ${WORK_DIR}/sigint.jsonl
-            --sample-interval-ms 10
     OUTPUT_QUIET
     ERROR_VARIABLE ignored
     RESULT_VARIABLE rc)
@@ -58,7 +57,6 @@ execute_process(
     COMMAND ${SUIT_FLEET} --domains 200000 --shard 256 --jobs 2
             --deadline-s 0.05
             --flight-recorder ${WORK_DIR}/deadline.jsonl
-            --sample-interval-ms 10
     OUTPUT_QUIET
     ERROR_VARIABLE ignored
     RESULT_VARIABLE rc)

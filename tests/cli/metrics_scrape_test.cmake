@@ -33,11 +33,10 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "reference fleet run failed (exit ${rc})")
 endif()
 
-# Telemetry run: fast sampler + final OpenMetrics snapshot.
+# Telemetry run: sampler + final OpenMetrics snapshot.
 execute_process(
     COMMAND ${SUIT_FLEET} ${FLEET} --report-json -
             --metrics-series ${WORK_DIR}/series.txt
-            --sample-interval-ms 10
     OUTPUT_FILE ${WORK_DIR}/sampled.json
     ERROR_VARIABLE ignored
     RESULT_VARIABLE rc)
@@ -77,7 +76,6 @@ execute_process(
             --metrics ${WORK_DIR}/metrics.json
             --metrics-interval 0.05
             --metrics-series ${WORK_DIR}/series2.txt
-            --sample-interval-ms 10
     OUTPUT_QUIET
     ERROR_VARIABLE ignored
     RESULT_VARIABLE rc)

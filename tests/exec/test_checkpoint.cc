@@ -202,8 +202,14 @@ TEST(CheckpointJournal, RoundTripsRecordsAndFingerprint)
 
     CheckpointJournal journal;
     journal.start(file.path(), fp);
+    // The header is on disk when start() returns, and each record
+    // when its append() does.
+    EXPECT_EQ(CheckpointJournal::load(file.path()).fingerprint, fp);
+    EXPECT_TRUE(CheckpointJournal::load(file.path()).records.empty());
     journal.append(okRecord(0, 0.125));
+    EXPECT_EQ(CheckpointJournal::load(file.path()).records.size(), 1u);
     journal.append(okRecord(2, 0.5));
+    EXPECT_EQ(CheckpointJournal::load(file.path()).records.size(), 2u);
     journal.append(failedRecord(3, "cell exploded"));
 
     const JournalContents loaded =
@@ -269,81 +275,6 @@ TEST(CheckpointJournal, RejectsForeignAndMissingFiles)
     EXPECT_THROW(CheckpointJournal::load(file.path()), JournalError);
     writeFile(file.path(), "definitely not a journal, too short");
     EXPECT_THROW(CheckpointJournal::load(file.path()), JournalError);
-}
-
-TEST(CheckpointJournal, BatchedFlushDefersDurabilityOnly)
-{
-    ScratchFile file("batched.bin");
-    const GridFingerprint fp{8, 42};
-
-    CheckpointJournal journal;
-    journal.start(file.path(), fp);
-    journal.setFlushInterval(3);
-
-    // The header (and its fingerprint) is durable immediately even
-    // though no record has been appended yet.
-    EXPECT_EQ(CheckpointJournal::load(file.path()).fingerprint, fp);
-
-    // Two appends stay buffered; the third lands the whole batch.
-    journal.append(okRecord(0, 1.0));
-    journal.append(okRecord(1, 2.0));
-    EXPECT_TRUE(CheckpointJournal::load(file.path()).records.empty());
-    journal.append(okRecord(2, 3.0));
-    EXPECT_EQ(CheckpointJournal::load(file.path()).records.size(), 3u);
-
-    // A partial batch is landed by an explicit flush(); the journal
-    // still recovers every record in order.
-    journal.append(okRecord(3, 4.0));
-    EXPECT_EQ(CheckpointJournal::load(file.path()).records.size(), 3u);
-    journal.flush();
-    const JournalContents loaded =
-        CheckpointJournal::load(file.path());
-    ASSERT_EQ(loaded.records.size(), 4u);
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(loaded.records[i].index, i);
-        expectIdentical(loaded.records[i].result,
-                        makeResult(static_cast<double>(i) + 1.0));
-    }
-}
-
-TEST(CheckpointJournal, DestructorLandsThePendingBatch)
-{
-    ScratchFile file("dtor_flush.bin");
-    {
-        CheckpointJournal journal;
-        journal.start(file.path(), {4, 9});
-        journal.setFlushInterval(100);
-        journal.append(okRecord(0, 1.0));
-        journal.append(okRecord(1, 2.0));
-        EXPECT_TRUE(
-            CheckpointJournal::load(file.path()).records.empty());
-    }
-    // The journal went out of scope on a non-crash path: nothing may
-    // be lost.
-    EXPECT_EQ(CheckpointJournal::load(file.path()).records.size(), 2u);
-}
-
-TEST(CheckpointJournal, BatchedImageTruncationRecoversValidPrefix)
-{
-    // A crash mid-batch leaves at most the unflushed tail missing;
-    // a torn image still yields the longest valid prefix.
-    ScratchFile file("batched_torn.bin");
-    CheckpointJournal journal;
-    journal.start(file.path(), {6, 3});
-    journal.setFlushInterval(2);
-    for (std::size_t i = 0; i < 6; ++i)
-        journal.append(okRecord(i, static_cast<double>(i)));
-
-    std::string bytes = readFile(file.path());
-    writeFile(file.path(), bytes.substr(0, bytes.size() - 7));
-
-    const JournalContents loaded =
-        CheckpointJournal::load(file.path());
-    EXPECT_EQ(loaded.records.size(), 5u);
-    EXPECT_GT(loaded.droppedBytes, 0u);
-    for (std::size_t i = 0; i < loaded.records.size(); ++i)
-        expectIdentical(loaded.records[i].result,
-                        makeResult(static_cast<double>(i)));
 }
 
 /** Field-by-field equality of two journal records. */
@@ -496,51 +427,6 @@ TEST(CheckpointJournalDeathTest, FailedWriteIsCutBackToARecordEnd)
     }
 }
 
-TEST(SweepEngine, BatchedCheckpointResumeBitIdenticalToSerialRun)
-{
-    const power::CpuModel cpu = power::cpuC_xeon4208();
-    const std::vector<SweepJob> jobs = smallGrid(cpu);
-    ScratchFile file("batched_resume.bin");
-
-    runtime::Session ref_session({.jobs = 1});
-    SweepEngine reference(ref_session);
-    const std::vector<DomainResult> expected = reference.run(jobs);
-
-    // Interrupt after two cells with a flush interval larger than the
-    // run: the engine's end-of-run flush must still land every
-    // completed cell, so the resume runs exactly the missing ones.
-    runtime::Session first_session({.jobs = 1});
-    runtime::RunContext first_ctx;
-    first_ctx.checkpoint.path = file.path();
-    first_ctx.checkpoint.flushInterval = 64;
-    std::atomic<int> completed{0};
-    RunPolicy first;
-    first.onCellDone = [&](std::size_t) {
-        if (completed.fetch_add(1) + 1 >= 2)
-            first_ctx.token().cancel();
-    };
-    SweepEngine interrupted_engine(first_session);
-    const SweepOutcome partial =
-        interrupted_engine.run(jobs, first_ctx, first);
-    EXPECT_TRUE(partial.interrupted);
-    EXPECT_EQ(partial.executed, 2u);
-    EXPECT_EQ(
-        CheckpointJournal::load(file.path()).records.size(), 2u);
-
-    runtime::Session resumed_session({.jobs = 2});
-    runtime::RunContext second_ctx;
-    second_ctx.checkpoint.path = file.path();
-    second_ctx.checkpoint.resume = true;
-    second_ctx.checkpoint.flushInterval = 3;
-    SweepEngine resumed_engine(resumed_session);
-    const SweepOutcome full = resumed_engine.run(jobs, second_ctx);
-    EXPECT_TRUE(full.complete());
-    EXPECT_EQ(full.restored, 2u);
-    ASSERT_EQ(full.results.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        expectIdentical(full.results[i], expected[i]);
-}
-
 TEST(SweepEngine, KillAndResumeBitIdenticalToSerialRun)
 {
     const power::CpuModel cpu = power::cpuC_xeon4208();
@@ -605,7 +491,7 @@ TEST(SweepEngine, ResumeAtEveryRecordBoundaryBitIdenticalToSerialRun)
 {
     const power::CpuModel cpu = power::cpuC_xeon4208();
     const std::vector<SweepJob> jobs = smallGrid(cpu);
-    ScratchFile file("boundary_resume.bin");
+    ScratchFile file("every_byte_resume.bin");
 
     // One session for every run: its trace cache keeps the resumes
     // cheap without touching their results.
@@ -617,33 +503,24 @@ TEST(SweepEngine, ResumeAtEveryRecordBoundaryBitIdenticalToSerialRun)
     first.checkpoint.path = file.path();
     ASSERT_TRUE(SweepEngine(serial).run(jobs, first).complete());
     const std::string bytes = readFile(file.path());
-    std::vector<std::size_t> boundaries{kHeaderSize};
-    for (const std::size_t end : recordEnds(bytes))
-        boundaries.push_back(end);
-    ASSERT_EQ(boundaries.size(), jobs.size() + 1);
+    const std::vector<std::size_t> ends = recordEnds(bytes);
+    ASSERT_EQ(ends.size(), jobs.size());
 
-    // A kill can leave the journal cut anywhere; cut it at each
-    // record boundary and one byte either side of it.
-    for (const std::size_t boundary : boundaries) {
-        for (const std::size_t offset :
-             {boundary - 1, boundary, boundary + 1}) {
-            if (offset < kHeaderSize || offset > bytes.size())
-                continue;
-            SCOPED_TRACE("resume from byte " +
-                         std::to_string(offset));
-            writeFile(file.path(), bytes.substr(0, offset));
-            runtime::RunContext ctx;
-            ctx.checkpoint.path = file.path();
-            ctx.checkpoint.resume = true;
-            const SweepOutcome out =
-                SweepEngine(session).run(jobs, ctx);
-            EXPECT_TRUE(out.complete());
-            EXPECT_EQ(out.restored,
-                      recordsWithin(boundaries, offset) - 1);
-            ASSERT_EQ(out.results.size(), expected.size());
-            for (std::size_t i = 0; i < expected.size(); ++i)
-                expectIdentical(out.results[i], expected[i]);
-        }
+    // A kill can leave the journal cut anywhere past its header: at
+    // a record boundary or inside a record.
+    for (std::size_t offset = kHeaderSize; offset <= bytes.size();
+         ++offset) {
+        SCOPED_TRACE("resume from byte " + std::to_string(offset));
+        writeFile(file.path(), bytes.substr(0, offset));
+        runtime::RunContext ctx;
+        ctx.checkpoint.path = file.path();
+        ctx.checkpoint.resume = true;
+        const SweepOutcome out = SweepEngine(session).run(jobs, ctx);
+        EXPECT_TRUE(out.complete());
+        EXPECT_EQ(out.restored, recordsWithin(ends, offset));
+        ASSERT_EQ(out.results.size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i)
+            expectIdentical(out.results[i], expected[i]);
     }
 }
 

@@ -79,7 +79,8 @@ TEST(ObsCliScope, NoTelemetryFlagStartsNoSampler)
 {
     const ObsArgs args({});
     obs::CliScope scope(args.parser());
-    EXPECT_EQ(scope.level(), obs::Level::Off);
+    EXPECT_FALSE(scope.metricsEnabled());
+    EXPECT_EQ(scope.trace(), nullptr);
     EXPECT_EQ(scope.telemetry(), nullptr);
     EXPECT_EQ(scope.metricsServer(), nullptr);
     EXPECT_EQ(scope.flightRecorder(), nullptr);
@@ -89,8 +90,8 @@ TEST(ObsCliScope, NoTelemetryFlagStartsNoSampler)
 TEST(ObsCliScope, MetricsIntervalDumpsBeforeFinish)
 {
     const ScratchFile out("interval.json");
-    const ObsArgs args({"--metrics", out.path(), "--metrics-interval",
-                        "0.02", "--sample-interval-ms", "5"});
+    const ObsArgs args(
+        {"--metrics", out.path(), "--metrics-interval", "0.02"});
     obs::CliScope scope(args.parser());
     ASSERT_NE(scope.telemetry(), nullptr);
     EXPECT_TRUE(scope.telemetry()->running());
@@ -116,7 +117,8 @@ TEST(ObsCliScope, MetricsSeriesIsWrittenByFinish)
     const ObsArgs args({"--metrics-series", out.path()});
     obs::CliScope scope(args.parser());
     ASSERT_NE(scope.telemetry(), nullptr);
-    EXPECT_EQ(scope.level(), obs::Level::Metrics);
+    EXPECT_TRUE(scope.metricsEnabled());
+    EXPECT_EQ(scope.trace(), nullptr);
     obs::metrics().add(obs::metrics().counter("setup.test.series"), 2);
     scope.finish();
 

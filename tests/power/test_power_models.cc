@@ -1,12 +1,10 @@
 /**
  * @file
- * Tests of the CMOS power model, guardbands, undervolt response and
- * transition models.
+ * Tests of the guardbands, undervolt response and transition models.
  */
 
 #include <gtest/gtest.h>
 
-#include "power/cmos.hh"
 #include "power/guardband.hh"
 #include "power/transition.hh"
 #include "power/undervolt.hh"
@@ -18,31 +16,6 @@ namespace {
 using namespace suit::power;
 using suit::util::Rng;
 using suit::util::RunningStats;
-
-TEST(Cmos, ReproducesCalibrationPoint)
-{
-    const CmosPowerModel m(4.55e9, 1100.0, 93.0, 0.7);
-    EXPECT_NEAR(m.powerW(4.55e9, 1100.0), 93.0, 1e-9);
-    EXPECT_NEAR(m.dynamicPowerW(4.55e9, 1100.0), 93.0 * 0.7, 1e-9);
-    EXPECT_NEAR(m.leakagePowerW(1100.0), 93.0 * 0.3, 1e-9);
-}
-
-TEST(Cmos, DynamicPowerIsQuadraticInVoltage)
-{
-    const CmosPowerModel m(4e9, 1000.0, 100.0, 1.0);
-    const double p1 = m.dynamicPowerW(4e9, 1000.0);
-    const double p2 = m.dynamicPowerW(4e9, 500.0);
-    EXPECT_NEAR(p1 / p2, 4.0, 1e-9);
-}
-
-TEST(Cmos, DynamicPowerIsLinearInFrequencyAndActivity)
-{
-    const CmosPowerModel m(4e9, 1000.0, 100.0, 1.0);
-    EXPECT_NEAR(m.dynamicPowerW(2e9, 1000.0) * 2,
-                m.dynamicPowerW(4e9, 1000.0), 1e-9);
-    EXPECT_NEAR(m.dynamicPowerW(4e9, 1000.0, 0.5) * 2,
-                m.dynamicPowerW(4e9, 1000.0, 1.0), 1e-9);
-}
 
 TEST(Guardband, AgingBandMatchesPaper)
 {
