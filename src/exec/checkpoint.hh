@@ -74,7 +74,7 @@ struct CellRecord
 {
     /** Grid cell index (position in the job list). */
     std::uint64_t index = 0;
-    /** True if the cell exhausted its retries and was given up on. */
+    /** True if the cell threw and was recorded as failed. */
     bool failed = false;
     /** Failure description (failed records only). */
     std::string error;

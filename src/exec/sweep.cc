@@ -1,7 +1,6 @@
 #include "exec/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <exception>
 #include <mutex>
@@ -153,8 +152,6 @@ SweepEngine::runOrdered(
     suit::runtime::RunContext &ctx, const RunPolicy &policy,
     const GridFingerprint &fingerprint, std::vector<std::size_t> order)
 {
-    SUIT_ASSERT(policy.retries >= 0, "negative retry count %d",
-                policy.retries);
     static constexpr suit::runtime::JournaledNames kNames{
         "sweep.cell", "exec", "main", "cell", "sweep",
         "cell",       "grid", "sweep.cells"};
@@ -162,7 +159,6 @@ SweepEngine::runOrdered(
     SweepOutcome out;
     out.results.resize(n);
     out.done.assign(n, 0);
-    std::atomic<std::uint64_t> retried{0};
     std::mutex failures_mu;
 
     suit::runtime::JournaledUnits units;
@@ -176,39 +172,29 @@ SweepEngine::runOrdered(
         return true;
     };
     units.run = [&](std::size_t i, suit::runtime::JournaledUnit &unit) {
-        const int attempts = policy.retries + 1;
-        int attempts_made = 0;
-        std::exception_ptr error;
-        for (int attempt = 0; attempt < attempts; ++attempt) {
-            if (attempt > 0)
-                retried.fetch_add(1, std::memory_order_relaxed);
-            ++attempts_made;
-            try {
-                out.results[i] = cell(i);
-                out.done[i] = 1;
-                error = nullptr;
-                break;
-            } catch (const suit::runtime::Cancelled &) {
-                throw; // skipped, never retried or journaled
-            } catch (...) {
-                error = std::current_exception();
-            }
+        bool ok = true;
+        std::string what;
+        try {
+            out.results[i] = cell(i);
+            out.done[i] = 1;
+        } catch (const suit::runtime::Cancelled &) {
+            throw; // skipped, never journaled
+        } catch (...) {
+            if (policy.strict)
+                throw;
+            ok = false;
+            what = describeException(std::current_exception());
         }
-        if (unit.traceArgs) {
-            unit.traceArgs->emplace_back("attempts", attempts_made);
-            unit.traceArgs->emplace_back("ok", error ? 0 : 1);
-        }
-        if (!error) {
+        if (unit.traceArgs)
+            unit.traceArgs->emplace_back("ok", ok ? 1 : 0);
+        if (ok) {
             if (unit.record)
                 *unit.record = {i, false, "", out.results[i], false, ""};
             return true;
         }
-        if (policy.strict)
-            std::rethrow_exception(error);
-        const std::string what = describeException(error);
         {
             std::lock_guard lock(failures_mu);
-            out.failures.push_back({i, "", what, attempts});
+            out.failures.push_back({i, "", what});
         }
         if (unit.record)
             *unit.record = {i, true, what, {}, false, ""};
@@ -230,11 +216,8 @@ SweepEngine::runOrdered(
               });
 
     obs::Registry &reg = obs::metrics();
-    if (reg.enabled()) {
-        reg.add(reg.counter("sweep.cells.failed"),
-                out.failures.size());
-        reg.add(reg.counter("sweep.cells.retries"), retried.load());
-    }
+    if (reg.enabled())
+        reg.add(reg.counter("sweep.cells.failed"), out.failures.size());
     return out;
 }
 

@@ -66,20 +66,16 @@ struct SweepJob
 };
 
 /**
- * Fault-tolerance policy of one run() invocation.
- *
- * The default policy matches PR-1 semantics minus fail-fast: no
- * retries, failures recorded instead of thrown.  Set `strict` to
- * restore exception propagation.  Checkpointing and interruption
- * moved to runtime::RunContext (checkpoint policy + cancel token).
+ * Failure policy of one run() invocation.  By default a throwing
+ * cell is recorded as failed and the run goes on; checkpointing and
+ * interruption live in runtime::RunContext (checkpoint policy +
+ * cancel token).
  */
 struct RunPolicy
 {
-    /** Extra attempts for a throwing cell before giving up on it. */
-    int retries = 0;
     /**
-     * Fail-fast: rethrow the lowest-index cell exception (after
-     * retries) instead of recording the cell as failed.
+     * Fail-fast: rethrow the lowest-index cell exception instead of
+     * recording the cell as failed.
      */
     bool strict = false;
     /**
@@ -90,17 +86,15 @@ struct RunPolicy
     std::function<void(std::size_t)> onCellDone;
 };
 
-/** One grid cell that exhausted its retries. */
+/** One grid cell whose evaluation threw. */
 struct CellFailure
 {
     /** Cell index in the job list. */
     std::size_t index = 0;
     /** Cell label (empty for runCells()). */
     std::string label;
-    /** what() of the final attempt's exception. */
+    /** what() of the cell's exception. */
     std::string error;
-    /** Attempts made (1 + retries). */
-    int attempts = 0;
 };
 
 /** Outcome of a policy-driven run. */
@@ -110,7 +104,7 @@ struct SweepOutcome
     std::vector<suit::sim::DomainResult> results;
     /** 1 where results[i] holds a completed cell. */
     std::vector<std::uint8_t> done;
-    /** Cells given up on after retries, sorted by index. */
+    /** Cells whose evaluation threw, sorted by index. */
     std::vector<CellFailure> failures;
     /** Cells executed by this invocation. */
     std::size_t executed = 0;
@@ -150,8 +144,8 @@ class SweepEngine
 
     /**
      * Run every job under @p ctx (journal policy + cancellation) and
-     * @p policy (retries / strictness): optional checkpoint journal,
-     * resume, per-cell retries and graceful failure recording.
+     * @p policy (strictness, done callback): optional checkpoint
+     * journal, resume and graceful failure recording.
      * Completed slots are bit-identical to a serial fail-fast run for
      * any worker count and any number of prior interruptions.  Cells
      * start in trace-key order (see the file comment), so which

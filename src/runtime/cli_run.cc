@@ -34,8 +34,7 @@ sessionConfig(const suit::util::ArgParser &args)
 } // namespace
 
 void
-CliRun::addOptions(suit::util::ArgParser &args, const char *noun,
-                   bool stop_after)
+CliRun::addOptions(suit::util::ArgParser &args, const char *noun)
 {
     const std::string units = std::string(noun) + "s";
     args.addOption("jobs", "0",
@@ -46,10 +45,9 @@ CliRun::addOptions(suit::util::ArgParser &args, const char *noun,
                        " to this file (crash-safe)");
     args.addFlag("resume", "load the --checkpoint journal and run "
                            "only the missing " + units);
-    if (stop_after)
-        args.addOption("stop-after", "0",
-                       "stop gracefully after N completed " + units +
-                           " (testing aid; 0 = run to completion)");
+    args.addOption("stop-after", "0",
+                   "stop gracefully after N completed " + units +
+                       " (testing aid; 0 = run to completion)");
     args.addOption("deadline-s", "0",
                    "wall-clock budget in seconds; on expiry the run "
                    "stops gracefully like Ctrl-C (0 = none)");

@@ -1,17 +1,16 @@
 /**
  * @file
- * CliRun: the run wiring shared by the campaign CLIs (suit_sim suite
- * mode, suit_sweep, suit_fleet), next to obs::CliScope.
+ * CliRun: the run wiring shared by the two journaled campaign CLIs,
+ * suit_sweep and suit_fleet, next to obs::CliScope.
  *
- * addOptions() declares the shared run flags (--jobs,
- * --trace-cache-mb, --checkpoint, --resume, --deadline-s and
- * optionally --stop-after), worded for the CLI's
- * unit noun ("cell", "shard", "workload").  After parsing, one CliRun
- * validates them, builds the Session and the RunContext (journal
- * policy, deadline, Ctrl-C link); finish() prints the "interrupted
- * ... re-run with --checkpoint X --resume" footer and maps an
- * interrupted run to exit code 130.  The telemetry sampler is not
- * part of the run wiring: the obs::CliScope owns it.
+ * addOptions() declares the shared run flags (--jobs, --checkpoint,
+ * --resume, --stop-after, --deadline-s and --trace-cache-mb), worded
+ * for the CLI's unit noun ("cell", "shard").  After parsing, one
+ * CliRun validates them, builds the Session and the RunContext
+ * (journal policy, deadline, Ctrl-C link); finish() prints the
+ * "interrupted ... re-run with --checkpoint X --resume" footer and
+ * maps an interrupted run to exit code 130.  The telemetry sampler is
+ * not part of the run wiring: the obs::CliScope owns it.
  *
  * Declare the CliRun after the obs::CliScope, so the Session and its
  * workers are torn down before the scope writes its outputs.
@@ -35,12 +34,9 @@ namespace suit::runtime {
 class CliRun
 {
   public:
-    /**
-     * Declare the shared run flags on @p args, worded for @p noun;
-     * @p stop_after also declares --stop-after.
-     */
+    /** Declare the shared run flags on @p args, worded for @p noun. */
     static void addOptions(suit::util::ArgParser &args,
-                           const char *noun, bool stop_after);
+                           const char *noun);
 
     /**
      * Validate the run flags of the parsed @p args (fatal() on a bad
@@ -59,8 +55,7 @@ class CliRun
 
     /**
      * Done-callback for the engine that stops the run gracefully
-     * once --stop-after units settled (empty when it is 0).  Only for
-     * CLIs that declared --stop-after.
+     * once --stop-after units settled (empty when it is 0).
      */
     std::function<void(std::size_t)> stopAfterHook();
 

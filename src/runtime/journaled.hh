@@ -17,8 +17,9 @@
  *     settled unit is journaled, *then* the done callback runs on
  *     the same worker;
  *  4. rethrows the lowest-index unit exception, if any; otherwise
- *     flushes the journal's batch tail (after a cancellation too)
- *     and publishes the executed/restored/skipped counters.
+ *     publishes the executed/restored/skipped counters.  Every
+ *     settled unit's record is durable by then: each append writes
+ *     and fdatasyncs it (after a cancellation too).
  *
  * The dispatch order only decides which unit starts when: results
  * are index-addressed, journal records carry their index and land in

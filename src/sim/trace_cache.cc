@@ -52,18 +52,15 @@ TraceCache::fetch(const WorkloadProfile &profile, std::uint64_t seed,
     {
         std::lock_guard lock(mu_);
         for (int i = 0; i < count; ++i) {
-            const KeyView key{profile.name, seed, first + i};
-            auto it = map_.find(key);
-            if (it != map_.end()) {
-                // Touch: move to the recency front.
-                lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-            } else {
-                // Only a miss pays for materialising the owning key.
-                it = map_.try_emplace(Key{profile.name, seed, first + i})
-                         .first;
+            const auto [it, inserted] =
+                map_.try_emplace(Key{profile.name, seed, first + i});
+            if (inserted) {
                 it->second.slot = std::make_shared<Slot>();
                 lru_.push_front(&it->first);
                 it->second.lruIt = lru_.begin();
+            } else {
+                // Touch: move to the recency front.
+                lru_.splice(lru_.begin(), lru_, it->second.lruIt);
             }
             const Entry &entry = it->second;
             if (entry.accounted) {
@@ -113,7 +110,7 @@ TraceCache::fetch(const WorkloadProfile &profile, std::uint64_t seed,
                 if (!slot)
                     continue;
                 const auto it =
-                    map_.find(KeyView{profile.name, seed, first + i});
+                    map_.find(Key{profile.name, seed, first + i});
                 if (it != map_.end() && it->second.slot == slot &&
                     !it->second.accounted) {
                     it->second.accounted = true;
@@ -152,7 +149,7 @@ TraceCache::evictLocked()
         auto it = lru_.end();
         do {
             --it;
-            const auto mit = map_.find((*it)->view());
+            const auto mit = map_.find(**it);
             SUIT_ASSERT(mit != map_.end(),
                         "trace cache LRU list out of sync");
             Entry &entry = mit->second;

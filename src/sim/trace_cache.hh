@@ -20,12 +20,12 @@
  * order.  Entries still generating (slot not yet populated) are
  * never evicted.
  *
- * Lookups are hit-dominated under the sweep engine (thousands of
- * get() calls against a few dozen distinct traces), so the hot path
- * stays allocation-light: the map is hashed and uses a transparent
- * key view (a hit neither copies the profile name nor walks an
- * ordered tree), and the hit/miss/eviction counters are relaxed
- * atomics readable without the mutex.
+ * Lookups are few: a sweep fetches once per cell and the fleet
+ * engine once per run of equal-key domains.  The map is hashed on an
+ * owning (name, seed, stream) key; profile names fit the standard
+ * library's small-string buffer, so building one per lookup does not
+ * allocate.  The hit/miss/eviction counters are relaxed atomics
+ * readable without the mutex.
  */
 
 #ifndef SUIT_SIM_TRACE_CACHE_HH
@@ -37,7 +37,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
 #include "trace/profile.hh"
@@ -116,34 +115,22 @@ class TraceCache
 
   private:
     /**
-     * Borrowed view of a cache key; lookups build this instead of a
-     * std::string-owning key, so a cache hit performs no allocation.
-     * Profiles are identified by name (the profile database owns one
-     * immutable profile per name).
+     * Cache key.  Profiles are identified by name (the profile
+     * database owns one immutable profile per name).
      */
-    struct KeyView
-    {
-        std::string_view name;
-        std::uint64_t seed = 0;
-        int stream = 0;
-    };
-
-    /** Owning key stored in the map. */
     struct Key
     {
         std::string name;
         std::uint64_t seed = 0;
         int stream = 0;
 
-        KeyView view() const { return {name, seed, stream}; }
+        bool operator==(const Key &) const = default;
     };
 
-    /** Transparent FNV-1a hash over (name bytes, seed, stream). */
+    /** FNV-1a hash over (name bytes, seed, stream). */
     struct KeyHash
     {
-        using is_transparent = void;
-
-        std::size_t operator()(const KeyView &k) const
+        std::size_t operator()(const Key &k) const
         {
             unsigned char tail[12];
             for (int i = 0; i < 8; ++i)
@@ -155,35 +142,6 @@ class TraceCache
             return static_cast<std::size_t>(suit::util::fnv1a64(
                 tail, sizeof(tail),
                 suit::util::fnv1a64(k.name.data(), k.name.size())));
-        }
-
-        std::size_t operator()(const Key &k) const
-        {
-            return (*this)(k.view());
-        }
-    };
-
-    /** Transparent equality between owning keys and views. */
-    struct KeyEq
-    {
-        using is_transparent = void;
-
-        bool operator()(const KeyView &a, const KeyView &b) const
-        {
-            return a.seed == b.seed && a.stream == b.stream &&
-                   a.name == b.name;
-        }
-        bool operator()(const Key &a, const KeyView &b) const
-        {
-            return (*this)(a.view(), b);
-        }
-        bool operator()(const KeyView &a, const Key &b) const
-        {
-            return (*this)(a, b.view());
-        }
-        bool operator()(const Key &a, const Key &b) const
-        {
-            return (*this)(a.view(), b.view());
         }
     };
 
@@ -225,7 +183,7 @@ class TraceCache
     void evictLocked();
 
     mutable std::mutex mu_;
-    std::unordered_map<Key, Entry, KeyHash, KeyEq> map_;
+    std::unordered_map<Key, Entry, KeyHash> map_;
     /** Recency order; points at map node keys (stable addresses). */
     std::list<const Key *> lru_;
     std::size_t capacity_;

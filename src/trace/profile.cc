@@ -11,20 +11,6 @@ namespace suit::trace {
 using suit::isa::FaultableKind;
 using suit::isa::kNumFaultableKinds;
 
-const char *
-toString(Suite suite)
-{
-    switch (suite) {
-      case Suite::SpecInt:
-        return "SPECint";
-      case Suite::SpecFp:
-        return "SPECfp";
-      case Suite::Network:
-        return "network";
-    }
-    return "?";
-}
-
 double
 BurstModel::meanInterBurstGap() const
 {

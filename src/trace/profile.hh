@@ -39,9 +39,6 @@ enum class Suite
     Network,  //!< Nginx / VLC client-server workloads
 };
 
-/** Printable suite name. */
-const char *toString(Suite suite);
-
 /**
  * Two-level burst/gap renewal process of faultable instructions.
  *

@@ -1,29 +1,26 @@
-# Contract test of the run flags shared by the three campaign CLIs
-# (suit_sim suite mode, suit_sweep, suit_fleet):
+# Contract test of the run flags shared by the two journaled campaign
+# CLIs (suit_sweep, suit_fleet):
 #   - --resume without --checkpoint is refused ("needs --checkpoint");
 #   - a negative --deadline-s is refused;
-#   - sweep and fleet: --checkpoint P --stop-after 1 stops gracefully
-#     with exit 130 and names the resume command on stderr, and the
-#     following --resume completes with exit 0;
+#   - --checkpoint P --stop-after 1 stops gracefully with exit 130
+#     and names the resume command on stderr, and the following
+#     --resume completes with exit 0;
 #   - suit_fleet --domains below the demo fleet's rack count is
 #     refused instead of spinning.
 #
 # Invoked by ctest as:
-#   cmake -DSUIT_SIM=<tool> -DSUIT_SWEEP=<tool> -DSUIT_FLEET=<tool>
+#   cmake -DSUIT_SWEEP=<tool> -DSUIT_FLEET=<tool>
 #         -DWORK_DIR=<scratch> -P this_file
 
-if(NOT SUIT_SIM OR NOT SUIT_SWEEP OR NOT SUIT_FLEET OR NOT WORK_DIR)
+if(NOT SUIT_SWEEP OR NOT SUIT_FLEET OR NOT WORK_DIR)
     message(FATAL_ERROR
-            "SUIT_SIM, SUIT_SWEEP, SUIT_FLEET and WORK_DIR must be "
-            "defined")
+            "SUIT_SWEEP, SUIT_FLEET and WORK_DIR must be defined")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-# Small, fast invocations of each tool; the suite-mode workload list
-# (a comma list) is what routes suit_sim through its run harness.
-set(SIM ${SUIT_SIM} --workload 520.omnetpp,Nginx --jobs 1)
+# Small, fast invocations of each tool.
 set(SWEEP ${SUIT_SWEEP} --cpu C --strategy fV --offset -97
           --workload 520.omnetpp,Nginx --jobs 1
           --out ${WORK_DIR}/sweep.csv)
@@ -47,15 +44,13 @@ function(expect_refused label pattern)
     endif()
 endfunction()
 
-foreach(tool SIM SWEEP FLEET)
+foreach(tool SWEEP FLEET)
     expect_refused("${tool} --resume" "needs --checkpoint"
                    ${${tool}} --resume)
     expect_refused("${tool} --deadline-s -1" ""
                    ${${tool}} --deadline-s -1)
-endforeach()
 
-# Interrupt after one journaled unit, then resume to completion.
-foreach(tool SWEEP FLEET)
+    # Interrupt after one journaled unit, then resume to completion.
     set(journal ${WORK_DIR}/${tool}.ckpt)
     execute_process(
         COMMAND ${${tool}} --checkpoint ${journal} --stop-after 1

@@ -566,28 +566,6 @@ TEST(SweepEngine, ResumeWithoutPathIsAnError)
                  JournalError);
 }
 
-TEST(SweepEngine, RetriesEventuallySucceed)
-{
-    runtime::Session session({.jobs = 1});
-    SweepEngine engine(session);
-    std::atomic<int> attempts{0};
-    runtime::RunContext ctx;
-    RunPolicy policy;
-    policy.retries = 2;
-    const SweepOutcome out = engine.runCells(
-        3,
-        [&](std::size_t i) {
-            if (i == 1 && attempts.fetch_add(1) < 2)
-                throw std::runtime_error("flaky");
-            return makeResult(static_cast<double>(i));
-        },
-        ctx, policy, {3, 1});
-    EXPECT_TRUE(out.complete());
-    EXPECT_EQ(out.executed, 3u);
-    EXPECT_EQ(attempts.load(), 3); // two failures + one success
-    expectIdentical(out.results[1], makeResult(1.0));
-}
-
 TEST(SweepEngine, FailedCellIsRecordedNotFatal)
 {
     ScratchFile file("failed.bin");
@@ -595,8 +573,6 @@ TEST(SweepEngine, FailedCellIsRecordedNotFatal)
     SweepEngine engine(session);
     runtime::RunContext ctx;
     ctx.checkpoint.path = file.path();
-    RunPolicy policy;
-    policy.retries = 1;
     const SweepOutcome out = engine.runCells(
         3,
         [&](std::size_t i) -> DomainResult {
@@ -604,12 +580,11 @@ TEST(SweepEngine, FailedCellIsRecordedNotFatal)
                 throw std::runtime_error("cell 1 is cursed");
             return makeResult(static_cast<double>(i));
         },
-        ctx, policy, {3, 1});
+        ctx, {}, {3, 1});
 
     EXPECT_EQ(out.executed, 2u);
     ASSERT_EQ(out.failures.size(), 1u);
     EXPECT_EQ(out.failures[0].index, 1u);
-    EXPECT_EQ(out.failures[0].attempts, 2);
     EXPECT_EQ(out.failures[0].error, "cell 1 is cursed");
     EXPECT_FALSE(out.done[1]);
     EXPECT_TRUE(out.done[0]);

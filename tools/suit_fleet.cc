@@ -65,7 +65,7 @@ main(int argc, char **argv)
     args.addOption("report-json", "",
                    "also write the suit-fleet-report-v1 JSON to this "
                    "path ('-' = stdout instead of the table)");
-    runtime::CliRun::addOptions(args, "shard", true);
+    runtime::CliRun::addOptions(args, "shard");
     obs::addCliOptions(args);
     if (!args.parse(argc, argv))
         return 0;

@@ -10,19 +10,19 @@
  * any --jobs value.
  *
  * Long campaigns are crash-safe: with --checkpoint every finished
- * cell is journaled to disk (atomic write-temp-then-rename, so a
- * kill at any instant leaves a valid journal), and --resume re-runs
- * only the cells the journal does not cover — the final CSV is
- * byte-identical to an uninterrupted run.  Ctrl-C requests a
- * graceful stop: in-flight cells finish and are journaled, the rest
- * are skipped, and the exit code is 130 (a second Ctrl-C kills
- * immediately; the journal stays valid).  --deadline-s arms a
- * wall-clock budget with the same graceful-stop semantics, and
- * --trace-cache-mb bounds the session's trace cache (LRU eviction;
- * evicted traces regenerate bit-identically).  A throwing cell is
- * retried
- * --retries times and then recorded as failed instead of aborting
- * the sweep, unless --strict restores fail-fast.
+ * cell is appended to a journal on disk (one O_APPEND write plus
+ * fdatasync per cell; a kill can leave at most a torn last record,
+ * which --resume drops and re-runs), and --resume re-runs only the
+ * cells the journal does not cover — the final CSV is byte-identical
+ * to an uninterrupted run.  Ctrl-C requests a graceful stop:
+ * in-flight cells finish and are journaled, the rest are skipped,
+ * and the exit code is 130 (a second Ctrl-C kills immediately; the
+ * journal stays valid).  --deadline-s arms a wall-clock budget with
+ * the same graceful-stop semantics, and --trace-cache-mb bounds the
+ * session's trace cache (LRU eviction; evicted traces regenerate
+ * bit-identically).  A throwing cell is recorded as failed instead
+ * of aborting the sweep: it is listed on stderr, the exit code is 2,
+ * and the next --resume re-attempts it.
  *
  * Examples:
  *   suit_sweep                               # CPU C, fV, SPEC suite
@@ -122,14 +122,8 @@ main(int argc, char **argv)
                    "repetitions per cell with derived seeds");
     args.addOption("seed", "1", "root seed of the grid");
     args.addOption("out", "-", "output CSV file ('-' = stdout)");
-    args.addOption("retries", "0",
-                   "re-attempts for a failing cell before recording "
-                   "it as failed");
-    args.addFlag("strict",
-                 "fail fast: abort the sweep on the first cell "
-                 "failure");
     args.addFlag("nosimd", "model binaries compiled without SIMD");
-    runtime::CliRun::addOptions(args, "cell", true);
+    runtime::CliRun::addOptions(args, "cell");
     obs::addCliOptions(args);
     if (!args.parse(argc, argv))
         return 0;
@@ -159,8 +153,6 @@ main(int argc, char **argv)
     if (cpus.empty() || profiles.empty() || core_list.empty() ||
         strategy_list.empty() || offset_list.empty() || reps < 1)
         util::fatal("every grid axis needs at least one value");
-
-    const long retries = args.getIntInRange("retries", 0, INT_MAX);
 
     // Enumerate the grid in deterministic nested order.
     std::vector<SweepJob> jobs;
@@ -205,8 +197,6 @@ main(int argc, char **argv)
                                            : "parallel workers");
 
     exec::RunPolicy policy;
-    policy.retries = static_cast<int>(retries);
-    policy.strict = args.getFlag("strict");
     policy.onCellDone = run.stopAfterHook();
 
     SweepEngine engine(run.session());
@@ -263,15 +253,13 @@ main(int argc, char **argv)
     }
     for (const exec::CellFailure &f : outcome.failures)
         std::fprintf(stderr,
-                     "failed cell %zu (%s, %s/%s, seed %llu): %s "
-                     "(%d attempt%s)\n",
+                     "failed cell %zu (%s, %s/%s, seed %llu): %s\n",
                      f.index, f.label.c_str(),
                      meta[f.index].cpu.c_str(),
                      meta[f.index].strategy.c_str(),
                      static_cast<unsigned long long>(
                          meta[f.index].seed),
-                     f.error.c_str(), f.attempts,
-                     f.attempts == 1 ? "" : "s");
+                     f.error.c_str());
     return run.finish(outcome.interrupted, outcome.skipped,
                       outcome.failures.empty() ? 0 : 2);
 }
