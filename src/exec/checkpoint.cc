@@ -1,7 +1,6 @@
 #include "exec/checkpoint.hh"
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -11,7 +10,6 @@
 
 #include "obs/flight.hh"
 #include "obs/registry.hh"
-#include "obs/trace.hh"
 #include "sim/result_io.hh"
 #include "util/bytes.hh"
 #include "util/format.hh"
@@ -133,65 +131,38 @@ syncParentDir(const std::string &path)
     return err;
 }
 
-/**
- * Times one durable journal write: span events per durability stage
- * on the writer thread's host track, so the Chrome trace of a
- * checkpointed run shows exactly where journal time goes, and the
- * journal metrics once the write is on disk.
- */
-class WriteTimer
+/** The journal's registry metrics, resolved once per process. */
+struct JournalMetrics
 {
-  public:
-    WriteTimer()
-        : trace_(obs::activeTrace()),
-          track_(trace_ ? trace_->threadTrack("journal") : 0),
-          traceStart_(now()),
-          wallStart_(std::chrono::steady_clock::now())
-    {
-    }
-
-    /** Trace clock (0 when no trace is active). */
-    double now() const { return trace_ ? trace_->hostNowUs() : 0.0; }
-
-    /** Emit stage @p name spanning [@p start, now). */
-    void stage(double start, const char *name) const
-    {
-        if (trace_) {
-            const double now_us = trace_->hostNowUs();
-            trace_->complete(obs::TraceSession::kHostPid, track_,
-                             start, now_us - start, name, "journal");
-        }
-    }
-
-    /** Close the write's span and record @p bytes written. */
-    void done(std::size_t bytes) const
-    {
-        stage(traceStart_, "journal.append");
-        obs::Registry &reg = obs::metrics();
-        if (!reg.enabled())
-            return;
-        // Resolved once: no registry lookup by name per write.
-        static const obs::MetricId writes =
-            reg.counter("exec.journal.writes");
-        static const obs::MetricId bytes_written =
-            reg.counter("exec.journal.bytes_written");
-        static const obs::MetricId append_ms = reg.histogram(
-            "exec.journal.append_ms",
-            {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0});
-        reg.add(writes);
-        reg.add(bytes_written, bytes);
-        reg.observe(append_ms,
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - wallStart_)
-                        .count());
-    }
-
-  private:
-    obs::TraceSession *const trace_;
-    const int track_;
-    const double traceStart_;
-    const std::chrono::steady_clock::time_point wallStart_;
+    obs::MetricId writes;
+    obs::MetricId bytesWritten;
+    obs::MetricId appendMs;
 };
+
+/** The journal metrics, or null while the registry is disabled. */
+const JournalMetrics *
+journalMetrics()
+{
+    obs::Registry &reg = obs::metrics();
+    if (!reg.enabled())
+        return nullptr;
+    static const JournalMetrics m{
+        reg.counter("exec.journal.writes"),
+        reg.counter("exec.journal.bytes_written"),
+        reg.histogram("exec.journal.append_ms",
+                      {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0})};
+    return &m;
+}
+
+/** Count one durable write of @p bytes. */
+void
+countWrite(const JournalMetrics *m, std::size_t bytes)
+{
+    if (m == nullptr)
+        return;
+    obs::metrics().add(m->writes);
+    obs::metrics().add(m->bytesWritten, bytes);
+}
 
 } // namespace
 
@@ -225,39 +196,46 @@ CheckpointJournal::start(const std::string &path,
     // starts: a crash during the first append must recover the
     // restored cells.  The file appears under its name only complete,
     // and the descriptor that wrote it stays open for the appends.
-    const WriteTimer timer;
+    const JournalMetrics *m = journalMetrics();
+    obs::Span write_span("journal.append", "journal",
+                         m ? m->appendMs : obs::MetricId{});
     const std::string tmp = path + ".tmp";
-    double t = timer.now();
-    const int fd = ::open(tmp.c_str(),
-                          O_WRONLY | O_APPEND | O_CREAT | O_TRUNC |
-                              O_CLOEXEC,
-                          0666);
-    int err = fd < 0 ? errno : 0;
-    timer.stage(t, "journal.open");
+    int fd;
+    int err;
+    {
+        obs::Span stage("journal.open", "journal");
+        fd = ::open(tmp.c_str(),
+                    O_WRONLY | O_APPEND | O_CREAT | O_TRUNC | O_CLOEXEC,
+                    0666);
+        err = fd < 0 ? errno : 0;
+    }
     if (fd < 0)
         throw JournalError(suit::util::sformat(
             "cannot write checkpoint '%s': %s", tmp.c_str(),
             std::strerror(err)));
-    t = timer.now();
-    err = writeAll(fd, image);
-    timer.stage(t, "journal.write");
-    t = timer.now();
-    if (err == 0 && ::fsync(fd) != 0)
-        err = errno;
-    timer.stage(t, "journal.fsync");
-    t = timer.now();
-    if (err == 0 && std::rename(tmp.c_str(), path.c_str()) != 0)
-        err = errno;
-    if (err == 0)
-        err = syncParentDir(path);
-    timer.stage(t, "journal.rename");
+    {
+        obs::Span stage("journal.write", "journal");
+        err = writeAll(fd, image);
+    }
+    {
+        obs::Span stage("journal.fsync", "journal");
+        if (err == 0 && ::fsync(fd) != 0)
+            err = errno;
+    }
+    {
+        obs::Span stage("journal.rename", "journal");
+        if (err == 0 && std::rename(tmp.c_str(), path.c_str()) != 0)
+            err = errno;
+        if (err == 0)
+            err = syncParentDir(path);
+    }
     if (err != 0) {
         ::close(fd);
         throw JournalError(suit::util::sformat(
             "cannot write checkpoint '%s': %s", path.c_str(),
             std::strerror(err)));
     }
-    timer.done(image.size());
+    countWrite(m, image.size());
     path_ = path;
     fd_ = fd;
     durableSize_ = image.size();
@@ -266,7 +244,6 @@ CheckpointJournal::start(const std::string &path,
 void
 CheckpointJournal::append(const CellRecord &record)
 {
-    obs::FlightSpan span("journal.append", "exec");
     std::string frame;
     encodeRecord(encodePayload(record), frame);
     std::lock_guard lock(mu_);
@@ -276,14 +253,19 @@ CheckpointJournal::append(const CellRecord &record)
         throw JournalError(suit::util::sformat(
             "checkpoint '%s' is unusable after a failed write",
             path_.c_str()));
-    const WriteTimer timer;
-    double t = timer.now();
-    int err = writeAll(fd_, frame);
-    timer.stage(t, "journal.write");
-    t = timer.now();
-    if (err == 0 && ::fdatasync(fd_) != 0)
-        err = errno;
-    timer.stage(t, "journal.fsync");
+    const JournalMetrics *m = journalMetrics();
+    obs::Span append_span("journal.append", "journal",
+                          m ? m->appendMs : obs::MetricId{});
+    int err;
+    {
+        obs::Span stage("journal.write", "journal");
+        err = writeAll(fd_, frame);
+    }
+    {
+        obs::Span stage("journal.fsync", "journal");
+        if (err == 0 && ::fdatasync(fd_) != 0)
+            err = errno;
+    }
     if (err != 0) {
         // Cut a partly written frame back to the last record end on
         // disk: the next append must not land after a torn record.
@@ -296,7 +278,7 @@ CheckpointJournal::append(const CellRecord &record)
             "cannot write checkpoint '%s': %s", path_.c_str(),
             std::strerror(err)));
     }
-    timer.done(frame.size());
+    countWrite(m, frame.size());
     durableSize_ += frame.size();
 }
 

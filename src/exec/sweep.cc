@@ -153,8 +153,7 @@ SweepEngine::runOrdered(
     const GridFingerprint &fingerprint, std::vector<std::size_t> order)
 {
     static constexpr suit::runtime::JournaledNames kNames{
-        "sweep.cell", "exec", "main", "cell", "sweep",
-        "cell",       "grid", "sweep.cells"};
+        "sweep.cell", "sweep", "cell", "grid", "sweep.cells"};
 
     SweepOutcome out;
     out.results.resize(n);
@@ -172,25 +171,19 @@ SweepEngine::runOrdered(
         return true;
     };
     units.run = [&](std::size_t i, suit::runtime::JournaledUnit &unit) {
-        bool ok = true;
         std::string what;
         try {
             out.results[i] = cell(i);
             out.done[i] = 1;
+            if (unit.record)
+                *unit.record = {i, false, "", out.results[i], false, ""};
+            return true;
         } catch (const suit::runtime::Cancelled &) {
             throw; // skipped, never journaled
         } catch (...) {
             if (policy.strict)
                 throw;
-            ok = false;
             what = describeException(std::current_exception());
-        }
-        if (unit.traceArgs)
-            unit.traceArgs->emplace_back("ok", ok ? 1 : 0);
-        if (ok) {
-            if (unit.record)
-                *unit.record = {i, false, "", out.results[i], false, ""};
-            return true;
         }
         {
             std::lock_guard lock(failures_mu);

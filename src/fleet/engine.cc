@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -180,8 +179,8 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
 
     std::atomic<std::uint64_t> domains_simulated{0};
 
-    // Latched by the RunContext: workers trace into the same session.
-    suit::obs::TraceSession *const trace = ctx.trace();
+    // Read once per run: workers trace into the same session.
+    suit::obs::TraceSession *const trace = suit::obs::activeTrace();
     suit::obs::Registry &reg = suit::obs::metrics();
 
     // One named host-time track per rack carrying cumulative
@@ -252,7 +251,6 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
     };
     units.run = [&](std::size_t shard,
                     suit::runtime::JournaledUnit &unit) {
-        const auto wall_start = std::chrono::steady_clock::now();
         const std::uint64_t first =
             static_cast<std::uint64_t>(shard) * shard_size;
         const std::uint64_t count =
@@ -278,29 +276,20 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
         }
         domains_simulated.fetch_add(count,
                                     std::memory_order_relaxed);
-        if (reg.enabled()) {
-            // Resolved once: no registry lookup by name per shard.
-            static const suit::obs::MetricId shard_ms = reg.histogram(
-                "fleet.shard_ms",
-                {1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0});
-            reg.observe(
-                shard_ms,
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count());
-        }
-        if (unit.traceArgs) {
-            unit.traceArgs->emplace_back("domains", count);
+        unit.span.arg("domains", count);
+        if (trace)
             emitRackCounters(acc, trace->hostNowUs());
-        }
         slots[shard] = std::move(acc);
         return true;
     };
     units.done = options.onShardDone;
+    if (reg.enabled())
+        units.spanMs = reg.histogram(
+            "fleet.shard_ms",
+            {1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0});
 
     static constexpr suit::runtime::JournaledNames kNames{
-        "fleet.shard", "fleet", "fleet", "shard", "fleet",
-        "shard",       "fleet", "fleet.shards"};
+        "fleet.shard", "fleet", "shard", "fleet", "fleet.shards"};
     const suit::runtime::JournaledCounts counts =
         suit::runtime::runJournaled(
             session_, ctx, static_cast<std::size_t>(shards),

@@ -16,7 +16,7 @@ namespace suit::obs {
 namespace {
 
 // ---------------------------------------------------------------
-// Span stack table.  Fixed storage, all-atomic words: FlightSpan
+// Span stack table.  Fixed storage, all-atomic words: a Span
 // runs on pool workers concurrently with a dump() on the main (or a
 // signal) thread, and a post-mortem reader tolerates a stack caught
 // mid-push — it reads whatever depth/entries pair it observes.
@@ -45,19 +45,20 @@ std::atomic<FlightRecorder *> g_active{nullptr};
 
 thread_local int t_spanSlot = -1; //!< -1 unclaimed, -2 table full
 
-std::chrono::steady_clock::time_point
+using Clock = std::chrono::steady_clock;
+
+/** Zero of the stack entries' start_us; fixed when a recorder arms. */
+Clock::time_point
 processEpoch()
 {
-    static const auto epoch = std::chrono::steady_clock::now();
+    static const Clock::time_point epoch = Clock::now();
     return epoch;
 }
 
 double
-spanNowUs()
+microseconds(Clock::duration d)
 {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - processEpoch())
-        .count();
+    return std::chrono::duration<double, std::micro>(d).count();
 }
 
 // ---------------------------------------------------------------
@@ -102,15 +103,16 @@ restoreCrashHandlers()
 
 } // namespace
 
-bool
-flightSpansActive()
+Span::Span(const char *name, const char *cat, MetricId ms)
+    : name_(name), cat_(cat), trace_(activeTrace())
 {
-    return g_spansEnabled.load(std::memory_order_relaxed);
-}
-
-FlightSpan::FlightSpan(const char *name, const char *cat)
-{
-    if (!g_spansEnabled.load(std::memory_order_relaxed))
+    if (ms.valid() && metrics().enabled())
+        ms_ = ms;
+    const bool flight = g_spansEnabled.load(std::memory_order_relaxed);
+    if (!flight && !trace_ && !ms_.valid())
+        return;
+    start_ = Clock::now();
+    if (!flight)
         return;
     if (t_spanSlot == -1) {
         const int claimed =
@@ -127,21 +129,35 @@ FlightSpan::FlightSpan(const char *name, const char *cat)
     SpanEntry &entry = spans.entries[d];
     entry.name.store(name, std::memory_order_relaxed);
     entry.cat.store(cat, std::memory_order_relaxed);
-    entry.startUsBits.store(std::bit_cast<std::uint64_t>(spanNowUs()),
-                            std::memory_order_relaxed);
+    entry.startUsBits.store(
+        std::bit_cast<std::uint64_t>(
+            microseconds(start_ - processEpoch())),
+        std::memory_order_relaxed);
     spans.depth.store(d + 1, std::memory_order_release);
     slot_ = t_spanSlot;
 }
 
-FlightSpan::~FlightSpan()
+Span::~Span()
 {
-    if (slot_ < 0)
+    if (slot_ >= 0) {
+        ThreadSpans &spans = g_spans[slot_];
+        const std::uint32_t d =
+            spans.depth.load(std::memory_order_relaxed);
+        if (d > 0)
+            spans.depth.store(d - 1, std::memory_order_release);
+    }
+    if (!trace_ && !ms_.valid())
         return;
-    ThreadSpans &spans = g_spans[slot_];
-    const std::uint32_t d =
-        spans.depth.load(std::memory_order_relaxed);
-    if (d > 0)
-        spans.depth.store(d - 1, std::memory_order_release);
+    const Clock::duration elapsed = Clock::now() - start_;
+    if (ms_.valid())
+        metrics().observe(
+            ms_,
+            std::chrono::duration<double, std::milli>(elapsed).count());
+    if (trace_)
+        trace_->complete(TraceSession::kHostPid,
+                         trace_->threadTrack("main"),
+                         trace_->hostUs(start_), microseconds(elapsed),
+                         name_, cat_, args_);
 }
 
 FlightRecorder::FlightRecorder(FlightConfig config,
@@ -149,6 +165,7 @@ FlightRecorder::FlightRecorder(FlightConfig config,
     : cfg_(std::move(config)), sampler_(sampler)
 {
     sampleScratch_.reserve(cfg_.lastSamples);
+    processEpoch(); // stack start_us count from the first arming
     previous_ = g_active.exchange(this, std::memory_order_acq_rel);
     g_spansEnabled.store(true, std::memory_order_relaxed);
     if (cfg_.installSignalHandlers && previous_ == nullptr) {

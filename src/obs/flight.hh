@@ -1,7 +1,8 @@
 /**
  * @file
  * FlightRecorder: JSONL post-mortem dumps of the telemetry ring and
- * the active span stacks.
+ * the active span stacks; Span: the one timed-region guard that feeds
+ * those stacks, the Chrome trace and a latency histogram.
  *
  * A FlightRecorder is armed by `--flight-recorder PATH`.  When the
  * run ends abnormally — a crash signal, Ctrl-C, or `--deadline-s`
@@ -15,12 +16,22 @@
  * histograms are cumulative totals (so a validator can check they
  * never decrease), gauges are plain doubles.
  *
- * The span stack is the lightweight always-cheap sibling of the
- * Chrome trace: FlightSpan is an RAII guard over a global fixed
- * table of per-thread stacks (atomic name/cat/start words, atomic
- * depth), recording only while a recorder is armed — one relaxed
- * load and a branch otherwise.  Names and categories must be string
- * literals (the table stores the pointers).
+ * A Span marks one timed region (a sweep cell, a fleet shard, a
+ * journal write stage) for three sinks at once, each only while it
+ * is on:
+ *
+ *  - the flight stack: a global fixed table of per-thread stacks
+ *    (atomic name/cat/start words, atomic depth) that dump() lists,
+ *    pushed only while a recorder is armed;
+ *  - the Chrome trace: one 'X' event on the calling thread's host
+ *    track (pool workers name theirs "worker N", any other thread's
+ *    is "main"), emitted at close while a TraceSession is active;
+ *  - an optional `*_ms` histogram of obs::metrics(), observed at
+ *    close while the registry is enabled.
+ *
+ * With all three off a span costs at most three atomic loads and no
+ * clock read.  Names and categories must be string literals (the
+ * stack table stores the pointers).
  *
  * Crash-signal dumps are best-effort: the handler renders with the
  * normal (allocating) path, which is not async-signal-safe in
@@ -32,11 +43,13 @@
 #ifndef SUIT_OBS_FLIGHT_HH
 #define SUIT_OBS_FLIGHT_HH
 
+#include <chrono>
 #include <cstddef>
 #include <string>
 #include <vector>
 
 #include "obs/telemetry.hh"
+#include "obs/trace.hh"
 
 namespace suit::obs {
 
@@ -97,25 +110,37 @@ class FlightRecorder
 };
 
 /**
- * RAII span marker for flight-recorder stack dumps.  @p name and
- * @p cat must be string literals (static storage); recording is a
- * no-op unless a FlightRecorder is armed.
+ * RAII timed region; see the file comment.  @p name and @p cat must
+ * be string literals (static storage).  @p ms, when valid, is a
+ * histogram of obs::metrics() that receives the region's wall time
+ * in milliseconds.
  */
-class FlightSpan
+class Span
 {
   public:
-    FlightSpan(const char *name, const char *cat);
-    ~FlightSpan();
+    Span(const char *name, const char *cat, MetricId ms = {});
+    ~Span();
 
-    FlightSpan(const FlightSpan &) = delete;
-    FlightSpan &operator=(const FlightSpan &) = delete;
+    Span(const Span &) = delete;
+    Span &operator=(const Span &) = delete;
+
+    /** Attach a trace arg to the 'X' event (kept only when traced). */
+    template <typename V>
+    void arg(const char *key, V value)
+    {
+        if (trace_)
+            args_.emplace_back(key, value);
+    }
 
   private:
-    int slot_ = -1; //!< thread-table slot; -1 = not recorded
+    const char *name_;
+    const char *cat_;
+    TraceSession *trace_; //!< null when untraced
+    MetricId ms_;         //!< invalid when not observed
+    int slot_ = -1;       //!< flight stack slot; -1 = not pushed
+    std::chrono::steady_clock::time_point start_;
+    TraceArgs args_;
 };
-
-/** True while a FlightRecorder is armed (spans are recording). */
-bool flightSpansActive();
 
 } // namespace suit::obs
 

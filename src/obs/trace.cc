@@ -215,9 +215,13 @@ TraceSession::counter(int pid, int tid, double ts,
 double
 TraceSession::hostNowUs() const
 {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
+    return hostUs(std::chrono::steady_clock::now());
+}
+
+double
+TraceSession::hostUs(std::chrono::steady_clock::time_point t) const
+{
+    return std::chrono::duration<double, std::micro>(t - start_).count();
 }
 
 std::size_t

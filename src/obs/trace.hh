@@ -13,15 +13,16 @@
  *    p-state transitions, #DO trap instants and deadline resets live
  *    here, one track per simulated domain.
  *  - kHostPid: wall-clock time since the session started.  Sweep
- *    cells, worker lifetimes and checkpoint writes live here, one
- *    track per host thread (threadTrack()).
+ *    cells, fleet shards, worker lifetimes and checkpoint writes
+ *    live here, one track per host thread (threadTrack()); timed
+ *    regions reach it through obs::Span (obs/flight.hh).
  *
  * Emission is mutex-serialised — trace points sit on rare paths
  * (p-state changes, traps, sweep-cell boundaries), never inside the
- * per-event simulator loop.  When no session is installed the
- * SUIT_OBS_EVENT macro reduces to one relaxed atomic load and no
- * argument evaluation, which is the project's "observability off"
- * cost everywhere outside suit_sim's always-on plain counters.
+ * per-event simulator loop.  With no session installed a trace point
+ * costs one atomic load of activeTrace(), which is the
+ * project's "observability off" cost everywhere outside suit_sim's
+ * always-on plain counters.
  *
  * Sessions cap at kMaxEvents events; later events are counted as
  * dropped rather than growing without bound (a full sweep can emit
@@ -124,6 +125,9 @@ class TraceSession
     /** Wall-clock microseconds since this session was created. */
     double hostNowUs() const;
 
+    /** @p t as microseconds since this session was created. */
+    double hostUs(std::chrono::steady_clock::time_point t) const;
+
     /** Events currently buffered (metadata included). */
     std::size_t eventCount() const;
 
@@ -171,29 +175,13 @@ class TraceSession
  * @{
  * The active session trace points emit into, or null when tracing is
  * off (the default).  Installation is the CLI's job (obs::CliScope);
- * instrumented objects either latch the pointer at construction (the
- * simulator, so a run's tracing is all-or-nothing) or read it per
- * event via SUIT_OBS_EVENT.
+ * instrumented objects either latch the pointer once per run (the
+ * simulator, the pool's workers and the fleet's rack tracks, so a
+ * run's tracing is all-or-nothing) or read it per region (obs::Span).
  */
 TraceSession *activeTrace();
 void setActiveTrace(TraceSession *session);
 /** @} */
-
-/**
- * Emit a trace event iff a session is active.  The argument list is
- * the member call to make on the session, so arguments are not even
- * evaluated when tracing is off:
- *
- *   SUIT_OBS_EVENT(instant(TraceSession::kHostPid, tid,
- *                          s->hostNowUs(), "retry", "exec"));
- */
-#define SUIT_OBS_EVENT(...)                                             \
-    do {                                                                \
-        if (::suit::obs::TraceSession *suit_obs_session_ =              \
-                ::suit::obs::activeTrace()) {                           \
-            suit_obs_session_->__VA_ARGS__;                             \
-        }                                                               \
-    } while (0)
 
 } // namespace suit::obs
 

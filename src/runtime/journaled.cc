@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "exec/thread_pool.hh"
-#include "obs/flight.hh"
 #include "obs/registry.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
@@ -75,9 +74,6 @@ runJournaled(Session &session, RunContext &ctx, std::size_t n,
 
     std::atomic<std::size_t> executed{0};
     std::atomic<std::size_t> skipped{0};
-    // Latched by the RunContext at its construction: workers observe
-    // the same session, so pool and serial mode trace identically.
-    suit::obs::TraceSession *const trace = ctx.trace();
     const CancelToken &token = ctx.token();
     // The lowest-index unit exception so far.  A unit above it cannot
     // change which exception propagates, so it is not started; every
@@ -95,39 +91,32 @@ runJournaled(Session &session, RunContext &ctx, std::size_t n,
             skipped.fetch_add(1, std::memory_order_relaxed);
             return;
         }
-        suit::obs::FlightSpan span(names.flightSpan,
-                                   names.flightCategory);
-        const double start_us = trace ? trace->hostNowUs() : 0.0;
         CellRecord record;
-        suit::obs::TraceArgs args;
-        if (trace)
-            args.emplace_back("index", static_cast<std::uint64_t>(i));
-        JournaledUnit unit{journal.active() ? &record : nullptr,
-                           trace ? &args : nullptr};
-        bool completed = false;
-        try {
-            completed = units.run(i, unit);
-        } catch (const Cancelled &) {
-            skipped.fetch_add(1, std::memory_order_relaxed);
-            return;
-        } catch (...) {
-            std::lock_guard lock(error_mu);
-            if (i < error_index.load(std::memory_order_relaxed)) {
-                error_index.store(i, std::memory_order_relaxed);
-                error = std::current_exception();
+        {
+            suit::obs::Span span(names.span, names.category,
+                                 units.spanMs);
+            span.arg("index", static_cast<std::uint64_t>(i));
+            JournaledUnit unit{journal.active() ? &record : nullptr,
+                               span};
+            bool completed = false;
+            try {
+                completed = units.run(i, unit);
+            } catch (const Cancelled &) {
+                skipped.fetch_add(1, std::memory_order_relaxed);
+                return;
+            } catch (...) {
+                std::lock_guard lock(error_mu);
+                if (i < error_index.load(std::memory_order_relaxed)) {
+                    error_index.store(i, std::memory_order_relaxed);
+                    error = std::current_exception();
+                }
+                return;
             }
-            return;
-        }
-        if (unit.record)
-            journal.append(record);
-        if (completed)
-            executed.fetch_add(1, std::memory_order_relaxed);
-        if (trace) {
-            const double now_us = trace->hostNowUs();
-            trace->complete(suit::obs::TraceSession::kHostPid,
-                            trace->threadTrack(names.traceTrack),
-                            start_us, now_us - start_us,
-                            names.traceSpan, names.traceCategory, args);
+            span.arg("ok", completed ? 1 : 0);
+            if (unit.record)
+                journal.append(record);
+            if (completed)
+                executed.fetch_add(1, std::memory_order_relaxed);
         }
         if (units.done)
             units.done(i);

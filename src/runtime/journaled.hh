@@ -11,7 +11,11 @@
  *  2. runs the units on the Session's pool (inline when serial) in
  *     the engine's dispatch order, skipping restored units and, once
  *     the token tripped, counting the rest skipped; each started
- *     unit runs inside a flight span and a host trace span;
+ *     unit runs inside one obs::Span (flight stack, host trace
+ *     track, optional histogram) that closes after the journal
+ *     append and carries the unit's index, the engine's args and
+ *     `ok` (the run callback's result; a unit that throws closes
+ *     its span without one);
  *  3. counts a unit aborted mid-flight (runtime::Cancelled) skipped
  *     and never journals it, so a resume recomputes it whole; a
  *     settled unit is journaled, *then* the done callback runs on
@@ -37,7 +41,7 @@
 #include <vector>
 
 #include "exec/checkpoint.hh"
-#include "obs/trace.hh"
+#include "obs/flight.hh"
 #include "runtime/run_context.hh"
 #include "runtime/session.hh"
 
@@ -46,23 +50,20 @@ namespace suit::runtime {
 /** How one engine names its units; every field a string literal. */
 struct JournaledNames
 {
-    const char *flightSpan;     //!< flight-recorder span name
-    const char *flightCategory; //!< ... and category
-    const char *traceTrack;     //!< host trace per-thread track
-    const char *traceSpan;      //!< host trace span name
-    const char *traceCategory;  //!< ... and category
-    const char *unit;           //!< noun in messages ("cell")
-    const char *campaign;       //!< a foreign journal's ("grid")
-    const char *counters;       //!< `<counters>.executed` etc.
+    const char *span;     //!< unit span name ("sweep.cell")
+    const char *category; //!< ... and category ("sweep")
+    const char *unit;     //!< noun in messages ("cell")
+    const char *campaign; //!< a foreign journal's ("grid")
+    const char *counters; //!< `<counters>.executed` etc.
 };
 
 /** Outputs of one unit, filled by the engine's run callback. */
 struct JournaledUnit
 {
     /** The unit's journal record; null when no journal is bound. */
-    suit::exec::CellRecord *record = nullptr;
-    /** Extra host-trace span args; null when untraced. */
-    suit::obs::TraceArgs *traceArgs = nullptr;
+    suit::exec::CellRecord *record;
+    /** The unit's span, for extra trace args. */
+    suit::obs::Span &span;
 };
 
 /** The engine side of the loop. */
@@ -84,6 +85,8 @@ struct JournaledUnits
     std::function<bool(std::size_t, JournaledUnit &)> run;
     /** Optional: after a settled unit's journal append. */
     std::function<void(std::size_t)> done;
+    /** Optional: obs::metrics() histogram of unit span times (ms). */
+    suit::obs::MetricId spanMs;
     /**
      * Optional dispatch order: a permutation of [0, n), order[k]
      * being the k-th unit to start.  Empty means index order.

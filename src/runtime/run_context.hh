@@ -2,10 +2,11 @@
  * @file
  * Per-run scope for the engines: one RunContext per sweep / fleet /
  * characterization run.  Bundles the cancellation token (with its
- * optional wall-clock deadline), the checkpoint/journal policy that
- * sweep and fleet previously each carried in their own options
- * struct, and the obs trace session latched at construction so every
- * engine observes the same session for the whole run.
+ * optional wall-clock deadline) and the checkpoint/journal policy
+ * that sweep and fleet previously each carried in their own options
+ * struct.  Observability is not part of it: obs::CliScope installs
+ * the trace session before any engine runs and removes it after, so
+ * every span and trace point of a run sees the same session.
  *
  * A RunContext is cheap and single-use by convention: resuming an
  * interrupted run means building a fresh context (with a fresh,
@@ -17,10 +18,6 @@
 #include <string>
 
 #include "runtime/cancel.hh"
-
-namespace suit::obs {
-class TraceSession;
-}
 
 namespace suit::runtime {
 
@@ -41,8 +38,7 @@ struct CheckpointPolicy {
 class RunContext
 {
   public:
-    /** Latches the obs trace session active at construction. */
-    RunContext();
+    RunContext() = default;
 
     RunContext(const RunContext &) = delete;
     RunContext &operator=(const RunContext &) = delete;
@@ -59,18 +55,11 @@ class RunContext
         token_.setDeadlineAfter(seconds);
     }
 
-    /** Trace session to emit run events into (may be null). */
-    suit::obs::TraceSession *trace() const noexcept
-    {
-        return trace_;
-    }
-
     /** Journal policy for this run (mutated freely before run()). */
     CheckpointPolicy checkpoint;
 
   private:
     CancelToken token_;
-    suit::obs::TraceSession *trace_ = nullptr;
 };
 
 } // namespace suit::runtime

@@ -3,7 +3,8 @@
  * Unit tests for the continuous-telemetry stack: the
  * TelemetrySampler ring (wrap-around, lock-free concurrent reads,
  * start/stop idempotence), the OpenMetrics exposition (renderer,
- * TCP server, validator), and the FlightRecorder JSONL dumps.
+ * TCP server, validator), the FlightRecorder JSONL dumps and the
+ * obs::Span sinks.
  *
  * The concurrent tests are in the sanitizer matrix (label `obs`,
  * thread + undefined): the seqlock ring must be TSan-clean while a
@@ -31,6 +32,7 @@
 #include "obs/openmetrics.hh"
 #include "obs/registry.hh"
 #include "obs/telemetry.hh"
+#include "obs/trace.hh"
 #include "obs/validate.hh"
 
 namespace {
@@ -345,10 +347,9 @@ TEST(ObsFlight, DumpWritesValidJsonlWithSpans)
     cfg.path = out.path();
     cfg.installSignalHandlers = false;
     obs::FlightRecorder recorder(cfg, &sampler);
-    EXPECT_TRUE(obs::flightSpansActive());
     {
-        obs::FlightSpan outer("outer", "test");
-        obs::FlightSpan inner("inner", "test");
+        obs::Span outer("outer", "test");
+        obs::Span inner("inner", "test");
         ASSERT_TRUE(recorder.dump("deadline"));
     }
     EXPECT_EQ(recorder.dumps(), 1u);
@@ -363,11 +364,101 @@ TEST(ObsFlight, DumpWritesValidJsonlWithSpans)
     EXPECT_NE(doc.find("\"inner\""), std::string::npos);
 }
 
+/** Occurrences of @p needle in @p hay. */
+std::size_t
+countOf(const std::string &hay, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = hay.find(needle); at != std::string::npos;
+         at = hay.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+/** Samples in obs::metrics() histogram @p name (0 when absent). */
+std::uint64_t
+histogramTotal(const std::string &name)
+{
+    const obs::Snapshot snap = obs::metrics().snapshot();
+    const obs::MetricValue *m = snap.find(name);
+    return m ? m->histogram.total() : 0;
+}
+
+/**
+ * The three sinks of one Span, all on: a stack line while it is
+ * open, one 'X' event with its args and one histogram sample after.
+ */
+TEST(ObsFlight, SpanFeedsStackTraceAndHistogram)
+{
+    obs::Registry &reg = obs::metrics();
+    reg.setEnabled(true);
+    const MetricId ms = reg.histogram("test.span_ms", {1.0, 10.0});
+    const std::uint64_t before = histogramTotal("test.span_ms");
+    obs::TraceSession session;
+    obs::setActiveTrace(&session);
+
+    const ScratchFile out("span.jsonl");
+    obs::FlightConfig cfg;
+    cfg.path = out.path();
+    cfg.installSignalHandlers = false;
+    {
+        obs::FlightRecorder recorder(cfg);
+        obs::Span span("test.region", "test", ms);
+        span.arg("index", 7);
+        ASSERT_TRUE(recorder.dump("cancelled"));
+    }
+    obs::setActiveTrace(nullptr);
+    reg.setEnabled(false);
+
+    const std::string doc = out.read();
+    EXPECT_TRUE(obs::checkFlightJsonl(doc).ok);
+    EXPECT_EQ(countOf(doc, "\"span_thread\""), 1u);
+    EXPECT_NE(doc.find("\"name\": \"test.region\", \"cat\": \"test\""),
+              std::string::npos);
+
+    const std::string trace = session.render();
+    const obs::CheckResult result = obs::checkChromeTrace(trace);
+    EXPECT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(countOf(trace, "\"ph\": \"X\""), 1u);
+    EXPECT_NE(trace.find("\"name\": \"test.region\", \"cat\": "
+                         "\"test\", \"args\": {\"index\": 7}"),
+              std::string::npos);
+
+    EXPECT_EQ(histogramTotal("test.span_ms"), before + 1);
+}
+
+/**
+ * With every sink off when it opens, a span records nothing, even
+ * if the sinks come on before it closes.
+ */
 TEST(ObsFlight, SpansAreFreeWhenNoRecorderIsArmed)
 {
-    EXPECT_FALSE(obs::flightSpansActive());
-    obs::FlightSpan span("unrecorded", "test"); // must be a no-op
-    EXPECT_FALSE(obs::flightSpansActive());
+    obs::Registry &reg = obs::metrics();
+    const MetricId ms = reg.histogram("test.idle_span_ms", {1.0});
+    ASSERT_FALSE(reg.enabled());
+    ASSERT_EQ(obs::FlightRecorder::active(), nullptr);
+    ASSERT_EQ(obs::activeTrace(), nullptr);
+
+    obs::TraceSession session;
+    const std::size_t events = session.eventCount();
+    const ScratchFile out("idle.jsonl");
+    obs::FlightConfig cfg;
+    cfg.path = out.path();
+    cfg.installSignalHandlers = false;
+    {
+        obs::Span span("unrecorded", "test", ms);
+        span.arg("index", 1);
+        reg.setEnabled(true);
+        obs::setActiveTrace(&session);
+        obs::FlightRecorder recorder(cfg);
+        ASSERT_TRUE(recorder.dump("cancelled"));
+    }
+    obs::setActiveTrace(nullptr);
+    reg.setEnabled(false);
+
+    EXPECT_EQ(out.read().find("unrecorded"), std::string::npos);
+    EXPECT_EQ(session.eventCount(), events);
+    EXPECT_EQ(histogramTotal("test.idle_span_ms"), 0u);
 }
 
 TEST(ObsFlight, ValidatorRejectsTamperedDumps)

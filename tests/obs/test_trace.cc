@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for obs::TraceSession: track allocation, event emission
- * (including from many threads at once), the render format via the
- * structural validator, and the SUIT_OBS_EVENT macro's off-switch.
+ * (including from many threads at once) and the render format via
+ * the structural validator.
  */
 
 #include <atomic>
@@ -106,28 +106,6 @@ TEST(ObsTrace, ConcurrentEmissionStaysBalanced)
     // 3 events per span per thread, plus metadata events.
     EXPECT_GE(session.eventCount(),
               static_cast<std::size_t>(kThreads) * kSpans * 3);
-}
-
-TEST(ObsTrace, MacroIsInertWithoutActiveSession)
-{
-    ASSERT_EQ(obs::activeTrace(), nullptr);
-    bool evaluated = false;
-    const auto touch = [&] {
-        evaluated = true;
-        return 0.0;
-    };
-    SUIT_OBS_EVENT(instant(TraceSession::kHostPid, 0, touch(), "x",
-                           "test"));
-    EXPECT_FALSE(evaluated);
-
-    TraceSession session;
-    const int track = session.threadTrack("main");
-    obs::setActiveTrace(&session);
-    SUIT_OBS_EVENT(instant(TraceSession::kHostPid, track, touch(),
-                           "x", "test"));
-    obs::setActiveTrace(nullptr);
-    EXPECT_TRUE(evaluated);
-    EXPECT_TRUE(obs::checkChromeTrace(session.render()).hasName("x"));
 }
 
 TEST(ObsTrace, SimUsConvertsPicosecondTicks)

@@ -24,9 +24,8 @@ namespace {
 
 using namespace suit;
 
-constexpr runtime::JournaledNames kNames{
-    "test.unit", "test", "main", "unit", "test",
-    "unit",      "test", "test.units"};
+constexpr runtime::JournaledNames kNames{"test.unit", "test", "unit",
+                                         "test", "test.units"};
 
 TEST(RunJournaled, SerialPathFollowsTheDispatchOrder)
 {

@@ -26,6 +26,7 @@
 #include "trace/io.hh"
 #include "trace/profile.hh"
 #include "util/args.hh"
+#include "util/logging.hh"
 
 int
 main(int argc, char **argv)
@@ -43,7 +44,8 @@ main(int argc, char **argv)
                    "operating strategy: e, f, V, fV, hybrid or auto");
     args.addOption("offset", "-97", "undervolt offset in mV");
     args.addOption("cores", "1",
-                   "utilised cores (shared-domain CPUs only)");
+                   "utilised cores (shared-domain CPUs only; 1 with "
+                   "--trace)");
     args.addOption("seed", "1", "trace / jitter seed");
     args.addFlag("nosimd", "model a binary compiled without SIMD");
     args.addFlag("verbose", "also print switch/trap counters");
@@ -66,6 +68,10 @@ main(int argc, char **argv)
     cfg.cpu = &cpu;
     cfg.cores = static_cast<int>(
         args.getIntInRange("cores", 1, sim::TraceCache::kMaxStreams));
+    if (!args.get("trace").empty() && cfg.cores != 1)
+        util::fatal("--trace runs the one recorded stream on one core; "
+                    "--cores %d is not supported with it",
+                    cfg.cores);
     cfg.offsetMv = args.getDouble("offset");
     cfg.params = core::optimalParams(cpu);
     cfg.seed = static_cast<std::uint64_t>(
