@@ -215,7 +215,8 @@ SweepEngine::runOrdered(
 }
 
 GridFingerprint
-fingerprintJobs(const std::vector<SweepJob> &jobs)
+fingerprintJobs(const std::vector<SweepJob> &jobs,
+                std::uint64_t modelVersion)
 {
     std::uint64_t hash = fnv1a64(nullptr, 0);
     const auto mix_u64 = [&](std::uint64_t v) {
@@ -233,6 +234,7 @@ fingerprintJobs(const std::vector<SweepJob> &jobs)
         hash = fnv1a64(s.data(), s.size(), hash);
     };
 
+    mix_u64(modelVersion);
     for (const SweepJob &job : jobs) {
         const EvalConfig &cfg = job.config;
         mix_string(job.label);

@@ -50,6 +50,7 @@
 #include "runtime/run_context.hh"
 #include "runtime/session.hh"
 #include "sim/evaluation.hh"
+#include "sim/model_version.hh"
 #include "sim/trace_cache.hh"
 
 namespace suit::exec {
@@ -219,12 +220,15 @@ class SweepEngine
 };
 
 /**
- * Fingerprint of a job list: an order-sensitive hash over every
- * cell's CPU, core count, strategy kind + parameters, offset, run
- * mode, seed, workload and label.  Two grids resume-compatibly iff
- * their fingerprints match.
+ * Fingerprint of a job list: an order-sensitive hash over the
+ * simulation model version and every cell's CPU, core count,
+ * strategy kind + parameters, offset, run mode, seed, workload and
+ * label.  Two grids resume-compatibly iff their fingerprints match.
+ * @p modelVersion is a parameter only so tests can vary it.
  */
-GridFingerprint fingerprintJobs(const std::vector<SweepJob> &jobs);
+GridFingerprint
+fingerprintJobs(const std::vector<SweepJob> &jobs,
+                std::uint64_t modelVersion = suit::sim::kModelVersion);
 
 /**
  * Derive the seed of grid cell @p index from @p root.

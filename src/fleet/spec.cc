@@ -347,7 +347,7 @@ FleetSpec::scaleDomains(std::uint64_t domains)
 }
 
 std::uint64_t
-FleetSpec::fingerprint() const
+FleetSpec::fingerprint(std::uint64_t modelVersion) const
 {
     using suit::util::fnv1a64;
     std::uint64_t h = fnv1a64(nullptr, 0);
@@ -369,6 +369,7 @@ FleetSpec::fingerprint() const
         h = fnv1a64(s.data(), s.size(), h);
     };
 
+    mix_u64(modelVersion);
     mix_string(name);
     mix_u64(seed);
     mix_double(traceScale);

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "core/strategy.hh"
+#include "sim/model_version.hh"
 
 namespace suit::fleet {
 
@@ -152,12 +153,14 @@ struct FleetSpec
     void scaleDomains(std::uint64_t domains);
 
     /**
-     * Order-sensitive FNV-1a fingerprint over every field that
-     * affects simulation results.  Ties a fleet checkpoint journal
-     * to the exact spec that produced it (pue/cost are report-only
-     * and excluded).
+     * Order-sensitive FNV-1a fingerprint over the simulation model
+     * version and every field that affects simulation results.  Ties
+     * a fleet checkpoint journal to the exact spec and model that
+     * produced it (pue/cost are report-only and excluded).
+     * @p modelVersion is a parameter only so tests can vary it.
      */
-    std::uint64_t fingerprint() const;
+    std::uint64_t fingerprint(
+        std::uint64_t modelVersion = suit::sim::kModelVersion) const;
 
     /**
      * Parse spec text.  @throws SpecError with a line-numbered

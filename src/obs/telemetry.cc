@@ -140,12 +140,13 @@ TelemetrySampler::sampleOnce()
     const std::uint64_t s0 =
         seq_[slot].load(std::memory_order_relaxed);
     seq_[slot].store(s0 + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    ids_[slot].store(id, std::memory_order_relaxed);
+    // Release payload stores: none becomes visible before the odd
+    // sequence number (see the contract in telemetry.hh).
+    ids_[slot].store(id, std::memory_order_release);
     hostUsBits_[slot].store(std::bit_cast<std::uint64_t>(host_us),
-                            std::memory_order_relaxed);
+                            std::memory_order_release);
     counts_[slot].store(static_cast<std::uint32_t>(n),
-                        std::memory_order_relaxed);
+                        std::memory_order_release);
     std::atomic<std::uint64_t> *row = &values_[slot * kMaxSeries];
     for (std::size_t i = 0; i < n; ++i) {
         const MetricValue &m = back_.metrics[i];
@@ -159,7 +160,7 @@ TelemetrySampler::sampleOnce()
             raw = std::bit_cast<std::uint64_t>(m.value);
             break;
         }
-        row[i].store(raw, std::memory_order_relaxed);
+        row[i].store(raw, std::memory_order_release);
     }
     seq_[slot].store(s0 + 2, std::memory_order_release);
 
@@ -212,19 +213,20 @@ TelemetrySampler::lastSamplesInto(std::vector<TelemetrySample> &out,
                 seq_[slot].load(std::memory_order_acquire);
             if (s1 & 1)
                 continue; // write in progress
+            // Acquire payload loads: the second sequence load cannot
+            // move before any of them.
             const std::uint64_t got =
-                ids_[slot].load(std::memory_order_relaxed);
+                ids_[slot].load(std::memory_order_acquire);
             const std::uint64_t host_bits =
-                hostUsBits_[slot].load(std::memory_order_relaxed);
+                hostUsBits_[slot].load(std::memory_order_acquire);
             const std::uint32_t count =
-                counts_[slot].load(std::memory_order_relaxed);
+                counts_[slot].load(std::memory_order_acquire);
             sample.raw.resize(count);
             const std::atomic<std::uint64_t> *row =
                 &values_[slot * kMaxSeries];
             for (std::uint32_t i = 0; i < count; ++i)
                 sample.raw[i] =
-                    row[i].load(std::memory_order_relaxed);
-            std::atomic_thread_fence(std::memory_order_acquire);
+                    row[i].load(std::memory_order_acquire);
             const std::uint64_t s2 =
                 seq_[slot].load(std::memory_order_relaxed);
             if (s1 != s2)

@@ -10,18 +10,23 @@
  * the CLI series dump) are lock-free with respect to the sampler:
  * they re-read a slot whose sequence number changed underfoot and
  * skip slots that were overwritten mid-scan.  All slot payload words
- * are relaxed atomics under the per-slot sequence protocol, so the
- * ring is data-race-free by construction (and TSan-clean), not just
- * by fences.
+ * are atomics under the per-slot sequence protocol, so the ring is
+ * data-race-free by construction (and TSan-clean).
  *
- * Memory-ordering contract (the classic atomic seqlock):
+ * Memory-ordering contract (the fence-free atomic seqlock):
  *
- *   writer: seq.store(odd, relaxed); fence(release);
- *           payload stores (relaxed);
+ *   writer: seq.store(odd, relaxed);
+ *           payload stores (release);
  *           seq.store(even, release);
- *   reader: s1 = seq.load(acquire); payload loads (relaxed);
- *           fence(acquire); s2 = seq.load(relaxed);
+ *   reader: s1 = seq.load(acquire); payload loads (acquire);
+ *           s2 = seq.load(relaxed);
  *           valid iff s1 == s2 and s1 is even.
+ *
+ * A payload store's release keeps the odd sequence store before it,
+ * and a payload load's acquire keeps the second sequence load after
+ * it: a reader that sees any payload word of a write in flight also
+ * sees its odd sequence number.  Both orders are plain moves on x86,
+ * and, unlike std::atomic_thread_fence, ThreadSanitizer models them.
  *
  * Steady state allocates nothing: the ring is sized at construction,
  * the registry is re-read through Registry::snapshotInto() into a

@@ -164,9 +164,10 @@ DomainSimulator::reset(const SimConfig &config,
     // their allocation across resets.
     nCores_ = work.size();
     remaining_.assign(nCores_, 0.0);
+    anchor_.assign(nCores_, 0);
     resume_.assign(nCores_, 0);
     arrival_.assign(nCores_, 0);
-    doneMask_.assign(nCores_, 0);
+    cursors_.assign(nCores_, WindowCursor{});
     rates_.assign(static_cast<std::size_t>(kNumSuitPStates) * nCores_,
                   0.0);
     cores_.clear();
@@ -362,12 +363,16 @@ DomainSimulator::setTimerInterrupt(Tick reload)
 void
 DomainSimulator::cancelPendingPState()
 {
+    if (pending_)
+        settleProgress();
     pending_.reset();
 }
 
 void
 DomainSimulator::changePStateWait(SuitPState target)
 {
+    if (pending_ || pstate_ != target)
+        settleProgress();
     pending_.reset();
     if (pstate_ == target)
         return;
@@ -405,6 +410,8 @@ DomainSimulator::changePStateWait(SuitPState target)
 void
 DomainSimulator::changePStateAsync(SuitPState target)
 {
+    if (pending_ || pstate_ != target)
+        settleProgress();
     pending_.reset();
     if (pstate_ == target)
         return;
@@ -430,6 +437,7 @@ void
 DomainSimulator::completePending()
 {
     SUIT_ASSERT(pending_.has_value(), "no transition to complete");
+    settleProgress();
     pstate_ = pending_->target;
     pending_.reset();
     ++switches_;
@@ -440,15 +448,42 @@ DomainSimulator::completePending()
 }
 
 void
+DomainSimulator::settleProgress()
+{
+    const double *const rate =
+        &rates_[static_cast<std::size_t>(pstateIndex(pstate_)) * nCores_];
+    for (std::size_t i = 0; i < nCores_; ++i) {
+        if (cores_[i].done)
+            continue;
+        // Instruction progress: clip the stall and the transition's
+        // frozen window out of [anchor, now_).  The rate table holds
+        // instrRate()'s exact doubles.
+        const Tick lo = std::max(anchor_[i], resume_[i]);
+        const Tick hi = now_;
+        if (lo < hi) {
+            double progress_s = suit::util::ticksToSeconds(hi - lo);
+            if (pending_) {
+                const Tick f_lo = std::max(lo, pending_->runUntil);
+                const Tick f_hi = std::min(hi, pending_->completeAt);
+                if (f_lo < f_hi)
+                    progress_s -= suit::util::ticksToSeconds(f_hi - f_lo);
+            }
+            remaining_[i] -= progress_s * rate[i];
+            remaining_[i] = std::max(remaining_[i], 0.0);
+        }
+        anchor_[i] = now_;
+    }
+}
+
+void
 DomainSimulator::advanceToRef(Tick t)
 {
     SUIT_ASSERT(t >= now_, "time cannot run backwards");
     if (t == now_)
         return;
 
-    // Every core's progress is integrated up to now_ — the historical
-    // per-core lastUpdate always equalled now_ outside this function,
-    // so the interval below is [now_, t) for every core.
+    // Only the accumulators move with time: a core's progress is
+    // settled lazily from its anchor (settleProgress()).
     const Tick from = now_;
     const double pf = powerFactorOf(pstate_);
     for (std::size_t i = 0; i < nCores_; ++i) {
@@ -458,24 +493,6 @@ DomainSimulator::advanceToRef(Tick t)
         powerIntegralS_ += pf * dt_s;
         activeTimeS_ += dt_s;
         stateTimeS_[pstateIndex(pstate_)] += dt_s;
-
-        // Instruction progress: clip stalls and the transition's
-        // frozen window out of [from, t).
-        Tick lo = std::max(from, resume_[i]);
-        Tick hi = t;
-        double progress_s = 0.0;
-        if (lo < hi) {
-            progress_s = suit::util::ticksToSeconds(hi - lo);
-            if (pending_) {
-                const Tick f_lo = std::max(lo, pending_->runUntil);
-                const Tick f_hi = std::min(hi, pending_->completeAt);
-                if (f_lo < f_hi)
-                    progress_s -=
-                        suit::util::ticksToSeconds(f_hi - f_lo);
-            }
-        }
-        remaining_[i] -= progress_s * instrRate(i, pstate_);
-        remaining_[i] = std::max(remaining_[i], 0.0);
     }
     now_ = t;
 }
@@ -485,7 +502,9 @@ DomainSimulator::coreArrivalRef(std::size_t i) const
 {
     if (cores_[i].done)
         return kNever;
-    const Tick start = std::max(now_, resume_[i]);
+    // From the anchor, not now_: the arrival stays fixed until the
+    // core is next materialised.
+    const Tick start = std::max(anchor_[i], resume_[i]);
     const Tick cap =
         pending_ ? pending_->runUntil : kNever;
     if (pending_ && start >= cap)
@@ -507,11 +526,8 @@ DomainSimulator::advanceToFast(Tick t)
 
     const int sidx = pstateIndex(pstate_);
     const double pf = powerTbl_[sidx];
-    const double *rate = &rates_[static_cast<std::size_t>(sidx) *
-                                 nCores_];
-    // As in advanceToRef(): progress is integrated up to now_ for
-    // every core, so the shared interval is [now_, t) and one dt_s
-    // serves the whole domain.
+    // As in advanceToRef(): the shared interval is [now_, t), so one
+    // dt_s serves the whole domain.
     const double dt_s = suit::util::ticksToSeconds(t - now_);
     for (std::size_t i = 0; i < nCores_; ++i) {
         if (cores_[i].done)
@@ -519,21 +535,6 @@ DomainSimulator::advanceToFast(Tick t)
         powerIntegralS_ += pf * dt_s;
         activeTimeS_ += dt_s;
         stateTimeS_[sidx] += dt_s;
-
-        const Tick lo = std::max(now_, resume_[i]);
-        const Tick hi = t;
-        if (lo < hi) {
-            double progress_s = suit::util::ticksToSeconds(hi - lo);
-            if (pending_) {
-                const Tick f_lo = std::max(lo, pending_->runUntil);
-                const Tick f_hi = std::min(hi, pending_->completeAt);
-                if (f_lo < f_hi)
-                    progress_s -=
-                        suit::util::ticksToSeconds(f_hi - f_lo);
-            }
-            remaining_[i] -= progress_s * rate[i];
-            remaining_[i] = std::max(remaining_[i], 0.0);
-        }
     }
     now_ = t;
 }
@@ -543,7 +544,7 @@ DomainSimulator::coreArrivalFast(std::size_t i) const
 {
     if (cores_[i].done)
         return kNever;
-    const Tick start = std::max(now_, resume_[i]);
+    const Tick start = std::max(anchor_[i], resume_[i]);
     const Tick cap =
         pending_ ? pending_->runUntil : kNever;
     if (pending_ && start >= cap)
@@ -572,6 +573,7 @@ DomainSimulator::consumeEvent(std::size_t i)
         remaining_[i] = static_cast<double>(trace.tailInstructions());
         core.pastLastEvent = true;
     }
+    anchor_[i] = now_;
 }
 
 void
@@ -727,6 +729,8 @@ DomainSimulator::runWindowSingle(std::uint64_t &budget,
     double active_s = activeTimeS_;
     double state_s = stateTimeS_[sidx];
 
+    // A lone core is materialised at every step (each is its own event
+    // or a domain-level one), so its anchor is now_.
     Tick t = now_;
     while (!past_last) {
         // A trap stalls the core.  A native window opens with the core
@@ -801,6 +805,7 @@ DomainSimulator::runWindowSingle(std::uint64_t &budget,
     activeTimeS_ = active_s;
     stateTimeS_[sidx] = state_s;
     remaining_[0] = remaining;
+    anchor_[0] = t;
     now_ = t;
     // One delta per window instead of a per-event increment keeps the
     // always-on counter out of the hot loop body.
@@ -828,102 +833,135 @@ DomainSimulator::runWindowMulti(std::uint64_t &budget,
     const Tick *const cost = emuCost_.data();
     const suit::runtime::CancelToken *const cancel = cfg_.cancel;
     Tick *const arrival = arrival_.data();
-    const Tick *const done_mask = doneMask_.data();
+    Tick *const anchor = anchor_.data();
     Tick *const resume = resume_.data();
     double *const remaining = remaining_.data();
-    std::size_t active = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        active += cores_[i].done ? 0U : 1U;
+    WindowCursor *const cursor = cursors_.data();
 
+    // What consuming core i's next event will do (WindowCursor).  The
+    // two resume_ maxima of a trap, exception delay then emulation
+    // cost, are one max with the larger stall: the same Tick.
+    const auto look_ahead = [&](std::size_t i) {
+        WindowCursor &c = cursor[i];
+        if (c.next >= c.count)
+            return; // the core's next arrival is its completion
+        if constexpr (Trap) {
+            c.kind = static_cast<std::size_t>(c.kinds[c.next]);
+            c.stall = std::max(exception_delay,
+                               cost[i * kNumFaultableKinds + c.kind]);
+        }
+        const std::size_t after = c.next + 1;
+        c.rem = after < c.count ? gapAt(*c.trace, c.gaps, after) : c.tail;
+        c.delta = windowSecondsToTicks(c.rem / rate[i]);
+    };
+    std::size_t active = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        // Every arrival once, at entry: another core's event does not
+        // move it (the rate, the stall and the freeze are fixed for
+        // the whole window).
+        arrival[i] = coreArrivalFast(i);
+        const Core &core = cores_[i];
+        const suit::trace::Trace &trace = *core.work.trace;
+        WindowCursor &c = cursor[i];
+        c.trace = &trace;
+        c.gaps = trace.gapColumn();
+        c.kinds = trace.kindColumn();
+        c.count = trace.eventCount();
+        c.next = core.nextEvent;
+        c.tail = static_cast<double>(trace.tailInstructions());
+        look_ahead(i);
+        active += core.done ? 0U : 1U;
+    }
+
+    // Per-event state lives in locals and is written back at exit, as
+    // in runWindowSingle().
+    const Tick reload = timed ? timer_.reload() : 0;
+    Tick expiry = timed ? timer_.expiry() : kNever;
+    std::uint64_t by_kind[kNumFaultableKinds] = {};
+    double power_s = powerIntegralS_;
+    double active_s = activeTimeS_;
+    double state_s = stateTimeS_[sidx];
+    std::size_t last_trap = trappingCore_;
+    std::uint64_t left = budget;
+    std::uint32_t countdown = cancel_countdown;
     std::uint64_t consumed = 0;
     Tick t = now_;
     for (;;) {
-        pollCancel(cancel, cancel_countdown);
-        // (1) Recompute every core's next arrival from scratch, the
-        // same expression coreArrivalFast() uses per core.  Straight
-        // dense rows so the compiler can vectorize the divide.
-        for (std::size_t i = 0; i < n; ++i) {
-            const Tick start = resume[i] > t ? resume[i] : t;
-            const double need_s = remaining[i] / rate[i];
-            Tick a = (start + windowSecondsToTicks(need_s)) | done_mask[i];
-            if (has_pending && (start >= run_cap || a > run_cap))
-                a = kNever; // frozen by the transition
-            arrival[i] = a;
-        }
-        // (2) Min-reduction over the arrival row; ties pick the
-        // lowest core index, like the generic scan's strict <.
+        pollCancel(cancel, countdown);
+        // The earliest arrival wins; ties pick the lowest core index,
+        // like the generic scan's strict <.
         const std::size_t win = scanArrivals(arrival, n);
         const Tick m = arrival[win];
-        // (3) Stop where another event source outranks the winning
-        // core (tie order: transitions > timers > cores), or where
-        // the winner needs the generic loop (tail drain, finish).
+        // Stop where another event source outranks the winning core
+        // (tie order: transitions > timers > cores), or where the
+        // winner needs the generic loop (completion).
         if (m == kNever)
             break;
-        if (timed && m >= timer_.expiry())
+        if (timed && m >= expiry)
             break;
         if (has_pending && m >= complete_at)
             break;
-        Core &core = cores_[win];
-        if (core.pastLastEvent)
+        WindowCursor &c = cursor[win];
+        if (c.next >= c.count)
             break; // completion: the generic step marks it done
-        SUIT_ASSERT(budget-- > 0, "simulation step budget exhausted");
-        // (4) Replay the reference accumulator and progress sequence
-        // for this one event — same addends, same order, same
-        // grouping as advanceToRef(m) over the active cores.
+        SUIT_ASSERT(left-- > 0, "simulation step budget exhausted");
+        // Replay the reference accumulator sequence for this one event:
+        // same addends, same order, same grouping as advanceToRef(m)
+        // over the active cores.
         if (m > t) {
             const double dt_s = windowTicksToSeconds(m - t);
             const double pw_s = pf * dt_s;
             for (std::size_t k = 0; k < active; ++k) {
-                powerIntegralS_ += pw_s;
-                activeTimeS_ += dt_s;
-                stateTimeS_[sidx] += dt_s;
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                // Progress from max(resume, t) to m.  A core that is
-                // not stalled takes the shared dt, the same double
-                // windowTicksToSeconds(m - t) gives, without a divide
-                // per core.  No pending freeze clip: in-window times
-                // stay at or below runUntil <= completeAt, so the
-                // frozen interval never intersects the progress.
-                const Tick lo = resume[i];
-                const double progress_s =
-                    lo <= t ? dt_s
-                            : (lo < m ? windowTicksToSeconds(m - lo) : 0.0);
-                remaining[i] =
-                    std::max(remaining[i] - progress_s * rate[i], 0.0);
+                power_s += pw_s;
+                active_s += dt_s;
+                state_s += dt_s;
             }
             t = m;
         }
-        // (5) The winner's event, then consumeEvent() inlined.
-        const suit::trace::Trace &trace = *core.work.trace;
+        // The winner's event, then consumeEvent() inlined.
         if constexpr (Trap) {
             // The #DO trap, emulated (handleFaultableInstruction()).
-            const auto kind =
-                static_cast<std::size_t>(trace.kind(core.nextEvent));
-            ++trapsByKind_[kind];
-            trappingCore_ = win;
-            resume[win] = std::max(resume[win], t + exception_delay);
-            resume[win] = std::max(
-                resume[win], t + cost[win * kNumFaultableKinds + kind]);
-        } else if (timed) {
-            timer_.touch(t);
-        }
-        ++core.nextEvent;
-        if (core.nextEvent < trace.eventCount()) {
-            remaining[win] =
-                gapAt(trace, trace.gapColumn(), core.nextEvent);
+            ++by_kind[c.kind];
+            last_trap = win;
+            resume[win] = std::max(resume[win], t + c.stall);
         } else {
-            remaining[win] =
-                static_cast<double>(trace.tailInstructions());
-            core.pastLastEvent = true;
+            expiry = t + reload; // read only when timed
         }
+        ++c.next;
+        remaining[win] = c.rem;
+        anchor[win] = t;
+        // Only the winner's arrival moves: coreArrivalFast() at its new
+        // anchor.  A native event finds its core unstalled (it arrived
+        // at or after its resume), so there the start is t.
+        const Tick start = Trap && resume[win] > t ? resume[win] : t;
+        Tick a = start + c.delta;
+        if (has_pending && (start >= run_cap || a > run_cap))
+            a = kNever; // frozen by the transition
+        arrival[win] = a;
+        look_ahead(win);
         ++consumed;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        Core &core = cores_[i];
+        core.nextEvent = cursor[i].next;
+        core.pastLastEvent = core.pastLastEvent ||
+                             cursor[i].next >= cursor[i].count;
     }
     if constexpr (Trap) {
         traps_ += consumed;
         emulations_ += consumed;
+        for (std::size_t k = 0; k < kNumFaultableKinds; ++k)
+            trapsByKind_[k] += by_kind[k];
+        trappingCore_ = last_trap;
         strategy_->noteTraps(consumed);
+    } else if (timed) {
+        timer_.touchMany(consumed, t);
     }
+    budget = left;
+    cancel_countdown = countdown;
+    powerIntegralS_ = power_s;
+    activeTimeS_ = active_s;
+    stateTimeS_[sidx] = state_s;
     now_ = t;
     batchedEvents_ += consumed;
 }
@@ -992,6 +1030,7 @@ DomainSimulator::runReference(DomainResult &out)
             completePending();
             break;
           case 1:
+            settleProgress();
             if (timer_.checkExpired(now_)) {
                 SUIT_ASSERT(strategy_ != nullptr,
                             "timer fired without a strategy");
@@ -1033,8 +1072,9 @@ DomainSimulator::runFast(DomainResult &out)
         budget += 20 * core.work.trace->eventCount() + 1000;
 
     // Batched windows, one loop per domain arity: single-core domains
-    // need no cross-core replay at all; multi-core domains replay the
-    // reference progress interleaving per event (see DESIGN.md).
+    // need no cross-core replay at all; multi-core domains merge the
+    // cores' arrivals and replay the per-core accumulator adds per
+    // event (see DESIGN.md).
     // windowAt() fixes at entry what each event does: it executes
     // natively, or it is strategy e's emulated trap.
     const bool single_core = nCores_ == 1;
@@ -1096,6 +1136,7 @@ DomainSimulator::runFast(DomainResult &out)
             completePending();
             break;
           case 1:
+            settleProgress();
             if (timer_.checkExpired(now_)) {
                 SUIT_ASSERT(strategy_ != nullptr,
                             "timer fired without a strategy");
@@ -1113,7 +1154,6 @@ DomainSimulator::runFast(DomainResult &out)
             if (core.pastLastEvent) {
                 core.done = true;
                 core.finishTime = now_;
-                doneMask_[core_idx] = kNever;
                 --active;
             } else {
                 handleFaultableInstruction(core_idx);

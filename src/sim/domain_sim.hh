@@ -263,21 +263,47 @@ class DomainSimulator final : public suit::core::CpuControl
 
     /**
      * @{ Per-core hot state, structure-of-arrays.  One slot per core,
-     * indexed like cores_.  Progress is integrated up to now_ for
-     * every core whenever time advances, so no per-core lastUpdate is
-     * needed; the per-core instruction rate at every p-state is laid
-     * out row-major ([p-state][core]) so a whole-domain scan at the
-     * current p-state walks one dense row.  doneMask_ is 0 while the
-     * core runs and all-ones once it finished: OR-ing it into a
-     * computed arrival forces kNever without a branch.
+     * indexed like cores_.  A core's remaining work is materialised
+     * lazily: remaining_[i] holds its instructions to the next event
+     * as of anchor_[i], and is settled forward only at the core's own
+     * events and at domain-level steps (settleProgress()).  Its
+     * arrival is therefore a pure function of the row entries, fixed
+     * between materialisations.  The per-core instruction rate at
+     * every p-state is laid out row-major ([p-state][core]) so a
+     * whole-domain scan at the current p-state walks one dense row.
      */
     std::size_t nCores_ = 0;
-    std::vector<double> remaining_;          //!< instructions to event
-    std::vector<suit::util::Tick> resume_;   //!< stalled until
-    std::vector<suit::util::Tick> arrival_;  //!< next arrival scratch
-    std::vector<suit::util::Tick> doneMask_; //!< 0 running, ~0 done
+    std::vector<double> remaining_;         //!< instructions to event
+    std::vector<suit::util::Tick> anchor_;  //!< remaining_ valid at
+    std::vector<suit::util::Tick> resume_;  //!< stalled until
+    std::vector<suit::util::Tick> arrival_; //!< next arrival scratch
     std::vector<double> rates_; //!< instrRate per [p-state][core]
     /** @} */
+
+    /**
+     * One core's trace cursor inside runWindowMulti(), filled at
+     * window entry and written back at exit.  Besides the columns and
+     * the event index it holds what consuming event `next` will do,
+     * computed one event ahead (when the core last won): the stall of
+     * its kind in a trap window, the gap that follows it, and that
+     * gap's ticks at the window's rate.  A winner's new arrival is
+     * then one add, and the gap load and its divide stay off the
+     * window's loop-carried chain.  Scratch sized at reset().
+     */
+    struct WindowCursor
+    {
+        const suit::trace::Trace *trace;
+        const std::uint32_t *gaps;
+        const suit::isa::FaultableKind *kinds;
+        std::size_t count;      //!< events in the trace
+        std::size_t next;       //!< the core's next event
+        double tail;            //!< instructions after the last event
+        std::size_t kind;       //!< event next's kind (trap windows)
+        suit::util::Tick stall; //!< its #DO stall (trap windows)
+        double rem;             //!< instructions after event next
+        suit::util::Tick delta; //!< rem's ticks at the window's rate
+    };
+    std::vector<WindowCursor> cursors_;
 
     suit::util::Tick now_ = 0;
     suit::power::SuitPState pstate_ =
@@ -327,6 +353,16 @@ class DomainSimulator final : public suit::core::CpuControl
     double powerFactorOf(suit::power::SuitPState p) const;
 
     /**
+     * Domain-level step at now_ (transition completion, timer expiry,
+     * a strategy callback that changes the p-state, the pending
+     * transition or a stall): settle every running core's progress
+     * from its anchor to now_, under the rate, stall and freeze that
+     * held since, and re-anchor it at now_.  Shared by both loops;
+     * called before the step changes any of those.
+     */
+    void settleProgress();
+
+    /**
      * @{ Reference event loop: the pre-optimization implementation,
      * kept statement-for-statement as the bit-exactness oracle for
      * the fast path (SimConfig::referencePath).  It reads the hot
@@ -372,9 +408,10 @@ class DomainSimulator final : public suit::core::CpuControl
                          std::uint32_t &cancel_countdown);
     /**
      * The same across all cores of a multi-core domain, up to the
-     * exact timer/pending boundary, replaying the reference
-     * accumulator and clipped progress sequence per event so the
-     * floating-point grouping is unchanged.
+     * exact timer/pending boundary: a k-way merge over the arrival
+     * row that computes every arrival once at entry and then only the
+     * winner's, replaying the reference accumulator sequence per
+     * event so the floating-point grouping is unchanged.
      */
     template <bool Trap>
     void runWindowMulti(std::uint64_t &budget,
@@ -395,7 +432,10 @@ class DomainSimulator final : public suit::core::CpuControl
 
     /** Handle core @p i reaching its faultable instruction. */
     void handleFaultableInstruction(std::size_t i);
-    /** Load the next gap after core @p i consumed an event. */
+    /**
+     * Load the next gap after core @p i consumed an event, anchored
+     * at now_.
+     */
     void consumeEvent(std::size_t i);
     /** Apply a completed p-state change. */
     void completePending();

@@ -11,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/sweep.hh"
 #include "fleet/spec.hh"
+#include "power/cpu_model.hh"
+#include "sim/model_version.hh"
+#include "trace/profile.hh"
 
 namespace {
 
@@ -240,6 +244,28 @@ TEST(FleetSpecFingerprint, TracksSimulationInputsOnly)
     priced.pue = 2.0;
     priced.costUsdPerKwh = 0.50;
     EXPECT_EQ(priced.fingerprint(), h);
+}
+
+/**
+ * The simulation model version is part of both checkpoint
+ * fingerprints, so a journal written under another model is refused
+ * as a fingerprint mismatch instead of being resumed.
+ */
+TEST(ModelVersion, ChangesSweepAndFleetFingerprints)
+{
+    const std::uint64_t v = sim::kModelVersion;
+    const FleetSpec spec = FleetSpec::parse(kGoodSpec);
+    EXPECT_EQ(spec.fingerprint(), spec.fingerprint(v));
+    EXPECT_NE(spec.fingerprint(v + 1), spec.fingerprint(v));
+
+    const power::CpuModel cpu = power::cpuA_i9_9900k();
+    sim::EvalConfig cfg;
+    cfg.cpu = &cpu;
+    const std::vector<exec::SweepJob> jobs = {
+        {"xz", cfg, &trace::profileByName("557.xz")}};
+    EXPECT_EQ(exec::fingerprintJobs(jobs), exec::fingerprintJobs(jobs, v));
+    EXPECT_NE(exec::fingerprintJobs(jobs, v + 1).hash,
+              exec::fingerprintJobs(jobs, v).hash);
 }
 
 TEST(FleetSpecDemo, ScalesToRequestedSize)

@@ -445,6 +445,71 @@ TEST(GoldenIdentity, IdenticalStreamsTieBreakToLowestCore)
 }
 
 /**
+ * The shared-domain model's intent.  A core's arrival is materialised
+ * only at its own events and at domain-level steps, so where no
+ * domain-level step happens, another core's event does not touch it:
+ * in Baseline mode (and under strategy e, whose traps stall only the
+ * trapping core) each core of a 2- or 4-core domain finishes at the
+ * very tick its stream finishes alone, on both loops.
+ */
+TEST(GoldenIdentity, SharedCoresFinishAsTheirStreamAlone)
+{
+    // Real profiles: their 20k-55k-event streams are long enough that
+    // re-rounding every core's arrival at each event of the domain
+    // moves these durations; the short synthetic streams above rarely
+    // land on a tick boundary.
+    const power::CpuModel cpu = power::cpuA_i9_9900k();
+    const std::vector<const trace::WorkloadProfile *> profiles = {
+        &trace::profileByName("557.xz"),
+        &trace::profileByName("525.x264")};
+    std::vector<trace::Trace> traces;
+    for (int stream = 0; stream < 4; ++stream) {
+        traces.push_back(trace::TraceGenerator(3).generate(
+            *profiles[static_cast<std::size_t>(stream % 2)], stream));
+    }
+    const auto work_of = [&](std::size_t i) {
+        return sim::CoreWork{&traces[i], profiles[i % 2]};
+    };
+    const std::vector<ModeCase> cases = {
+        {"baseline", RunMode::Baseline, core::StrategyKind::CombinedFv},
+        {"suit-e", RunMode::Suit, core::StrategyKind::Emulation},
+    };
+
+    int checked = 0;
+    for (const ModeCase &mc : cases) {
+        for (const bool reference : {false, true}) {
+            sim::SimConfig cfg;
+            cfg.cpu = &cpu;
+            cfg.offsetMv = -97.0;
+            cfg.mode = mc.mode;
+            cfg.strategy = mc.strategy;
+            cfg.params = core::optimalParams(cpu);
+            cfg.seed = 5;
+            cfg.referencePath = reference;
+            for (const std::size_t cores : {2U, 4U}) {
+                std::vector<sim::CoreWork> work;
+                for (std::size_t i = 0; i < cores; ++i)
+                    work.push_back(work_of(i));
+                const sim::DomainResult shared =
+                    sim::DomainSimulator(cfg, work).run();
+                ASSERT_EQ(shared.cores.size(), cores);
+                for (std::size_t i = 0; i < cores; ++i) {
+                    const sim::DomainResult alone =
+                        sim::DomainSimulator(cfg, {work_of(i)}).run();
+                    // Bit for bit: EXPECT_EQ on doubles is exact.
+                    EXPECT_EQ(shared.cores[i].durationS,
+                              alone.cores[0].durationS)
+                        << mc.label << " reference=" << reference
+                        << " cores=" << cores << " core " << i;
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 2 * 2 * (2 + 4));
+}
+
+/**
  * Fleet check: the fast path under the parallel sweep engine must
  * equal the reference path run serially.  Under -DSUIT_SANITIZE=thread
  * this also race-checks the fast loop's per-simulator state.
