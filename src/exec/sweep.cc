@@ -36,20 +36,20 @@ describeException(const std::exception_ptr &err)
 }
 
 /**
- * Trace-locality dispatch order of @p jobs on @p workers workers.
+ * Trace-locality dispatch order of @p jobs, with its group starts.
  *
  * Cells sorted by the traces they read (profile, then seed, then
  * core count, so a k-core cell's streams 0..k-1 nest inside a larger
  * count's) run one trace group after the other: a group's traces are
  * generated once and stay resident while it runs, however many
- * groups the whole grid holds.  The sorted list is cut into one
- * contiguous lane per worker and the lanes are dealt round-robin, so
- * the pool's shared cursor hands concurrent workers cells of
- * different groups instead of lining them up behind one trace's
- * generation.
+ * groups the whole grid holds.  A group is one (profile, seed); the
+ * pool cuts the order into one lane per worker at group starts, so
+ * the worker that generates a group's traces also runs its cells.
  */
-std::vector<std::size_t>
-traceLocalOrder(const std::vector<SweepJob> &jobs, int workers)
+void
+traceLocalOrder(const std::vector<SweepJob> &jobs,
+                std::vector<std::size_t> &order,
+                std::vector<std::size_t> &groups)
 {
     const std::size_t n = jobs.size();
     std::vector<std::tuple<std::string_view, std::uint64_t, int>> keys;
@@ -62,26 +62,20 @@ traceLocalOrder(const std::vector<SweepJob> &jobs, int workers)
         keys.emplace_back(job.profile->name, job.config.seed,
                           job.config.cores);
     }
-    std::vector<std::size_t> sorted(n);
-    std::iota(sorted.begin(), sorted.end(), std::size_t{0});
-    std::stable_sort(sorted.begin(), sorted.end(),
+    order.resize(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                          return keys[a] < keys[b];
                      });
-
-    const std::size_t lanes = std::min(
-        n, static_cast<std::size_t>(std::max(workers, 1)));
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    // Lane l is sorted[l*n/lanes, (l+1)*n/lanes).
-    for (std::size_t r = 0; order.size() < n; ++r) {
-        for (std::size_t l = 0; l < lanes; ++l) {
-            const std::size_t pos = l * n / lanes + r;
-            if (pos < (l + 1) * n / lanes)
-                order.push_back(sorted[pos]);
-        }
-    }
-    return order;
+    const auto group = [&](std::size_t k) {
+        return std::pair(std::get<0>(keys[order[k]]),
+                         std::get<1>(keys[order[k]]));
+    };
+    groups.clear();
+    for (std::size_t k = 0; k < n; ++k)
+        if (k == 0 || group(k) != group(k - 1))
+            groups.push_back(k);
 }
 
 } // namespace
@@ -113,8 +107,9 @@ SweepEngine::run(const std::vector<SweepJob> &jobs,
                  suit::runtime::RunContext &ctx,
                  const RunPolicy &policy)
 {
-    std::vector<std::size_t> order =
-        traceLocalOrder(jobs, session_.jobs());
+    std::vector<std::size_t> order;
+    std::vector<std::size_t> groups;
+    traceLocalOrder(jobs, order, groups);
     const auto cell = [&](std::size_t i) {
         const SweepJob &job = jobs[i];
         EvalConfig config = job.config;
@@ -129,7 +124,7 @@ SweepEngine::run(const std::vector<SweepJob> &jobs,
     };
     SweepOutcome outcome =
         runOrdered(jobs.size(), cell, ctx, policy, fingerprintJobs(jobs),
-                   std::move(order));
+                   std::move(order), std::move(groups));
     for (CellFailure &failure : outcome.failures)
         failure.label = jobs[failure.index].label;
     return outcome;
@@ -142,7 +137,7 @@ SweepEngine::runCells(
     suit::runtime::RunContext &ctx, const RunPolicy &policy,
     const GridFingerprint &fingerprint)
 {
-    return runOrdered(n, cell, ctx, policy, fingerprint, {});
+    return runOrdered(n, cell, ctx, policy, fingerprint, {}, {});
 }
 
 SweepOutcome
@@ -150,7 +145,8 @@ SweepEngine::runOrdered(
     std::size_t n,
     const std::function<suit::sim::DomainResult(std::size_t)> &cell,
     suit::runtime::RunContext &ctx, const RunPolicy &policy,
-    const GridFingerprint &fingerprint, std::vector<std::size_t> order)
+    const GridFingerprint &fingerprint, std::vector<std::size_t> order,
+    std::vector<std::size_t> groups)
 {
     static constexpr suit::runtime::JournaledNames kNames{
         "sweep.cell", "sweep", "cell", "grid", "sweep.cells"};
@@ -195,6 +191,7 @@ SweepEngine::runOrdered(
     };
     units.done = policy.onCellDone;
     units.order = std::move(order);
+    units.groups = std::move(groups);
 
     const suit::runtime::JournaledCounts counts =
         suit::runtime::runJournaled(session_, ctx, n, fingerprint,

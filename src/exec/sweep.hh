@@ -23,10 +23,12 @@
  *
  * Since no output depends on which cell starts when, run() starts
  * the cells in trace-key order rather than job order: grouped by the
- * traces they read, one contiguous lane of groups per worker, lanes
- * dealt round-robin.  A grid whose traces overflow the cache then
- * still generates each trace about once, as long as one group's
- * traces fit.
+ * traces they read, one contiguous lane of whole groups per worker,
+ * so the worker that generates a group's traces runs its cells (an
+ * idle worker steals from the back of the fullest lane, a whole
+ * group when one is left behind its owner's).  A grid whose traces overflow the cache then still
+ * generates each trace about once, as long as the groups the
+ * workers run at once fit.
  *
  * A serial Session (jobs == 1, no pool) runs the jobs inline: the
  * serial reference path used by the determinism tests.  Per-run
@@ -184,9 +186,9 @@ class SweepEngine
      * calls.  run()'s trace-key dispatch order keeps a (workload,
      * seed) group's cells together, so Table 6's strategy x offset
      * cells of one workload reuse its traces; a grid generates each
-     * trace once when one group's traces fit the cap.  Lane
-     * boundaries and runCells(), which keeps index order, can evict
-     * and regenerate a trace (to the same bytes).
+     * trace once when the groups the workers hold at once fit the
+     * cap.  runCells(), which keeps index order, can evict and
+     * regenerate a trace (to the same bytes).
      */
     suit::sim::TraceCache &traceCache()
     {
@@ -206,15 +208,16 @@ class SweepEngine
     }
 
   private:
-    /** runCells() starting the cells in @p order (empty: index order;
-     *  see runtime::JournaledUnits::order). */
+    /** runCells() starting the cells in @p order, cut into lanes at
+     *  @p groups (empty: index order; see runtime::JournaledUnits). */
     SweepOutcome
     runOrdered(std::size_t n,
                const std::function<suit::sim::DomainResult(std::size_t)>
                    &cell,
                suit::runtime::RunContext &ctx, const RunPolicy &policy,
                const GridFingerprint &fingerprint,
-               std::vector<std::size_t> order);
+               std::vector<std::size_t> order,
+               std::vector<std::size_t> groups);
 
     suit::runtime::Session &session_;
 };

@@ -65,6 +65,7 @@ renderOpenMetrics(const Snapshot &snap)
                 "%s_count %llu\n", name.c_str(),
                 static_cast<unsigned long long>(
                     m.histogram.total()));
+            out += util::sformat("%s_sum %.17g\n", name.c_str(), m.sum);
             break;
           }
         }

@@ -1,6 +1,7 @@
 #include "obs/registry.hh"
 
 #include <algorithm>
+#include <bit>
 #include <new>
 
 #include "obs/json.hh"
@@ -122,7 +123,8 @@ Registry::registerMetric(const std::string &name, MetricKind kind,
         info.slots = 1;
         break;
       case MetricKind::Histogram:
-        info.slots = static_cast<std::uint32_t>(info.bounds.size()) + 1;
+        // The buckets, the overflow bucket and the sum.
+        info.slots = static_cast<std::uint32_t>(info.bounds.size()) + 2;
         break;
       case MetricKind::Gauge:
         info.slots = 0;
@@ -200,7 +202,16 @@ Registry::observe(MetricId id, double value)
                                      info.bounds.end(), value);
     const auto bucket =
         static_cast<std::size_t>(it - info.bounds.begin());
-    cellsFor(info)[bucket].fetch_add(1, std::memory_order_relaxed);
+    std::atomic<std::uint64_t> *cells = cellsFor(info);
+    cells[bucket].fetch_add(1, std::memory_order_relaxed);
+    // Only this thread writes its shard, so a plain read-add-store
+    // of the sum's bits loses nothing.
+    std::atomic<std::uint64_t> &sum = cells[info.slots - 1];
+    sum.store(std::bit_cast<std::uint64_t>(
+                  std::bit_cast<double>(
+                      sum.load(std::memory_order_relaxed)) +
+                  value),
+              std::memory_order_relaxed);
 }
 
 void
@@ -265,7 +276,8 @@ Registry::snapshotInto(Snapshot &out) const
                 mv.histogram.resetCounts();
             else
                 mv.histogram = util::BucketHistogram(info.bounds);
-            for (std::uint32_t b = 0; b < info.slots; ++b) {
+            const std::uint32_t sum_slot = info.slots - 1;
+            for (std::uint32_t b = 0; b < sum_slot; ++b) {
                 std::uint64_t total = 0;
                 for (const auto &[tid, shard] : shards_) {
                     (void)tid;
@@ -273,6 +285,13 @@ Registry::snapshotInto(Snapshot &out) const
                         std::memory_order_relaxed);
                 }
                 mv.histogram.addCount(b, total);
+            }
+            mv.sum = 0.0;
+            for (const auto &[tid, shard] : shards_) {
+                (void)tid;
+                mv.sum += std::bit_cast<double>(
+                    shard->cells[info.firstSlot + sum_slot].load(
+                        std::memory_order_relaxed));
             }
             mv.count = mv.histogram.total();
             break;
@@ -345,9 +364,10 @@ renderMetricsTable(const Snapshot &snap)
           case MetricKind::Histogram:
             table.addRow(
                 {m.name, "histogram",
-                 util::sformat("n=%llu",
+                 util::sformat("n=%llu sum=%.6g",
                                static_cast<unsigned long long>(
-                                   m.histogram.total())),
+                                   m.histogram.total()),
+                               m.sum),
                  util::sformat("%.6g", m.histogram.percentile(50.0)),
                  util::sformat("%.6g", m.histogram.percentile(90.0)),
                  util::sformat("%.6g", m.histogram.percentile(99.0))});
@@ -402,7 +422,9 @@ renderMetricsJson(const Snapshot &snap)
             }
             out += "]";
             out += util::sformat(
-                ", \"p50\": %.17g, \"p90\": %.17g, \"p99\": %.17g",
+                ", \"sum\": %.17g, \"p50\": %.17g, \"p90\": %.17g, "
+                "\"p99\": %.17g",
+                m.sum,
                 m.histogram.percentile(50.0),
                 m.histogram.percentile(90.0),
                 m.histogram.percentile(99.0));

@@ -21,9 +21,10 @@
  *    PR 3 fast path costs near zero until a CLI turns it on.
  *
  * Gauges are registry-level (set() is rare and takes the mutex);
- * histograms occupy one shard cell per bucket and snapshot into
- * util::BucketHistogram, whose merge/percentile helpers the
- * exporters use.
+ * histograms occupy one shard cell per bucket plus one holding the
+ * bits of the shard's sample sum (a double only its thread writes),
+ * and snapshot into util::BucketHistogram, whose merge/percentile
+ * helpers the exporters use, and MetricValue::sum.
  */
 
 #ifndef SUIT_OBS_REGISTRY_HH
@@ -93,6 +94,8 @@ struct MetricValue
     double value = 0.0;
     /** Merged histogram (histograms only). */
     suit::util::BucketHistogram histogram;
+    /** Sum of the histogram's samples (histograms only). */
+    double sum = 0.0;
 };
 
 /**
@@ -222,7 +225,7 @@ std::string renderMetricsJson(const Snapshot &snap);
 
 /**
  * Render @p snap as an aligned text table sorted by name: counters
- * and gauges with their value, histograms with total and
+ * and gauges with their value, histograms with total, sum and
  * p50/p90/p99.
  */
 std::string renderMetricsTable(const Snapshot &snap);

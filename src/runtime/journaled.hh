@@ -28,8 +28,10 @@
  * The dispatch order only decides which unit starts when: results
  * are index-addressed, journal records carry their index and land in
  * completion order anyway, and a resume skips restored units by
- * index, so no output depends on it.  The pool and the serial path
- * walk the same order.
+ * index, so no output depends on it.  The serial path walks the
+ * order; the pool walks the same order cut into one lane per worker
+ * (JournaledUnits::order), and every pool job claims its unit in one
+ * short mutex-guarded step, so there is one dispatch path.
  *
  * What differs between the engines comes in as data (JournaledNames)
  * or callbacks (JournaledUnits); the loop has no engine branch.
@@ -89,9 +91,22 @@ struct JournaledUnits
     suit::obs::MetricId spanMs;
     /**
      * Optional dispatch order: a permutation of [0, n), order[k]
-     * being the k-th unit to start.  Empty means index order.
+     * being the k-th unit to start serially.  Empty means index
+     * order, claimed by every pool worker from one shared front.
+     * Given an order, the pool cuts it into one lane per worker
+     * (see cutLanes()); each worker runs its own lane front to back,
+     * and a worker whose lane ran dry steals from the back of the
+     * fullest lane: its back-most group when one starts behind the
+     * lane's front, else its last unit.
      */
     std::vector<std::size_t> order;
+    /**
+     * Ascending positions of `order` at which a group of units that
+     * share expensive state (a sweep's (workload, seed) traces)
+     * begins.  Lanes are cut, and groups stolen, only at these
+     * positions.  Empty means every position starts a group.
+     */
+    std::vector<std::size_t> groups;
 };
 
 /** Accounting of one runJournaled() call. */
@@ -102,6 +117,18 @@ struct JournaledCounts
     std::size_t skipped = 0;  //!< units the tripped token skipped
     bool interrupted = false; //!< the token ended the run early
 };
+
+/**
+ * Start positions of @p lanes contiguous lanes over @p n dispatch
+ * positions: lane l is [starts[l], starts[l + 1]), the last one ends
+ * at n.  Lane l > 0 starts at the group start in @p groups (see
+ * JournaledUnits::groups; empty: every position) nearest l*n/lanes,
+ * the lower one on a tie, so no lane splits a group; a lane may be
+ * empty.
+ */
+std::vector<std::size_t> cutLanes(std::size_t n,
+                                  const std::vector<std::size_t> &groups,
+                                  std::size_t lanes);
 
 /**
  * Run @p n units of one campaign identified by @p fingerprint under

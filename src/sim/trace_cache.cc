@@ -1,7 +1,9 @@
 #include "sim/trace_cache.hh"
 
 #include <array>
+#include <chrono>
 
+#include "obs/flight.hh"
 #include "obs/registry.hh"
 #include "trace/generator.hh"
 #include "util/format.hh"
@@ -12,6 +14,7 @@ namespace suit::sim {
 using suit::trace::Trace;
 using suit::trace::TraceGenerator;
 using suit::trace::WorkloadProfile;
+using Clock = std::chrono::steady_clock;
 
 TraceCache::TraceCache(std::size_t capacity_bytes)
     : capacity_(capacity_bytes)
@@ -81,6 +84,21 @@ TraceCache::fetch(const WorkloadProfile &profile, std::uint64_t seed,
 
     std::uint64_t generated = 0;
     if (any_pending) {
+        // Registered here, not with the counters, so the hit path
+        // never touches them.
+        static const obs::MetricId generate_ms_id =
+            obs::metrics().histogram(
+                "trace.generate_ms",
+                {0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0});
+        static const obs::MetricId wait_ms_id =
+            obs::metrics().histogram(
+                "sim.trace_cache.wait_ms",
+                {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0});
+        const bool timed = obs::metrics().enabled();
+        // Time spent in call_once on streams another caller built:
+        // one sample per fetch that found any.
+        Clock::duration waited{};
+        bool waited_any = false;
         // Generation happens outside the map lock: distinct traces
         // build concurrently; racing lookups of the *same* key
         // serialise on the slot's once_flag and generate exactly once.
@@ -89,15 +107,28 @@ TraceCache::fetch(const WorkloadProfile &profile, std::uint64_t seed,
                 pending[static_cast<std::size_t>(i)];
             if (!slot)
                 continue;
+            const Clock::time_point start =
+                timed ? Clock::now() : Clock::time_point{};
+            const std::uint64_t generated_before = generated;
             std::call_once(slot->once, [&] {
+                obs::Span span("trace.generate", "trace",
+                               generate_ms_id);
                 auto built = std::make_shared<const Trace>(
                     TraceGenerator(seed).generate(profile, first + i));
                 slot->bytes = built->memoryBytes();
                 slot->trace = std::move(built);
                 ++generated;
             });
+            if (timed && generated == generated_before) {
+                waited += Clock::now() - start;
+                waited_any = true;
+            }
             out[i] = slot->trace;
         }
+        if (waited_any)
+            obs::metrics().observe(
+                wait_ms_id,
+                std::chrono::duration<double, std::milli>(waited).count());
         // Account every newly built entry in one lock, iff the entry
         // is still ours (it may have been evicted mid-generation, or
         // replaced by a fresh slot after such an eviction).

@@ -25,7 +25,11 @@
  * owning (name, seed, stream) key; profile names fit the standard
  * library's small-string buffer, so building one per lookup does not
  * allocate.  The hit/miss/eviction counters are relaxed atomics
- * readable without the mutex.
+ * readable without the mutex.  A lookup that finds a stream not yet
+ * built also feeds two obs histograms: `trace.generate_ms` (one
+ * obs::Span per generated stream) and `sim.trace_cache.wait_ms` (the
+ * time it blocked on streams another caller was generating); hits
+ * touch neither.
  */
 
 #ifndef SUIT_SIM_TRACE_CACHE_HH

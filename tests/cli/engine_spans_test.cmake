@@ -2,7 +2,8 @@
 # checkpointed suit_sweep stopped by --stop-after must leave a valid
 # Chrome trace holding its cell span and the journal write stages, a
 # traced suit_fleet run must hold its shard span, and the latency
-# histograms the spans feed must still reach --metrics.
+# histograms the spans feed, with the trace cache's generation and
+# wait times, must still reach --metrics.
 #
 # Invoked by ctest as:
 #   cmake -DSUIT_SWEEP=<tool> -DSUIT_FLEET=<tool>
@@ -43,7 +44,7 @@ run_expect("sweep trace spans" 0
         --require sweep.cell,journal.append,journal.write,journal.fsync)
 run_expect("sweep journal metrics" 0
     ${SUIT_OBS_CHECK} --metrics ${WORK_DIR}/sweep_metrics.json
-        --require exec.journal.append_ms,exec.journal.writes)
+        --require exec.journal.append_ms,exec.journal.writes,trace.generate_ms,sim.trace_cache.wait_ms)
 
 run_expect("suit_fleet" 0
     ${SUIT_FLEET} --domains 300 --shard 64 --jobs 2

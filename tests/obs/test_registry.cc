@@ -77,6 +77,7 @@ TEST(ObsRegistry, HistogramBinsAndPercentiles)
     EXPECT_EQ(hist.count(2), 1u);
     EXPECT_EQ(hist.count(3), 1u);
     EXPECT_LE(hist.percentile(50.0), 10.0);
+    EXPECT_DOUBLE_EQ(snap.find("lat")->sum, 555.5);
 }
 
 TEST(ObsRegistry, SnapshotSortsByName)
@@ -140,6 +141,12 @@ TEST(ObsRegistry, ConcurrentRecordingLosesNothing)
               static_cast<std::uint64_t>(kThreads) * kIters);
     EXPECT_EQ(snap.find("mt.hist")->histogram.total(),
               static_cast<std::uint64_t>(kThreads) * kIters);
+    // Integer samples: every partial sum is exact.
+    double sum = 0.0;
+    for (int t = 0; t < kThreads; ++t)
+        for (int i = 0; i < kIters; ++i)
+            sum += static_cast<double>((t + i) % 200);
+    EXPECT_EQ(snap.find("mt.hist")->sum, sum);
 }
 
 TEST(ObsRegistry, JsonExportPassesValidator)
