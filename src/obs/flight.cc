@@ -6,6 +6,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <optional>
 
 #include "obs/json.hh"
 #include "util/format.hh"
@@ -75,7 +76,7 @@ crashHandler(int sig)
 {
     if (FlightRecorder *recorder =
             g_active.load(std::memory_order_acquire))
-        recorder->dump("crash-signal");
+        recorder->dump("crash-signal", /*crash=*/true);
     // Restore default disposition and re-raise so the process still
     // dies with the original signal (core dumps, exit status).
     std::signal(sig, SIG_DFL);
@@ -164,7 +165,6 @@ FlightRecorder::FlightRecorder(FlightConfig config,
                                const TelemetrySampler *sampler)
     : cfg_(std::move(config)), sampler_(sampler)
 {
-    sampleScratch_.reserve(cfg_.lastSamples);
     processEpoch(); // stack start_us count from the first arming
     previous_ = g_active.exchange(this, std::memory_order_acq_rel);
     g_spansEnabled.store(true, std::memory_order_relaxed);
@@ -190,56 +190,57 @@ FlightRecorder::active()
 }
 
 bool
-FlightRecorder::dump(const char *reason)
+FlightRecorder::dump(const char *reason, bool crash)
 {
     std::string out;
     out.reserve(4096);
 
-    // Header: reason + the series table the sample lines index.
+    // The header's series table and the sample lines come from one
+    // view of the ring, held locked while both are rendered.
+    std::optional<TelemetrySampler::Tail> tail;
+    if (sampler_)
+        tail.emplace(sampler_->tail(crash));
+    const std::size_t n = tail ? tail->size() : 0;
+
     out += util::sformat("{\"schema\": \"suit-flight-v1\", "
                          "\"reason\": %s",
                          jsonQuote(reason).c_str());
-    std::vector<SeriesInfo> series;
-    if (sampler_) {
-        series = sampler_->series();
+    if (sampler_)
         out += util::sformat(", \"interval_s\": %.17g",
                              sampler_->intervalS());
-    }
     out += ", \"series\": [";
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += util::sformat("{\"name\": %s, \"kind\": \"%s\"}",
-                             jsonQuote(series[i].name).c_str(),
-                             toString(series[i].kind));
+    if (n > 0) {
+        const std::vector<MetricValue> &newest =
+            (*tail)[n - 1].snapshot.metrics;
+        for (std::size_t i = 0; i < newest.size(); ++i)
+            out += util::sformat("%s{\"name\": %s, \"kind\": \"%s\"}",
+                                 i ? ", " : "",
+                                 jsonQuote(newest[i].name).c_str(),
+                                 toString(newest[i].kind));
     }
     out += "]}\n";
 
     // Ring tail, oldest first.
-    if (sampler_) {
-        sampler_->lastSamplesInto(sampleScratch_, cfg_.lastSamples);
-        for (const TelemetrySample &sample : sampleScratch_) {
-            out += util::sformat(
-                "{\"sample\": %llu, \"host_us\": %.3f, \"values\": [",
-                static_cast<unsigned long long>(sample.id),
-                sample.hostUs);
-            const std::size_t n =
-                std::min(sample.raw.size(), series.size());
-            for (std::size_t i = 0; i < n; ++i) {
-                if (i)
-                    out += ", ";
-                if (series[i].kind == MetricKind::Gauge)
-                    out += util::sformat(
-                        "%.17g",
-                        seriesValue(series[i].kind, sample.raw[i]));
-                else
-                    out += util::sformat(
-                        "%llu", static_cast<unsigned long long>(
-                                    sample.raw[i]));
-            }
-            out += "]}\n";
+    for (std::size_t s = 0; s < n; ++s) {
+        const TelemetrySample &sample = (*tail)[s];
+        out += util::sformat(
+            "{\"sample\": %llu, \"host_us\": %.3f, \"values\": [",
+            static_cast<unsigned long long>(sample.id), sample.hostUs);
+        const std::vector<MetricValue> &metrics =
+            sample.snapshot.metrics;
+        for (std::size_t i = 0; i < metrics.size(); ++i) {
+            if (i)
+                out += ", ";
+            if (metrics[i].kind == MetricKind::Gauge)
+                out += util::sformat("%.17g", metrics[i].value);
+            else
+                out += util::sformat("%llu",
+                                     static_cast<unsigned long long>(
+                                         metrics[i].count));
         }
+        out += "]}\n";
     }
+    tail.reset(); // release the ring before the file write
 
     // Active span stacks, innermost last per thread.
     const int threads =

@@ -12,9 +12,12 @@
  *   {"sample":<id>,"host_us":...,"values":[...]}      (oldest first)
  *   {"span_thread":T,"depth":D,"name":...,"cat":...,"start_us":...}
  *
- * Sample values follow the telemetry ring convention: counters and
- * histograms are cumulative totals (so a validator can check they
- * never decrease), gauges are plain doubles.
+ * The header's series are the metrics of the newest ring sample, in
+ * registration order; each sample line renders its own snapshot,
+ * one value per metric: counters and histograms as cumulative totals
+ * (so a validator can check they never decrease), gauges as plain
+ * doubles.  An older sample may carry fewer values than the header
+ * has series (metrics registered since), never more.
  *
  * A Span marks one timed region (a sweep cell, a fleet shard, a
  * journal write stage) for three sinks at once, each only while it
@@ -36,8 +39,12 @@
  * Crash-signal dumps are best-effort: the handler renders with the
  * normal (allocating) path, which is not async-signal-safe in
  * general but recovers the ring in the overwhelmingly common case —
- * the alternative on a crash is nothing at all.  Cancellation and
- * deadline dumps run in normal context and are fully defined.
+ * the alternative on a crash is nothing at all.  A crash dump only
+ * try-locks the ring: the crashing thread may be the sampler itself,
+ * mid-sample, so when the mutex is held the dump writes the header
+ * (with no series) and the span stacks but no sample lines.
+ * Cancellation and deadline dumps wait for the ring mutex and run in
+ * normal context, fully defined.
  */
 
 #ifndef SUIT_OBS_FLIGHT_HH
@@ -46,7 +53,6 @@
 #include <chrono>
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
@@ -58,8 +64,6 @@ struct FlightConfig
 {
     /** Output path; empty disables the recorder. */
     std::string path;
-    /** Ring samples to include (most recent N). */
-    std::size_t lastSamples = 64;
     /** Install SIGSEGV/SIGABRT/SIGBUS/SIGFPE dump handlers. */
     bool installSignalHandlers = true;
 };
@@ -86,10 +90,12 @@ class FlightRecorder
     /**
      * Write the post-mortem document now, tagged with @p reason
      * ("sigint", "deadline", "cancelled", "crash-signal", ...).
-     * Later dumps replace earlier ones.  @return false (with a
-     * warning) when the file cannot be written.
+     * With @p crash (a crash-signal handler) the ring mutex is only
+     * try-locked; see the file comment.  Later dumps replace earlier
+     * ones.  @return false (with a warning) when the file cannot be
+     * written.
      */
-    bool dump(const char *reason);
+    bool dump(const char *reason, bool crash = false);
 
     /** Dumps written so far. */
     std::uint64_t dumps() const { return dumps_; }
@@ -105,8 +111,6 @@ class FlightRecorder
     std::uint64_t dumps_ = 0;
     bool installedHandlers_ = false;
     FlightRecorder *previous_ = nullptr;
-    // Reused across dumps so repeated dumps don't regrow buffers.
-    std::vector<TelemetrySample> sampleScratch_;
 };
 
 /**

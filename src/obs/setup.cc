@@ -65,15 +65,15 @@ CliScope::CliScope(const util::ArgParser &args)
     if (!wantsSampler)
         return;
 
-    sampler_ = std::make_unique<TelemetrySampler>(
-        metrics(), TelemetryConfig{.intervalS = kSamplePeriodS});
+    sampler_ =
+        std::make_unique<TelemetrySampler>(metrics(), kSamplePeriodS);
     if (!flightPath_.empty())
         flight_ = std::make_unique<FlightRecorder>(
             FlightConfig{flightPath_}, sampler_.get());
     if (listenPort_ != 0) {
-        // Scrape-triggered sampling: every scrape refreshes the
-        // retained snapshot before rendering, like a Prometheus
-        // collect callback.
+        // Scrape-triggered sampling: every scrape takes a fresh
+        // sample before rendering, like a Prometheus collect
+        // callback.
         server_ = std::make_unique<MetricsServer>(
             listenPort_, [sampler = sampler_.get()] {
                 sampler->sampleOnce();
@@ -163,7 +163,7 @@ CliScope::finish()
 
     // Quiesce the scrape endpoint and the sampler thread (and with
     // it the interval dumps), then take one final sample so the
-    // retained snapshot and the ring tail reflect the end state.
+    // newest snapshot and the ring tail reflect the end state.
     if (server_)
         server_->stop();
     if (sampler_) {

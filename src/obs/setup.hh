@@ -23,12 +23,13 @@
  * of them is given the constructor creates the run's one
  * TelemetrySampler over obs::metrics(), ticking every
  * kSamplePeriodS, starts it (the only periodic obs thread), arms the
- * flight recorder against its ring and starts the exposition server,
- * all before any engine or pool exists.
+ * flight recorder against its ring of the last 64 snapshots and
+ * starts the exposition server, all before any engine or pool
+ * exists.
  *
  * --metrics-interval rides the sampler thread: after each periodic
  * sample a tick hook checks the elapsed time and, once the interval
- * has passed, renders the sampler's retained snapshot — to the
+ * has passed, renders the sampler's newest snapshot — to the
  * --metrics path via an atomic temp-file + rename (so a concurrent
  * reader never sees a torn JSON document), or as a table to stderr
  * when no path was given.  Dumps therefore land on sampler ticks: the
@@ -52,9 +53,6 @@
 #include "util/args.hh"
 
 namespace suit::obs {
-
-/** Telemetry sampler period of a CLI run, in seconds. */
-inline constexpr double kSamplePeriodS = 0.1;
 
 /** Declare the obs flags of the file comment on @p args. */
 void addCliOptions(util::ArgParser &args);

@@ -61,15 +61,6 @@ Trace::Trace(std::string name, std::uint64_t total_instructions,
     events_.blockStarts_.shrink_to_fit();
 }
 
-double
-Trace::faultableRate() const
-{
-    if (totalInstructions_ == 0)
-        return 0.0;
-    return static_cast<double>(eventCount()) /
-           static_cast<double>(totalInstructions_);
-}
-
 std::uint64_t
 Trace::tailInstructions() const
 {

@@ -172,9 +172,6 @@ class Trace
     /** Number of faultable events. */
     std::size_t eventCount() const { return events_.size(); }
 
-    /** Faultable instructions per executed instruction. */
-    double faultableRate() const;
-
     /**
      * Absolute instruction index of event @p i (0-based position in
      * the stream).  Walks at most kBlockEvents gaps from the nearest

@@ -63,17 +63,6 @@ Rng::nextBelow(std::uint64_t bound)
     }
 }
 
-std::int64_t
-Rng::nextRange(std::int64_t lo, std::int64_t hi)
-{
-    SUIT_ASSERT(lo <= hi, "nextRange() requires lo <= hi");
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(hi - lo) + 1;
-    if (span == 0) // full 64-bit range
-        return static_cast<std::int64_t>(next());
-    return lo + static_cast<std::int64_t>(nextBelow(span));
-}
-
 double
 Rng::nextDouble()
 {
@@ -133,27 +122,6 @@ double
 Rng::nextLogNormal(double mu, double sigma)
 {
     return std::exp(nextGaussian(mu, sigma));
-}
-
-double
-Rng::nextPareto(double x_m, double alpha)
-{
-    SUIT_ASSERT(x_m > 0.0 && alpha > 0.0,
-                "pareto parameters must be positive");
-    double u;
-    do {
-        u = nextDouble();
-    } while (u <= 0.0);
-    return x_m / std::pow(u, 1.0 / alpha);
-}
-
-Rng
-Rng::split()
-{
-    // Two fresh draws give a decorrelated seed for the child stream.
-    const std::uint64_t a = next();
-    const std::uint64_t b = next();
-    return Rng(a ^ rotl(b, 32));
 }
 
 } // namespace suit::util

@@ -34,9 +34,6 @@ class Rng
     /** Uniform integer in [0, bound) (bound > 0). */
     std::uint64_t nextBelow(std::uint64_t bound);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
-
     /** Uniform double in [0, 1). */
     double nextDouble();
 
@@ -57,12 +54,6 @@ class Rng
 
     /** Log-normal parameterised by the *underlying* normal mu/sigma. */
     double nextLogNormal(double mu, double sigma);
-
-    /** Pareto with scale x_m > 0 and shape alpha > 0. */
-    double nextPareto(double x_m, double alpha);
-
-    /** Fork a decorrelated child generator (for parallel streams). */
-    Rng split();
 
   private:
     static constexpr std::uint64_t kDefaultSeed = 0x5317C0DEULL;

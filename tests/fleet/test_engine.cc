@@ -586,9 +586,8 @@ TEST(FleetEngine, TelemetrySamplerDoesNotChangeTheReport)
     obs::metrics().setEnabled(true);
     const std::string reference = reportOf(testSpec(), 2, 32);
 
-    obs::TelemetryConfig telemetry;
-    telemetry.intervalS = 0.001; // sample aggressively
-    obs::TelemetrySampler sampler(obs::metrics(), telemetry);
+    // Sample aggressively: every millisecond.
+    obs::TelemetrySampler sampler(obs::metrics(), 0.001);
     sampler.start();
     EXPECT_TRUE(sampler.running());
 

@@ -1,21 +1,23 @@
 /**
  * @file
  * Unit tests for the continuous-telemetry stack: the
- * TelemetrySampler ring (wrap-around, lock-free concurrent reads,
- * start/stop idempotence), the OpenMetrics exposition (renderer,
- * TCP server, validator), the FlightRecorder JSONL dumps and the
- * obs::Span sinks.
+ * TelemetrySampler ring (wrap-around, concurrent reads, start/stop
+ * idempotence), the OpenMetrics exposition (renderer, TCP server,
+ * validator), the FlightRecorder JSONL dumps and the obs::Span
+ * sinks.
  *
  * The concurrent tests are in the sanitizer matrix (label `obs`,
- * thread + undefined): the seqlock ring must be TSan-clean while a
- * worker hammers registry counters mid-sample.
+ * thread + undefined): the ring must be TSan-clean while a worker
+ * hammers registry counters mid-sample and a reader scans the tail.
  */
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,8 +43,6 @@ using namespace suit;
 using obs::MetricId;
 using obs::MetricKind;
 using obs::Registry;
-using obs::TelemetryConfig;
-using obs::TelemetrySample;
 using obs::TelemetrySampler;
 
 /** Unique scratch path that is removed again on destruction. */
@@ -67,20 +67,27 @@ class ScratchFile
     std::string path_;
 };
 
-TelemetryConfig
-manualConfig(std::size_t capacity = 8)
+/** Sampling period that leaves the background thread idle. */
+constexpr double kIdleS = 3600.0;
+
+/** Metric names of the newest sample, in registration order. */
+std::vector<std::string>
+newestNames(const TelemetrySampler &sampler)
 {
-    TelemetryConfig cfg;
-    cfg.intervalS = 3600.0; // background thread effectively idle
-    cfg.ringCapacity = capacity;
-    return cfg;
+    const TelemetrySampler::Tail tail = sampler.tail();
+    std::vector<std::string> names;
+    if (tail.size() > 0)
+        for (const obs::MetricValue &m :
+             tail[tail.size() - 1].snapshot.metrics)
+            names.push_back(m.name);
+    return names;
 }
 
 TEST(ObsTelemetry, StartStopIsIdempotentAndRestartable)
 {
     Registry reg;
     reg.setEnabled(true);
-    TelemetrySampler sampler(reg, manualConfig());
+    TelemetrySampler sampler(reg, kIdleS);
 
     EXPECT_FALSE(sampler.running());
     sampler.start();
@@ -104,33 +111,33 @@ TEST(ObsTelemetry, SampleIdsAreMonotonicAndRingWrapsAround)
     reg.setEnabled(true);
     const MetricId c = reg.counter("wrap.count");
 
-    TelemetrySampler sampler(reg, manualConfig(4));
-    for (int i = 0; i < 10; ++i) {
+    TelemetrySampler sampler(reg, kIdleS);
+    const std::uint64_t taken = TelemetrySampler::kRingSamples + 6;
+    for (std::uint64_t i = 0; i < taken; ++i) {
         reg.add(c, 1);
-        EXPECT_EQ(sampler.sampleOnce(),
-                  static_cast<std::uint64_t>(i) + 1);
+        EXPECT_EQ(sampler.sampleOnce(), i + 1);
     }
-    EXPECT_EQ(sampler.samplesTaken(), 10u);
+    EXPECT_EQ(sampler.samplesTaken(), taken);
 
-    // Only the last capacity samples survive, oldest first, ids
+    // Only the last kRingSamples samples survive, oldest first, ids
     // strictly increasing, timestamps non-decreasing.
-    const std::vector<TelemetrySample> tail = sampler.lastSamples(32);
-    ASSERT_EQ(tail.size(), 4u);
-    EXPECT_EQ(tail.front().id, 7u);
-    EXPECT_EQ(tail.back().id, 10u);
+    const TelemetrySampler::Tail tail = sampler.tail();
+    ASSERT_EQ(tail.size(), TelemetrySampler::kRingSamples);
+    EXPECT_EQ(tail[0].id, 7u);
+    EXPECT_EQ(tail[tail.size() - 1].id, taken);
     for (std::size_t i = 1; i < tail.size(); ++i) {
         EXPECT_LT(tail[i - 1].id, tail[i].id);
         EXPECT_LE(tail[i - 1].hostUs, tail[i].hostUs);
     }
 
     // The counter series is cumulative: sample id n carries n.
-    const std::vector<obs::SeriesInfo> series = sampler.series();
-    ASSERT_EQ(series.size(), 1u);
-    EXPECT_EQ(series[0].name, "wrap.count");
-    EXPECT_EQ(series[0].kind, MetricKind::Counter);
-    for (const TelemetrySample &s : tail) {
-        ASSERT_EQ(s.raw.size(), 1u);
-        EXPECT_EQ(s.raw[0], s.id);
+    for (std::size_t i = 0; i < tail.size(); ++i) {
+        const std::vector<obs::MetricValue> &metrics =
+            tail[i].snapshot.metrics;
+        ASSERT_EQ(metrics.size(), 1u);
+        EXPECT_EQ(metrics[0].name, "wrap.count");
+        EXPECT_EQ(metrics[0].kind, MetricKind::Counter);
+        EXPECT_EQ(metrics[0].count, tail[i].id);
     }
 }
 
@@ -140,39 +147,21 @@ TEST(ObsTelemetry, SeriesTableGrowsWithNewMetrics)
     reg.setEnabled(true);
     reg.add(reg.counter("first"), 1);
 
-    TelemetrySampler sampler(reg, manualConfig());
+    TelemetrySampler sampler(reg, kIdleS);
     sampler.sampleOnce();
-    EXPECT_EQ(sampler.series().size(), 1u);
+    EXPECT_EQ(newestNames(sampler).size(), 1u);
 
     reg.add(reg.counter("second"), 1);
     sampler.sampleOnce();
-    const std::vector<obs::SeriesInfo> series = sampler.series();
-    ASSERT_EQ(series.size(), 2u);
     // Registration order, not name order.
-    EXPECT_EQ(series[0].name, "first");
-    EXPECT_EQ(series[1].name, "second");
+    EXPECT_EQ(newestNames(sampler),
+              (std::vector<std::string>{"first", "second"}));
 
     // The older sample reports only the series it knew about.
-    const std::vector<TelemetrySample> tail = sampler.lastSamples(2);
+    const TelemetrySampler::Tail tail = sampler.tail();
     ASSERT_EQ(tail.size(), 2u);
-    EXPECT_EQ(tail[0].raw.size(), 1u);
-    EXPECT_EQ(tail[1].raw.size(), 2u);
-}
-
-TEST(ObsTelemetry, GaugeSeriesRoundTripsThroughBitCast)
-{
-    Registry reg;
-    reg.setEnabled(true);
-    const MetricId g = reg.gauge("level");
-    reg.set(g, -2.25);
-
-    TelemetrySampler sampler(reg, manualConfig());
-    sampler.sampleOnce();
-    const std::vector<TelemetrySample> tail = sampler.lastSamples(1);
-    ASSERT_EQ(tail.size(), 1u);
-    ASSERT_EQ(tail[0].raw.size(), 1u);
-    EXPECT_DOUBLE_EQ(
-        obs::seriesValue(MetricKind::Gauge, tail[0].raw[0]), -2.25);
+    EXPECT_EQ(tail[0].snapshot.metrics.size(), 1u);
+    EXPECT_EQ(tail[1].snapshot.metrics.size(), 2u);
 }
 
 // The satellite regression for `--metrics-interval` dump reuse: the
@@ -188,7 +177,7 @@ TEST(ObsTelemetry, RenderLatestJsonMatchesRegistryRender)
     reg.set(reg.gauge("mm.gauge"), 1.5);
     reg.observe(reg.histogram("hh.lat", {1.0, 10.0}), 5.0);
 
-    TelemetrySampler sampler(reg, manualConfig());
+    TelemetrySampler sampler(reg, kIdleS);
     sampler.sampleOnce();
     EXPECT_EQ(sampler.renderLatest(obs::renderMetricsJson),
               obs::renderMetricsJson(reg.snapshot()));
@@ -209,7 +198,7 @@ TEST(ObsTelemetry, ConcurrentSampleWhileIncrementIsCoherent)
     Registry reg;
     reg.setEnabled(true);
     const MetricId c = reg.counter("mt.count");
-    TelemetrySampler sampler(reg, manualConfig(16));
+    TelemetrySampler sampler(reg, kIdleS);
 
     std::atomic<bool> stop{false};
     std::thread writer([&] {
@@ -217,9 +206,11 @@ TEST(ObsTelemetry, ConcurrentSampleWhileIncrementIsCoherent)
             reg.add(c, 1);
     });
     std::thread scanner([&] {
-        std::vector<TelemetrySample> scratch;
-        for (int i = 0; i < 200; ++i)
-            sampler.lastSamplesInto(scratch, 16);
+        for (int i = 0; i < 200; ++i) {
+            const TelemetrySampler::Tail tail = sampler.tail();
+            for (std::size_t j = 1; j < tail.size(); ++j)
+                EXPECT_LT(tail[j - 1].id, tail[j].id);
+        }
     });
     for (int i = 0; i < 200; ++i)
         sampler.sampleOnce();
@@ -228,10 +219,11 @@ TEST(ObsTelemetry, ConcurrentSampleWhileIncrementIsCoherent)
     scanner.join();
 
     // Every surviving sample pair must show a non-decreasing counter.
-    const std::vector<TelemetrySample> tail = sampler.lastSamples(16);
+    const TelemetrySampler::Tail tail = sampler.tail();
     ASSERT_GE(tail.size(), 2u);
     for (std::size_t i = 1; i < tail.size(); ++i)
-        EXPECT_LE(tail[i - 1].raw[0], tail[i].raw[0]);
+        EXPECT_LE(tail[i - 1].snapshot.metrics[0].count,
+                  tail[i].snapshot.metrics[0].count);
 }
 
 TEST(ObsOpenMetrics, NamesAreSanitized)
@@ -250,7 +242,7 @@ TEST(ObsOpenMetrics, RenderedTextPassesValidator)
     reg.set(reg.gauge("queue.depth"), 3.0);
     reg.observe(reg.histogram("lat.ms", {1.0, 10.0}), 5.0);
 
-    TelemetrySampler sampler(reg, manualConfig());
+    TelemetrySampler sampler(reg, kIdleS);
     sampler.sampleOnce();
     const std::string doc =
         sampler.renderLatest(obs::renderOpenMetrics);
@@ -291,7 +283,7 @@ TEST(ObsOpenMetrics, ServerServesScrapesOnEphemeralPort)
     Registry reg;
     reg.setEnabled(true);
     reg.add(reg.counter("scrape.count"), 5);
-    TelemetrySampler sampler(reg, manualConfig());
+    TelemetrySampler sampler(reg, kIdleS);
 
     obs::MetricsServer server(0, [&] {
         sampler.sampleOnce();
@@ -336,7 +328,7 @@ TEST(ObsFlight, DumpWritesValidJsonlWithSpans)
     Registry reg;
     reg.setEnabled(true);
     const MetricId c = reg.counter("flight.count");
-    TelemetrySampler sampler(reg, manualConfig());
+    TelemetrySampler sampler(reg, kIdleS);
     for (int i = 0; i < 3; ++i) {
         reg.add(c, 2);
         sampler.sampleOnce();
@@ -364,6 +356,18 @@ TEST(ObsFlight, DumpWritesValidJsonlWithSpans)
     EXPECT_NE(doc.find("\"inner\""), std::string::npos);
 }
 
+/** Line @p n (0-based) of @p doc, or "" past its end. */
+std::string
+lineOf(const std::string &doc, std::size_t n)
+{
+    std::istringstream in(doc);
+    std::string line;
+    for (std::size_t i = 0; i <= n; ++i)
+        if (!std::getline(in, line))
+            return "";
+    return line;
+}
+
 /** Occurrences of @p needle in @p hay. */
 std::size_t
 countOf(const std::string &hay, const std::string &needle)
@@ -382,6 +386,96 @@ histogramTotal(const std::string &name)
     const obs::Snapshot snap = obs::metrics().snapshot();
     const obs::MetricValue *m = snap.find(name);
     return m ? m->histogram.total() : 0;
+}
+
+/**
+ * Every metric reaches the dump, past any fixed series cap: the
+ * header lists all of them and each sample line carries one value per
+ * metric, gauges as plain doubles.
+ */
+TEST(ObsFlight, DumpCarriesEveryRegisteredSeries)
+{
+    Registry reg;
+    reg.setEnabled(true);
+    constexpr int kCounters = 300;
+    for (int i = 0; i < kCounters; ++i)
+        reg.add(reg.counter("c" + std::to_string(i)), i);
+    reg.set(reg.gauge("level"), -2.25);
+    TelemetrySampler sampler(reg, kIdleS);
+    sampler.sampleOnce();
+    sampler.sampleOnce();
+
+    const ScratchFile out("wide.jsonl");
+    obs::FlightConfig cfg;
+    cfg.path = out.path();
+    cfg.installSignalHandlers = false;
+    obs::FlightRecorder recorder(cfg, &sampler);
+    ASSERT_TRUE(recorder.dump("sigint"));
+
+    const std::string doc = out.read();
+    const obs::CheckResult result = obs::checkFlightJsonl(doc);
+    EXPECT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(countOf(lineOf(doc, 0), "{\"name\": "),
+              static_cast<std::size_t>(kCounters + 1));
+    EXPECT_TRUE(result.hasName("c0"));
+    EXPECT_TRUE(result.hasName("c299"));
+    EXPECT_TRUE(result.hasName("level"));
+
+    const std::string last = lineOf(doc, 2);
+    ASSERT_EQ(last.rfind("{\"sample\": 2,", 0), 0u) << last;
+    // Two field separators, then one between each pair of values.
+    EXPECT_EQ(countOf(last, ", "),
+              static_cast<std::size_t>(2 + kCounters));
+    EXPECT_NE(last.find(", 298, 299, -2.25]}"), std::string::npos)
+        << last;
+}
+
+/**
+ * A crash dump does not wait for the ring mutex: the crashing thread
+ * may be the sampler, mid-sample.  With the mutex held elsewhere the
+ * dump still writes the header and the span stacks, and no samples.
+ */
+TEST(ObsFlight, CrashDumpSkipsSamplesWhileTheRingIsLocked)
+{
+    Registry reg;
+    reg.setEnabled(true);
+    reg.add(reg.counter("held.count"), 1);
+    TelemetrySampler sampler(reg, kIdleS);
+    sampler.sampleOnce();
+
+    const ScratchFile out("crash.jsonl");
+    obs::FlightConfig cfg;
+    cfg.path = out.path();
+    cfg.installSignalHandlers = false;
+    obs::FlightRecorder recorder(cfg, &sampler);
+
+    std::promise<void> locked;
+    std::promise<void> release;
+    std::thread holder([&] {
+        const TelemetrySampler::Tail tail = sampler.tail();
+        locked.set_value();
+        release.get_future().wait();
+    });
+    locked.get_future().wait();
+    {
+        obs::Span span("crash.region", "test");
+        EXPECT_TRUE(recorder.dump("crash-signal", /*crash=*/true));
+    }
+    release.set_value();
+    holder.join();
+
+    std::string doc = out.read();
+    EXPECT_TRUE(obs::checkFlightJsonl(doc).ok);
+    EXPECT_NE(doc.find("\"reason\": \"crash-signal\""),
+              std::string::npos);
+    EXPECT_EQ(countOf(doc, "{\"sample\": "), 0u);
+    EXPECT_NE(doc.find("\"crash.region\""), std::string::npos);
+
+    // With the mutex free the same crash dump carries the sample.
+    ASSERT_TRUE(recorder.dump("crash-signal", /*crash=*/true));
+    doc = out.read();
+    EXPECT_EQ(countOf(doc, "{\"sample\": "), 1u);
+    EXPECT_TRUE(obs::checkFlightJsonl(doc).hasName("held.count"));
 }
 
 /**

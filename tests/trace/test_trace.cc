@@ -48,7 +48,6 @@ TEST(TraceTest, EventIndicesAccumulateGaps)
     EXPECT_EQ(t.eventIndex(0), 10u);
     EXPECT_EQ(t.eventIndex(1), 16u);  // 10 + 1 + 5
     EXPECT_EQ(t.eventIndex(2), 17u);  // back to back
-    EXPECT_NEAR(t.faultableRate(), 3.0 / 1000.0, 1e-12);
 }
 
 TEST(TraceTest, StatsCountKindsAndGaps)

@@ -266,7 +266,7 @@ measureObsOverheadPct(const sim::SimConfig &base,
 /**
  * Measure the cost of a *running* telemetry sampler: the same
  * single-core scenario with the registry recording in both arms,
- * once with a TelemetrySampler ticking at its default 100 ms period
+ * once with a TelemetrySampler ticking at the CLI's 100 ms period
  * and once without one.  Same paired-median protocol as
  * measureObsOverheadPct — the sampler's steady-state cost (one
  * background thread snapshotting sharded atomics) is far below
@@ -292,13 +292,10 @@ measureTelemetryOverheadPct(const sim::SimConfig &base,
             .count();
     };
 
-    obs::TelemetryConfig sampler_cfg;
-    sampler_cfg.intervalS = 0.1;
-
     {
         // Warmup (sampler thread start/stop included) + batch
         // calibration, as in measureObsOverheadPct.
-        obs::TelemetrySampler sampler(reg, sampler_cfg);
+        obs::TelemetrySampler sampler(reg, obs::kSamplePeriodS);
         sampler.start();
         run_single();
         sampler.stop();
@@ -318,7 +315,7 @@ measureTelemetryOverheadPct(const sim::SimConfig &base,
             .count();
     };
     const auto run_sampled = [&] {
-        obs::TelemetrySampler sampler(reg, sampler_cfg);
+        obs::TelemetrySampler sampler(reg, obs::kSamplePeriodS);
         sampler.start();
         const double ms = run_once();
         sampler.stop();
