@@ -117,7 +117,9 @@ FleetEngine::simulateBlock(const std::vector<DomainConfig> &block,
     // result scratch all keep their capacity across domains, so the
     // steady-state domain loop allocates nothing.  The pins keep
     // evicted traces alive for the key's run; one cache lock covers
-    // every stream.
+    // every stream.  The run's domains share its arrival-delta
+    // columns: a key change clears them with the pins they point
+    // into, so no column outlives its trace.
     suit::sim::SimWorkspace &ws = session_.workspace();
     const DomainConfig *prev = nullptr;
     for (const std::size_t i : order) {
@@ -126,6 +128,7 @@ FleetEngine::simulateBlock(const std::vector<DomainConfig> &block,
         const suit::trace::WorkloadProfile &profile =
             rack.profiles[config.workload];
         if (prev == nullptr || traceKey(*prev) != traceKey(config)) {
+            ws.columns.clear();
             session_.traceCache().getMany(profile, config.traceSeed,
                                           rack.streams, ws.pinned);
             ws.work.clear();
@@ -145,6 +148,7 @@ FleetEngine::simulateBlock(const std::vector<DomainConfig> &block,
         sim_cfg.params = rack.params;
         sim_cfg.seed = config.simSeed;
         sim_cfg.cancel = cancel;
+        sim_cfg.arrivalColumns = &ws.columns;
 
         ws.sim.reset(sim_cfg, ws.work);
         ws.sim.runInto(ws.result);

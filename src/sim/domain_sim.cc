@@ -124,6 +124,40 @@ voltageEdge(SuitPState from, SuitPState to)
 
 } // namespace
 
+const Tick *
+ArrivalColumns::find(const suit::trace::Trace &trace, double rate) const
+{
+    for (std::size_t c = 0; c < live_; ++c) {
+        const Column &col = columns_[c];
+        if (col.trace == &trace && col.rate == rate) {
+            // A column outliving its trace would show here as a new
+            // trace at a recycled address, of another length.
+            SUIT_ASSERT(col.deltas.size() == trace.eventCount(),
+                        "arrival column outlived its trace");
+            return col.deltas.data();
+        }
+    }
+    return nullptr;
+}
+
+const Tick *
+ArrivalColumns::build(const suit::trace::Trace &trace, double rate)
+{
+    SUIT_ASSERT(find(trace, rate) == nullptr,
+                "arrival column built twice");
+    if (live_ == columns_.size())
+        columns_.emplace_back();
+    Column &col = columns_[live_++];
+    col.trace = &trace;
+    col.rate = rate;
+    const std::size_t n = trace.eventCount();
+    const std::uint32_t *const gaps = trace.gapColumn();
+    col.deltas.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        col.deltas[i] = windowSecondsToTicks(gapAt(trace, gaps, i) / rate);
+    return col.deltas.data();
+}
+
 double
 DomainResult::perfDelta() const
 {
@@ -170,6 +204,8 @@ DomainSimulator::reset(const SimConfig &config,
     cursors_.assign(nCores_, WindowCursor{});
     rates_.assign(static_cast<std::size_t>(kNumSuitPStates) * nCores_,
                   0.0);
+    columns_.assign(static_cast<std::size_t>(kNumSuitPStates) * nCores_,
+                    nullptr);
     cores_.clear();
     cores_.reserve(nCores_);
 
@@ -190,6 +226,7 @@ DomainSimulator::reset(const SimConfig &config,
     for (std::uint64_t &n : trapsByKind_)
         n = 0;
     batchedEvents_ = 0;
+    columnsBuilt_ = 0;
     for (double &p : powerTbl_)
         p = 1.0;
 
@@ -676,7 +713,42 @@ DomainSimulator::windowAt() const
     return Window::None;
 }
 
+const Tick *
+DomainSimulator::columnAt(std::size_t sidx, std::size_t i)
+{
+    const Tick *&column = columns_[sidx * nCores_ + i];
+    const suit::trace::Trace &trace = *cores_[i].work.trace;
+    if (column == nullptr && trace.eventCount() != 0) {
+        const double rate = rates_[sidx * nCores_ + i];
+        column = cfg_.arrivalColumns->find(trace, rate);
+        if (column == nullptr) {
+            column = cfg_.arrivalColumns->build(trace, rate);
+            ++columnsBuilt_;
+        }
+    }
+    return column;
+}
+
 template <bool Trap>
+void
+DomainSimulator::runWindow(std::uint64_t &budget,
+                           std::uint32_t &cancel_countdown)
+{
+    const bool columns = cfg_.arrivalColumns != nullptr;
+    if (nCores_ == 1) {
+        if (columns)
+            runWindowSingle<Trap, true>(budget, cancel_countdown);
+        else
+            runWindowSingle<Trap, false>(budget, cancel_countdown);
+    } else {
+        if (columns)
+            runWindowMulti<Trap, true>(budget, cancel_countdown);
+        else
+            runWindowMulti<Trap, false>(budget, cancel_countdown);
+    }
+}
+
+template <bool Trap, bool Columns>
 void
 DomainSimulator::runWindowSingle(std::uint64_t &budget,
                                  std::uint32_t &cancel_countdown)
@@ -705,6 +777,8 @@ DomainSimulator::runWindowSingle(std::uint64_t &budget,
     // accumulators in memory across it.
     const double tail = static_cast<double>(trace.tailInstructions());
     const std::size_t window_first = core.nextEvent;
+    const Tick *const column =
+        Columns ? columnAt(static_cast<std::size_t>(sidx), 0) : nullptr;
 
     // Everything the loop updates per event lives in a local and is
     // written back once at window exit, so no event waits on
@@ -724,6 +798,18 @@ DomainSimulator::runWindowSingle(std::uint64_t &budget,
         cancel != nullptr ? next + cancel_countdown : event_count;
     std::size_t fast_end = std::min(event_count, poll_at);
     double remaining = remaining_[0];
+    // Columns: the loop carries the next event's delta, not its gap.
+    // The window's first delta is computed in place: remaining_ can be
+    // a partial gap after settleProgress().  The tail ends the window,
+    // so its arrival is the generic step's.
+    Tick delta = Columns ? windowSecondsToTicks(remaining / rate) : 0;
+    // Event i's gap (or, with columns, its delta) for the next arrival.
+    const auto load = [&](std::size_t i) {
+        if constexpr (Columns)
+            delta = column[i];
+        else
+            remaining = gapAt(trace, gaps, i);
+    };
     Tick resume = resume_[0];
     double power_s = powerIntegralS_;
     double active_s = activeTimeS_;
@@ -740,7 +826,8 @@ DomainSimulator::runWindowSingle(std::uint64_t &budget,
         if (start >= run_cap)
             break; // frozen from start on: the transition goes first
         const Tick arrival =
-            start + windowSecondsToTicks(remaining / rate);
+            start +
+            (Columns ? delta : windowSecondsToTicks(remaining / rate));
         // Stop where another event source outranks the core arrival
         // (the loop's tie order: transitions > timers > cores).
         if (timed && arrival >= expiry)
@@ -770,19 +857,23 @@ DomainSimulator::runWindowSingle(std::uint64_t &budget,
         // consumeEvent() inlined.
         ++next;
         if (next < fast_end) [[likely]] {
-            remaining = gapAt(trace, gaps, next);
+            load(next);
         } else if (next < event_count) {
             // The cancel countdown ran out: poll and rearm it.
             cancel->throwIfCancelled();
             poll_at = next + kCancelPollInterval;
             fast_end = std::min(event_count, poll_at);
-            remaining = gapAt(trace, gaps, next);
+            load(next);
         } else {
             remaining = tail;
             past_last = true;
         }
     }
     const std::uint64_t consumed = next - window_first;
+    // With columns the loop kept only the delta: materialise the gap
+    // the core now stands before.
+    if (Columns && consumed != 0 && !past_last)
+        remaining = gapAt(trace, gaps, next);
     if constexpr (Trap) {
         traps_ += consumed;
         emulations_ += consumed;
@@ -812,7 +903,7 @@ DomainSimulator::runWindowSingle(std::uint64_t &budget,
     batchedEvents_ += consumed;
 }
 
-template <bool Trap>
+template <bool Trap, bool Columns>
 void
 DomainSimulator::runWindowMulti(std::uint64_t &budget,
                                 std::uint32_t &cancel_countdown)
@@ -852,7 +943,10 @@ DomainSimulator::runWindowMulti(std::uint64_t &budget,
         }
         const std::size_t after = c.next + 1;
         c.rem = after < c.count ? gapAt(*c.trace, c.gaps, after) : c.tail;
-        c.delta = windowSecondsToTicks(c.rem / rate[i]);
+        if (Columns && after < c.count)
+            c.delta = c.column[after];
+        else
+            c.delta = windowSecondsToTicks(c.rem / rate[i]);
     };
     std::size_t active = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -869,6 +963,8 @@ DomainSimulator::runWindowMulti(std::uint64_t &budget,
         c.count = trace.eventCount();
         c.next = core.nextEvent;
         c.tail = static_cast<double>(trace.tailInstructions());
+        c.column = Columns ? columnAt(static_cast<std::size_t>(sidx), i)
+                           : nullptr;
         look_ahead(i);
         active += core.done ? 0U : 1U;
     }
@@ -1074,26 +1170,18 @@ DomainSimulator::runFast(DomainResult &out)
     // Batched windows, one loop per domain arity: single-core domains
     // need no cross-core replay at all; multi-core domains merge the
     // cores' arrivals and replay the per-core accumulator adds per
-    // event (see DESIGN.md).
+    // event (see DESIGN.md).  runWindow() picks the loop.
     // windowAt() fixes at entry what each event does: it executes
     // natively, or it is strategy e's emulated trap.
-    const bool single_core = nCores_ == 1;
-
     std::uint32_t cancel_countdown = kCancelPollInterval;
     while (active > 0) {
         pollCancel(cfg_.cancel, cancel_countdown);
         switch (windowAt()) {
           case Window::Native:
-            if (single_core)
-                runWindowSingle<false>(budget, cancel_countdown);
-            else
-                runWindowMulti<false>(budget, cancel_countdown);
+            runWindow<false>(budget, cancel_countdown);
             break;
           case Window::Trap:
-            if (single_core)
-                runWindowSingle<true>(budget, cancel_countdown);
-            else
-                runWindowMulti<true>(budget, cancel_countdown);
+            runWindow<true>(budget, cancel_countdown);
             break;
           case Window::None:
             break;
@@ -1305,6 +1393,13 @@ DomainSimulator::publishObs(const DomainResult &result) const
         consumed += core.nextEvent;
     reg.add(ids.eventsTotal, consumed);
     reg.add(ids.eventsBatched, batchedEvents_);
+    if (columnsBuilt_ != 0) {
+        // Registered on first use: runs without a column store (sweeps,
+        // suit_sim, suit_paper) publish no such series.
+        static const suit::obs::MetricId columns_built =
+            reg.counter("sim.arrival_columns.built");
+        reg.add(columns_built, columnsBuilt_);
+    }
 
     for (const CoreResult &core : result.cores)
         reg.observe(ids.domainSimMs, core.durationS * 1e3);

@@ -121,6 +121,55 @@ struct DomainResult
     double efficiencyDelta() const;
 };
 
+/**
+ * Arrival-delta columns of one fleet key-run: for a (trace, rate)
+ * pair, entry i is the ticks event i's gap takes at that instruction
+ * rate, the same windowSecondsToTicks(gap(i) / rate) the batched
+ * windows otherwise compute per event.  A delta depends only on the
+ * trace and the rate, so the domains of one key-run (same traces,
+ * p-state rates shared by every domain with the same strategy and
+ * offset) build a column once and then read it instead of dividing.
+ *
+ * Lifetime: a column is keyed by the trace's address, so the owner
+ * must clear() the store before any trace it was built from can be
+ * released.  FleetEngine::simulateBlock clears it at every key change,
+ * while the workspace's pins keep the key's traces alive; a store is
+ * never shared across keys.  clear() keeps the buffers, so a worker
+ * holds at most the high-water mark of one key's columns: events x
+ * 8 B x the distinct (stream, rate) pairs of that key.
+ */
+class ArrivalColumns
+{
+  public:
+    /** Drop every column; the buffers keep their capacity. */
+    void clear() { live_ = 0; }
+
+    /** Columns built since the last clear(). */
+    std::size_t size() const { return live_; }
+
+    /** @p trace's column at @p rate, or null if none is built. */
+    const suit::util::Tick *find(const suit::trace::Trace &trace,
+                                 double rate) const;
+
+    /**
+     * Build @p trace's column at @p rate (it must not exist yet) from
+     * the full 64-bit gaps, so escaped gaps are covered.
+     */
+    const suit::util::Tick *build(const suit::trace::Trace &trace,
+                                  double rate);
+
+  private:
+    struct Column
+    {
+        const suit::trace::Trace *trace = nullptr;
+        double rate = 0.0;
+        std::vector<suit::util::Tick> deltas;
+    };
+    /** Slots [0, live_) hold columns; the rest are spare buffers. */
+    std::vector<Column> columns_;
+    std::size_t live_ = 0;
+};
+
 /** Configuration of one simulation run. */
 struct SimConfig
 {
@@ -165,6 +214,14 @@ struct SimConfig
      * (journaled) result.
      */
     const suit::runtime::CancelToken *cancel = nullptr;
+    /**
+     * Arrival-delta column store of the caller's key-run (not owned;
+     * see ArrivalColumns for its lifetime).  Null: the batched windows
+     * compute each event's delta in place, as sweeps, suit_sim and
+     * suit_paper do.  Results are bit-identical either way (the
+     * golden-identity suite compares all three paths).
+     */
+    ArrivalColumns *arrivalColumns = nullptr;
 };
 
 /**
@@ -278,6 +335,12 @@ class DomainSimulator final : public suit::core::CpuControl
     std::vector<suit::util::Tick> resume_;  //!< stalled until
     std::vector<suit::util::Tick> arrival_; //!< next arrival scratch
     std::vector<double> rates_; //!< instrRate per [p-state][core]
+    /**
+     * Arrival-delta columns per [p-state][core], laid out like rates_,
+     * resolved from cfg_.arrivalColumns at a window's first use of the
+     * pair (columnAt()); all null when no store is bound.
+     */
+    std::vector<const suit::util::Tick *> columns_;
     /** @} */
 
     /**
@@ -302,6 +365,8 @@ class DomainSimulator final : public suit::core::CpuControl
         suit::util::Tick stall; //!< its #DO stall (trap windows)
         double rem;             //!< instructions after event next
         suit::util::Tick delta; //!< rem's ticks at the window's rate
+        /** The trace's arrival-delta column (bound store only). */
+        const suit::util::Tick *column;
     };
     std::vector<WindowCursor> cursors_;
 
@@ -334,6 +399,7 @@ class DomainSimulator final : public suit::core::CpuControl
     int track_ = 0; //!< this domain's timeline row (valid iff trace_)
     std::uint64_t trapsByKind_[suit::isa::kNumFaultableKinds] = {};
     std::uint64_t batchedEvents_ = 0; //!< events consumed in windows
+    std::uint64_t columnsBuilt_ = 0;  //!< arrival columns this run built
 
     /**
      * Fast-path invariant: powerFactorOf() per p-state, indexed by
@@ -397,13 +463,22 @@ class DomainSimulator final : public suit::core::CpuControl
     /** May a batched window run from now_, and of which kind? */
     Window windowAt() const;
     /**
+     * Run one batched window from now_: the single- or multi-core
+     * loop, reading arrival deltas from the bound column store if
+     * there is one.  The store test is per window, not per event.
+     */
+    template <bool Trap>
+    void runWindow(std::uint64_t &budget, std::uint32_t &cancel_countdown);
+    /**
      * Consume consecutive events of a single-core domain, replaying
      * the generic step's state writes per event (Trap: the trap
      * counters and the two resume_ maxima; Native in SUIT mode: the
      * timer touch).  Polls cfg_.cancel with the run loop's shared
      * @p cancel_countdown: one window may cover a whole trace.
+     * Columns: each event after the window's first reads its delta
+     * from the arrival column instead of dividing its gap by the rate.
      */
-    template <bool Trap>
+    template <bool Trap, bool Columns>
     void runWindowSingle(std::uint64_t &budget,
                          std::uint32_t &cancel_countdown);
     /**
@@ -413,9 +488,15 @@ class DomainSimulator final : public suit::core::CpuControl
      * winner's, replaying the reference accumulator sequence per
      * event so the floating-point grouping is unchanged.
      */
-    template <bool Trap>
+    template <bool Trap, bool Columns>
     void runWindowMulti(std::uint64_t &budget,
                         std::uint32_t &cancel_countdown);
+    /**
+     * Core @p i's arrival column at p-state row @p sidx, found in or
+     * built into cfg_.arrivalColumns on first use.  Null for a trace
+     * without events, whose windows read no delta.
+     */
+    const suit::util::Tick *columnAt(std::size_t sidx, std::size_t i);
     /** @} */
 
     /**

@@ -7,10 +7,13 @@
  * and state log all retain their capacity across resets), the trace
  * pins and core assignments runWorkload() builds per domain, and a
  * DomainResult scratch whose vectors and strings are rewritten in
- * place.  After the first domain of a given shape has warmed the
- * buffers, evaluating further domains performs no heap allocation —
+ * place, plus the fleet's arrival-delta column store.  After the
+ * first domain of a given shape has warmed the buffers, evaluating
+ * further domains performs no heap allocation —
  * the suit_bench_json harness asserts exactly that when the
- * SUIT_ALLOC_COUNT hook is compiled in.
+ * SUIT_ALLOC_COUNT hook is compiled in.  The column store keeps its
+ * buffers across key changes too, so it stops allocating once it
+ * has held the largest key-run's columns.
  *
  * Ownership and threading: runtime::Session holds one workspace per
  * ThreadPool worker (plus one for the session thread), and each
@@ -52,6 +55,16 @@ struct alignas(64) SimWorkspace
     std::vector<CoreWork> work;
     /** Result scratch, overwritten by every evaluation. */
     DomainResult result;
+    /**
+     * Arrival-delta columns of the current key-run.  Only the fleet
+     * binds them (SimConfig::arrivalColumns), clearing the store at
+     * each key change while `pinned` keeps that key's traces alive,
+     * so no column outlives its trace.  Sweeps and the single-run
+     * tools leave it empty: their grids hold many traces per worker,
+     * whose columns would cost more memory than the divides cost
+     * time (DESIGN.md, "Arrival-delta columns").
+     */
+    ArrivalColumns columns;
 };
 
 } // namespace suit::sim

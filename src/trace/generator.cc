@@ -18,12 +18,19 @@ namespace {
 FaultableKind
 sampleKind(const std::array<double, kNumFaultableKinds> &mix, Rng &rng)
 {
+    // The first kind whose running remainder goes negative, found
+    // without a data-dependent exit (which mispredicted about once
+    // per event): with non-negative weights (makeMix()) the remainder
+    // never rises, so the count of values still >= 0 is that kind's
+    // index.  Same subtractions in the same order, so the same kind.
     double u = rng.nextDouble();
+    std::size_t kind = 0;
     for (std::size_t i = 0; i < kNumFaultableKinds; ++i) {
         u -= mix[i];
-        if (u < 0.0)
-            return static_cast<FaultableKind>(i);
+        kind += u >= 0.0 ? 1 : 0;
     }
+    if (kind < kNumFaultableKinds)
+        return static_cast<FaultableKind>(kind);
     // Numerical leftovers land on the last kind with weight.
     for (std::size_t i = kNumFaultableKinds; i-- > 0;) {
         if (mix[i] > 0.0)
@@ -49,6 +56,10 @@ TraceGenerator::generate(const WorkloadProfile &profile,
     SUIT_ASSERT(bm.meanBurstEvents >= 1.0,
                 "profile '%s': burst must contain at least one event",
                 profile.name.c_str());
+    for (const double weight : profile.kindMix)
+        SUIT_ASSERT(weight >= 0.0,
+                    "profile '%s': kind mix weight %g is negative",
+                    profile.name.c_str(), weight);
 
     // Events go straight into the trace's columns.  A loose
     // reservation (heavy-tailed gaps make the count vary); the Trace

@@ -106,6 +106,9 @@ makeMix(std::initializer_list<std::pair<FaultableKind, double>> entries)
     KindMix mix{};
     double sum = 0.0;
     for (const auto &[kind, weight] : entries) {
+        // The generator's kind sampler relies on it (sampleKind()).
+        SUIT_ASSERT(weight >= 0.0, "kind mix weight %g is negative",
+                    weight);
         mix[static_cast<std::size_t>(kind)] = weight;
         sum += weight;
     }

@@ -1,8 +1,9 @@
 /**
  * @file
  * FleetEngine determinism tests: serial vs multi-worker byte
- * identity, shard-size invariance, one trace fetch per trace-key run
- * inside a shard, kill-and-resume equivalence
+ * identity, shard-size invariance, one trace fetch and shared
+ * arrival-delta columns per trace-key run inside a shard,
+ * kill-and-resume equivalence
  * through the checkpoint journal (from a journal cut or damaged at
  * any byte), fingerprint mismatch refusal, and report schema
  * validation.
@@ -130,6 +131,10 @@ TEST(FleetEngine, ShardFetchesEachTraceOncePerKeyRun)
     // A shard runs its domains in (rack, workload, variant) order and
     // fetches each key's traces once.  The cache counts one hit or
     // miss per stream, so a key of the 2-stream rack counts twice.
+    // The key-run's domains share its arrival-delta columns: one per
+    // (key, stream, rate) at most, where a rate is fixed by the
+    // domain's strategy and offset and the p-state.  Shard size 1
+    // builds every column without reuse; the report must not tell.
     const FleetSpec spec = testSpec();
     std::vector<int> streams;
     for (const fleet::RackSpec &rack : spec.racks) {
@@ -144,11 +149,15 @@ TEST(FleetEngine, ShardFetchesEachTraceOncePerKeyRun)
     std::string reference;
     for (const std::uint64_t shard_size : {1, 7, 64, 4096}) {
         std::uint64_t expected = 0;
+        std::uint64_t rate_triples = 0;
         for (std::uint64_t first = 0; first < domains;
              first += shard_size) {
             std::set<std::tuple<std::uint32_t, std::uint16_t,
                                 std::uint8_t>>
                 keys;
+            std::set<std::tuple<std::uint32_t, std::uint16_t,
+                                std::uint8_t, std::uint8_t, double>>
+                key_rates;
             const std::uint64_t last =
                 std::min(domains, first + shard_size);
             for (std::uint64_t i = first; i < last; ++i) {
@@ -156,18 +165,34 @@ TEST(FleetEngine, ShardFetchesEachTraceOncePerKeyRun)
                 if (keys.insert({d.rack, d.workload, d.variant}).second)
                     expected += static_cast<std::uint64_t>(
                         streams[d.rack]);
+                if (key_rates
+                        .insert({d.rack, d.workload, d.variant,
+                                 d.strategy, d.offsetMv})
+                        .second)
+                    rate_triples += static_cast<std::uint64_t>(
+                        streams[d.rack] * power::kNumSuitPStates);
             }
         }
 
+        obs::metrics().reset();
+        obs::metrics().setEnabled(true);
         runtime::Session session({.jobs = 1});
         FleetEngine engine(session, spec);
         FleetOptions options;
         options.shardSize = shard_size;
         const FleetOutcome outcome = engine.run(options);
+        const obs::Snapshot snap = obs::metrics().snapshot();
+        obs::metrics().setEnabled(false);
+        obs::metrics().reset();
         ASSERT_TRUE(outcome.complete());
         const sim::TraceCache &cache = engine.traceCache();
         EXPECT_EQ(cache.hits() + cache.misses(), expected)
             << "shard size " << shard_size;
+        ASSERT_NE(snap.find("sim.arrival_columns.built"), nullptr);
+        const std::uint64_t built =
+            snap.find("sim.arrival_columns.built")->count;
+        EXPECT_GT(built, 0u) << "shard size " << shard_size;
+        EXPECT_LE(built, rate_triples) << "shard size " << shard_size;
         if (shard_size == 1) {
             // One key per shard: every domain fetches.
             std::uint64_t stream_domains = 0;
@@ -175,8 +200,14 @@ TEST(FleetEngine, ShardFetchesEachTraceOncePerKeyRun)
                 stream_domains += spec.racks[r].domains *
                                   static_cast<std::uint64_t>(streams[r]);
             EXPECT_EQ(expected, stream_domains);
+            // And every domain builds its own columns.
+            EXPECT_GE(built, domains);
         } else {
             EXPECT_LT(expected, domains);
+        }
+        if (shard_size == 4096) {
+            // One shard: domains of a key-run read shared columns.
+            EXPECT_LT(built, domains);
         }
 
         const std::string report =

@@ -26,11 +26,13 @@
 #include "core/params.hh"
 #include "exec/sweep.hh"
 #include "obs/registry.hh"
+#include "runtime/cancel.hh"
 #include "runtime/session.hh"
 #include "sim/domain_sim.hh"
 #include "sim/evaluation.hh"
 #include "sim/result_io.hh"
 #include "sim/trace_cache.hh"
+#include "sim/workspace.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
 
@@ -507,6 +509,158 @@ TEST(GoldenIdentity, SharedCoresFinishAsTheirStreamAlone)
         }
     }
     EXPECT_EQ(checked, 2 * 2 * (2 + 4));
+}
+
+/**
+ * Core @p c's trace with escaped gaps: bursts of small gaps separated
+ * by gaps at and past the 32-bit escape sentinel, whose arrival deltas
+ * a column must build from the full 64-bit gap.
+ */
+trace::Trace
+escapedGapTrace(int c)
+{
+    constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+    const std::uint64_t big[] = {k32 - 1, k32, 3 * k32 + 7};
+    std::vector<trace::FaultableEvent> events;
+    std::uint64_t span = 0;
+    for (int burst = 0; burst < 6; ++burst) {
+        const std::uint64_t gap = big[(burst + c) % 3] + 1000 * c;
+        events.push_back({gap, isa::FaultableKind::VOR});
+        span += gap + 1;
+        for (int k = 0; k < 20; ++k) {
+            const std::uint64_t small = 500 + 37 * k + 11 * c;
+            events.push_back({small, isa::FaultableKind::AESENC});
+            span += small + 1;
+        }
+    }
+    return trace::Trace("escaped", span + 5000, 1.0, events);
+}
+
+/** Serialize one run of @p work under @p cfg on @p ws's simulator. */
+std::string
+runBytes(sim::SimWorkspace &ws, const sim::SimConfig &cfg,
+         const std::vector<sim::CoreWork> &work)
+{
+    ws.sim.reset(cfg, work);
+    ws.sim.runInto(ws.result);
+    std::string bytes;
+    sim::serializeResult(ws.result, bytes);
+    return bytes;
+}
+
+/**
+ * Arrival-delta columns (SimConfig::arrivalColumns) against the
+ * in-place deltas and the reference loop, byte for byte.  One
+ * long-lived workspace plays a fleet worker: its store is cleared at
+ * each trace set (a key change) and shared by every domain of the set
+ * at both offsets and all strategies, so domains read columns other
+ * domains built.  The trace sets are regenerated into one
+ * loop-scoped vector, so a later set's traces can sit at an earlier
+ * set's addresses: a column surviving its key would show.  Each bound
+ * run is also checked against a fresh workspace's store.
+ *
+ * Coverage: single-core and 2-/4-core domains (runWindowSingle and
+ * runWindowMulti's look-ahead); native windows (Baseline, fV, hybrid)
+ * and strategy e's trap windows; windows opening mid-gap after a
+ * p-state switch (fV and hybrid switch on traps and timer expiries);
+ * escaped gaps; and, with a live cancel token, Baseline windows
+ * spanning the dense traces' more than 4096 events, which cross the
+ * cancel poll inside the window.
+ */
+TEST(GoldenIdentity, ArrivalColumnsMatchInPlaceAndReference)
+{
+    const power::CpuModel cpuA = power::cpuA_i9_9900k();
+    const power::CpuModel cpuC = power::cpuC_xeon4208();
+    const trace::WorkloadProfile dense =
+        goldenProfile("golden-dense", true);
+    const trace::WorkloadProfile sparse =
+        goldenProfile("golden-sparse", false);
+    trace::WorkloadProfile escaped = goldenProfile("escaped", false);
+    // A fleet-sized slice of a real profile: its short bursts put
+    // consumed events in windows that open mid-gap.
+    trace::WorkloadProfile nginx = trace::profileByName("Nginx");
+    nginx.totalInstructions = nginx.totalInstructions / 100;
+    const std::vector<ModeCase> cases = {
+        {"baseline", RunMode::Baseline, core::StrategyKind::CombinedFv},
+        {"suit-e", RunMode::Suit, core::StrategyKind::Emulation},
+        {"suit-fV", RunMode::Suit, core::StrategyKind::CombinedFv},
+        {"suit-e+fV", RunMode::Suit, core::StrategyKind::Hybrid},
+    };
+    struct DomainCase
+    {
+        const power::CpuModel *cpu;
+        std::size_t cores;
+    };
+    const DomainCase domains[] = {
+        {&cpuC, 1}, {&cpuA, 1}, {&cpuA, 2}, {&cpuA, 4}};
+    const runtime::CancelToken live;
+
+    sim::SimWorkspace ws;
+    int checked = 0;
+    for (const char *set : {"dense", "escaped", "sparse", "Nginx"}) {
+        const std::string name = set;
+        const trace::WorkloadProfile *profile =
+            name == "dense" ? &dense : name == "sparse" ? &sparse
+                                     : name == "Nginx"  ? &nginx
+                                                        : &escaped;
+        std::vector<trace::Trace> traces;
+        for (int s = 0; s < 4; ++s) {
+            traces.push_back(
+                profile == &escaped
+                    ? escapedGapTrace(s)
+                    : trace::TraceGenerator(11).generate(*profile, s));
+        }
+        if (profile == &escaped)
+            escaped.totalInstructions = traces[0].totalInstructions();
+        if (name == "dense") {
+            ASSERT_GT(traces[0].eventCount(), 4096u);
+        }
+
+        // A key change: the store forgets the previous set's columns.
+        ws.columns.clear();
+        for (const DomainCase &dc : domains) {
+            std::vector<sim::CoreWork> work;
+            for (std::size_t c = 0; c < dc.cores; ++c)
+                work.push_back({&traces[c], profile});
+            for (const ModeCase &mc : cases) {
+                for (const double offset : {-70.0, -97.0}) {
+                    sim::SimConfig cfg;
+                    cfg.cpu = dc.cpu;
+                    cfg.offsetMv = offset;
+                    cfg.mode = mc.mode;
+                    cfg.strategy = mc.strategy;
+                    cfg.params = core::optimalParams(*dc.cpu);
+                    cfg.seed = 23;
+                    cfg.cancel = &live;
+                    const std::string label =
+                        name + " CPU " + dc.cpu->label() + " cores=" +
+                        std::to_string(dc.cores) + " " + mc.label +
+                        " offset=" + std::to_string(offset);
+
+                    cfg.referencePath = true;
+                    const std::string ref = runBytes(ws, cfg, work);
+                    cfg.referencePath = false;
+                    ASSERT_EQ(runBytes(ws, cfg, work), ref) << label;
+
+                    cfg.arrivalColumns = &ws.columns;
+                    ASSERT_EQ(runBytes(ws, cfg, work), ref) << label;
+                    // Every column this domain needs now exists: a
+                    // rerun reads them all and builds none.
+                    const std::size_t built = ws.columns.size();
+                    ASSERT_EQ(runBytes(ws, cfg, work), ref) << label;
+                    EXPECT_EQ(ws.columns.size(), built) << label;
+
+                    sim::SimWorkspace fresh;
+                    cfg.arrivalColumns = &fresh.columns;
+                    ASSERT_EQ(runBytes(fresh, cfg, work), ref) << label;
+                    ++checked;
+                }
+            }
+        }
+        // Baseline and native windows read columns on every set.
+        EXPECT_GT(ws.columns.size(), 0u) << name;
+    }
+    EXPECT_EQ(checked, 4 * 4 * 4 * 2);
 }
 
 /**

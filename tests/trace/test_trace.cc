@@ -13,6 +13,7 @@
 #include "trace/io.hh"
 #include "trace/profile.hh"
 #include "trace/trace.hh"
+#include "util/hash.hh"
 #include "util/rng.hh"
 
 namespace suit::trace {
@@ -243,6 +244,63 @@ TEST(Generator, KindMixIsRespected)
             FaultableKind::AESENC)]) /
         static_cast<double>(t.eventCount());
     EXPECT_NEAR(aes_share, 0.85, 0.05);
+}
+
+/**
+ * Trace bytes are part of every result: a generator change that moves
+ * one gap or kind moves the sweeps', the fleet's and the paper's
+ * output.  Each pinned digest covers streams 0-3 of one (profile,
+ * seed): every event's full 64-bit gap and kind byte, then the tail,
+ * folded into one fnv1a64.  Mixes span SPEC int and fp, x264, crypto
+ * and media; the values were captured from the generator as it
+ * samples kinds with a data-dependent loop exit, so a rewrite of the
+ * sampler must reproduce them exactly.
+ */
+TEST(Generator, TraceBytesArePinned)
+{
+    struct Pin
+    {
+        const char *profile;
+        std::uint64_t seed;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"557.xz", 1, 0x15447188B0F534ADULL},
+        {"557.xz", 77, 0x21FA19E0E98C26FCULL},
+        {"502.gcc", 1, 0xA4AF7F73D69D203CULL},
+        {"502.gcc", 77, 0x44E582CF31F68312ULL},
+        {"525.x264", 1, 0x8B2A32CDA1AEAC5DULL},
+        {"525.x264", 77, 0xC8F7D8495954A551ULL},
+        {"526.blender", 1, 0xB65EC565A3F2C464ULL},
+        {"526.blender", 77, 0x2DF52CDE91A31374ULL},
+        {"Nginx", 1, 0xDA556B87B3514F7DULL},
+        {"Nginx", 77, 0xA9D6BDF517E4D1F2ULL},
+        {"VLC", 1, 0xEA92734D2BE069E5ULL},
+        {"VLC", 77, 0xE9A0DE631B83BFEAULL},
+    };
+    for (const Pin &pin : pins) {
+        const WorkloadProfile &p = profileByName(pin.profile);
+        const TraceGenerator gen(pin.seed);
+        std::uint64_t digest = suit::util::kFnv1a64Basis;
+        const auto fold = [&](std::uint64_t v, std::size_t bytes) {
+            unsigned char le[8];
+            for (std::size_t b = 0; b < bytes; ++b)
+                le[b] = static_cast<unsigned char>(v >> (8 * b));
+            digest = suit::util::fnv1a64(le, bytes, digest);
+        };
+        for (int stream = 0; stream < 4; ++stream) {
+            const Trace t = gen.generate(p, stream);
+            ASSERT_GT(t.eventCount(), 0u) << pin.profile;
+            fold(t.eventCount(), 8);
+            for (std::size_t i = 0; i < t.eventCount(); ++i) {
+                fold(t.gap(i), 8);
+                fold(static_cast<std::uint64_t>(t.kind(i)), 1);
+            }
+            fold(t.tailInstructions(), 8);
+        }
+        EXPECT_EQ(digest, pin.digest)
+            << pin.profile << " seed " << pin.seed;
+    }
 }
 
 TEST(TraceTest, TailInstructionsCountsTrailingStream)
